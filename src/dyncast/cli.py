@@ -67,7 +67,8 @@ def cmd_send(args) -> int:
                                   n=args.fec_n, seed=args.fec_seed)
     session = transfer.send_file(
         args.file, args.out,
-        channel=channel, codec=spec, levels=args.levels, buffers=args.buffers,
+        channel=channel, codec=spec, levels=args.levels, session_id=args.session_id,
+        buffers=args.buffers,
     )
     print(f"sequenced {size} bytes as k={spec.k} n={spec.n} symbols, "
           f"{session.levels} levels per buffer, trace at {args.out}")

@@ -228,17 +228,11 @@ def encode(spec: CodecSpec, blocks) -> list[FecSymbol]:
 
 
 class SymbolDecoder:
-    """Incremental decoder fed one symbol at a time.
+    """Incremental decoder fed one symbol at a time."""
 
-    With ``track_data=False`` only the decodability structure is kept,
-    which is enough to measure reception overhead from a symbol index
-    trace without the payloads.
-    """
-
-    def __init__(self, spec: CodecSpec, *, track_data: bool = True):
+    def __init__(self, spec: CodecSpec):
         self.spec = spec
-        self.track_data = track_data
-        self._received: dict[int, bytes | None] = {}
+        self._received: dict[int, bytes] = {}
         self._done_at: int | None = None  # distinct count when decode closed
         self._blocks: list[bytes] | None = None
         if spec.name == "sparse_parity":
@@ -249,29 +243,25 @@ class SymbolDecoder:
 
     # -- feeding ---------------------------------------------------------
 
-    def add(self, index: int, data: bytes | None = None) -> str:
+    def add(self, index: int, data: bytes) -> str:
         """Feed one symbol; returns "new" or "duplicate"."""
         spec = self.spec
         if not 0 <= index < spec.n:
             raise ValueError(f"symbol index {index} outside 0..{spec.n - 1}")
-        if self.track_data:
-            if data is None:
-                raise ValueError("decoder tracks data but none was given")
-            if len(data) != spec.symbol_size:
-                raise DecodeFailureError("symbol has the wrong size")
+        if len(data) != spec.symbol_size:
+            raise DecodeFailureError("symbol has the wrong size")
         if index in self._received:
-            old = self._received[index]
-            if self.track_data and old is not None and old != data:
+            if self._received[index] != data:
                 raise DecodeFailureError(f"symbol {index} received twice with different data")
             return "duplicate"
-        self._received[index] = bytes(data) if (self.track_data and data is not None) else None
+        self._received[index] = bytes(data)
         if self._done_at is None:
             self._absorb(index, data)
             if self._closed():
                 self._done_at = len(self._received)
         return "new"
 
-    def _absorb(self, index: int, data: bytes | None) -> None:
+    def _absorb(self, index: int, data: bytes) -> None:
         spec = self.spec
         if spec.name != "sparse_parity":
             if index < spec.k:
@@ -283,7 +273,7 @@ class SymbolDecoder:
             mask = 0
             for i in repair_support(spec, index):
                 mask |= 1 << i
-        const = _scaled(data, 1) if (self.track_data and data is not None) else 0
+        const = _scaled(data, 1)
         while mask:
             top = mask.bit_length() - 1
             pivot = self._pivots.get(top)
@@ -292,7 +282,7 @@ class SymbolDecoder:
                 return
             mask ^= pivot[0]
             const ^= pivot[1]
-        if self.track_data and const != 0:
+        if const != 0:
             raise DecodeFailureError("inconsistent repair equation")
 
     def _closed(self) -> bool:
@@ -323,8 +313,6 @@ class SymbolDecoder:
     def blocks(self) -> list[bytes]:
         if self._done_at is None:
             raise NeedMoreSymbols(self.distinct)
-        if not self.track_data:
-            raise NotDecodedError("structure-only decoder holds no data")
         if self._blocks is None:
             self._blocks = self._solve()
         return self._blocks
@@ -343,7 +331,7 @@ class SymbolDecoder:
                 solved[col] = const
             return [solved[i].to_bytes(spec.symbol_size, "big") for i in range(spec.k)]
         if spec.name == "null":
-            return [self._received[i] for i in range(spec.k)]  # type: ignore[misc]
+            return [self._received[i] for i in range(spec.k)]
         return self._solve_mds()
 
     def _solve_mds(self) -> list[bytes]:
@@ -371,7 +359,7 @@ class SymbolDecoder:
                 acc = 0
                 for xi, v, w in zip(points, values, weights):
                     c = _gf_div(_gf_mul(num, w), t ^ xi)
-                    acc ^= _scaled(v, c)  # type: ignore[arg-type]
+                    acc ^= _scaled(v, c)
                 out[t] = acc.to_bytes(spec.symbol_size, "big")
         return out  # type: ignore[return-value]
 
@@ -393,12 +381,15 @@ def decode(spec: CodecSpec, received) -> list[bytes]:
 def epsilon_overhead(spec: CodecSpec, received_indices) -> float:
     """Reception overhead in percent for a symbol arrival order.
 
-    Feeds the index trace to a structure-only decoder and reports
-    100 * epsilon / k measured at the first decodable prefix.
+    Feeds the index trace to a decoder and reports 100 * epsilon / k
+    measured at the first decodable prefix.  Every symbol carries the
+    same all-zero payload: zero symbols are always consistent, so only
+    the decodability structure decides where the decode closes.
     """
-    dec = SymbolDecoder(spec, track_data=False)
+    dec = SymbolDecoder(spec)
+    zeros = bytes(spec.symbol_size)
     for index in received_indices:
-        dec.add(index)
+        dec.add(index, zeros)
         if dec.complete:
             return 100.0 * dec.epsilon / spec.k
     raise NotDecodedError("trace never reaches a decodable set")

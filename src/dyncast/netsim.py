@@ -107,8 +107,6 @@ class LinkCounters:
 class ReceiverState:
     """Subscription state and bookkeeping of one simulated receiver."""
 
-    RATE_WINDOW = 8.0  # seconds of history in the delivery-rate estimate
-
     def __init__(self, spec: ReceiverSpec, cfg: ChannelConfig):
         self.spec = spec
         self.cfg = cfg
@@ -123,7 +121,6 @@ class ReceiverState:
         self.missed = 0
         self.done = False
         self.done_time: float | None = None
-        self._window: list[tuple[float, int]] = []
 
     # -- subscription ----------------------------------------------------
 
@@ -159,22 +156,9 @@ class ReceiverState:
 
     # -- delivery accounting ----------------------------------------------
 
-    def note_delivery(self, t: float, size: int) -> None:
+    def note_delivery(self, size: int) -> None:
         self.received += 1
         self.received_bytes += size
-        self._window.append((t, size))
-        horizon = t - self.RATE_WINDOW
-        while self._window and self._window[0][0] < horizon:
-            self._window.pop(0)
-
-    @property
-    def received_rate_estimate(self) -> float:
-        if not self._window:
-            return 0.0
-        t0 = self._window[0][0]
-        t1 = self._window[-1][0]
-        span = max(t1 - t0, self.cfg.sub_tsi)
-        return sum(size for _, size in self._window) * 8.0 / span
 
 
 def receiver_policy_step(state: ReceiverState, t: float, cfg: ChannelConfig) -> list[int]:
@@ -225,7 +209,6 @@ class ReceiverResult:
 class SimResult:
     receivers: list[ReceiverResult]
     link: LinkCounters
-    link_events: list[tuple[float, int, int, str]]  # (time, group, size, event)
     end_time: float
 
 
@@ -241,7 +224,6 @@ def run(
     *,
     on_delivery=None,
     collect_traces: bool = True,
-    collect_link_events: bool = False,
 ) -> SimResult:
     """Simulate ``packet_source`` (iterable of (time, group, bytes)) over the path.
 
@@ -253,7 +235,6 @@ def run(
     rxs = [ReceiverState(spec, cfg) for spec in scenario.receivers]
     results = [ReceiverResult(state, []) for state in rxs]
     link = LinkCounters()
-    link_events: list[tuple[float, int, int, str]] = []
     gilbert_bad = False
 
     source = iter(packet_source)
@@ -319,12 +300,8 @@ def run(
             group, packet = payload  # type: ignore[misc]
             link.offered += 1
             link.offered_bytes += len(packet)
-            if collect_link_events:
-                link_events.append((t, group, len(packet), "emit"))
             if in_service is not None and len(queue) >= scenario.queue_capacity:
                 link.queue_dropped += 1
-                if collect_link_events:
-                    link_events.append((t, group, len(packet), "drop"))
                 for state in rxs:
                     if not state.done and state.subscribed(group, t):
                         state.missed += 1
@@ -337,8 +314,6 @@ def run(
             in_service = None
             if lose_packet():
                 link.channel_lost += 1
-                if collect_link_events:
-                    link_events.append((t, group, len(packet), "lost"))
                 for state in rxs:
                     if not state.done and state.subscribed(group, t):
                         state.missed += 1
@@ -348,7 +323,7 @@ def run(
                 for i, state in enumerate(rxs):
                     if state.done or not state.subscribed(group, t):
                         continue
-                    state.note_delivery(t, len(packet))
+                    state.note_delivery(len(packet))
                     if collect_traces:
                         results[i].trace.append(DeliveryRecord(t, group, packet))
                     if on_delivery is not None and on_delivery(i, t, group, packet):
@@ -358,7 +333,7 @@ def run(
         assert link.in_flight == len(queue) + (in_service is not None)
         if rxs and all(state.done for state in rxs):
             break
-    return SimResult(results, link, link_events, end_time)
+    return SimResult(results, link, end_time)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +420,4 @@ def format_trace_line(time: float, group: int, packet: bytes, event: str) -> str
 
 def write_receiver_trace(path, trace: list[DeliveryRecord]) -> None:
     lines = [format_trace_line(r.time, r.group, r.packet, "deliver") for r in trace]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def write_link_trace(path, link_events) -> None:
-    lines = [f"{round(t * 1e6)} {g} 0 0 {size} {ev}" for (t, g, size, ev) in link_events]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))

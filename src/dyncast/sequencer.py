@@ -38,13 +38,10 @@ class SequenceRequest:
     data: bytes
     buffer_time: float
     buffer_id: int = 0
-    buffer_length: int | None = None
 
     def __post_init__(self) -> None:
         if not self.data:
             raise EmptyBufferError("buffer holds no data")
-        if self.buffer_length is not None and self.buffer_length != len(self.data):
-            raise ValueError("buffer_length must equal len(data)")
         if self.buffer_time <= 0:
             raise ValueError("buffer_time must be positive")
 
@@ -86,29 +83,16 @@ def tile_rank_order(tiles: list[TileBudget]) -> list[TileBudget]:
     return sorted(tiles, key=lambda tb: (tb.min_cum_rate, tb.tile.interval, tb.tile.group))
 
 
-def next_boundary(cfg: ChannelConfig, t: float) -> float:
-    s = cfg.sub_tsi
-    return math.ceil(t / s - 1e-9) * s
-
-
-def sequence(
-    request: SequenceRequest,
-    cfg: ChannelConfig,
-    t_start: float,
-    *,
-    align_start: bool = False,
-) -> list[SequencedPacket]:
+def sequence(request: SequenceRequest, cfg: ChannelConfig, t_start: float) -> list[SequencedPacket]:
     """Schedule one buffer over [t_start, t_start + buffer_time).
 
-    Returns packets sorted by send time.  With ``align_start`` the window
-    is pushed to the next sub-slot boundary first; by default the window
-    is used as given so consecutive buffers can tile time back to back
-    (edge tiles then carry pro-rated budgets).
+    Returns packets sorted by send time.  The window is used as given so
+    consecutive buffers can tile time back to back (edge tiles then carry
+    pro-rated budgets).
     """
     if not request.data:
         raise EmptyBufferError("refusing to sequence an empty buffer")
-    t0 = next_boundary(cfg, t_start) if align_start else t_start
-    tiles = tiles_in_window(cfg, t0, t0 + request.buffer_time)
+    tiles = tiles_in_window(cfg, t_start, t_start + request.buffer_time)
     ranked = tile_rank_order(tiles)
     if sum(tb.packet_count for tb in ranked) == 0:
         raise NoCapacityError("window budget is zero packets")

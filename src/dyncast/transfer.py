@@ -221,6 +221,7 @@ class SymbolReceiver:
         self.spec = spec
         self.plan = plan
         self.levels = levels
+        self.buffer_length = levels * spec.symbol_size
         self.file_length = file_length
         self.reassembler = Reassembler()
         self.decoder = fec.SymbolDecoder(spec)
@@ -237,6 +238,9 @@ class SymbolReceiver:
         try:
             header, payload = wire.parse_packet(datagram)
         except wire.MalformedPacketError:
+            header = None
+        # Every buffer of the session holds exactly one symbol per level.
+        if header is None or header.buffer_length != self.buffer_length:
             self.reassembler.counters.malformed += 1
             return False
         status, flushed = self.reassembler.on_packet(header, payload)
@@ -247,7 +251,7 @@ class SymbolReceiver:
         buf = self.reassembler.current
         ss = self.spec.symbol_size
         first = header.offset // ss
-        last = min((header.offset + len(payload) - 1) // ss, self.levels - 1)
+        last = (header.offset + len(payload) - 1) // ss
         for slot in range(first, last + 1):
             if slot in self._slots_done:
                 continue
@@ -353,7 +357,7 @@ def send_file(
     every symbol at least once.
     """
     data = Path(path).read_bytes()
-    session = CarouselSession(data, channel, codec, session_id=session_id)
+    session = CarouselSession(data, channel, codec, levels=levels, session_id=session_id)
     count = buffers if buffers is not None else session.block_count
     with open(out_path, "w") as fh:
         fh.write(f"# levels={session.levels} blocks={session.block_count} "
@@ -421,14 +425,62 @@ def receive_file(
 # ---------------------------------------------------------------------------
 # Reporting over repeated runs.
 
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the regularized incomplete beta (modified Lentz)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        m2 = 2 * m
+        for num in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                    -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return h
+
+
+def _t_quantile(p: float, df: int) -> float:
+    """Student-t quantile for 0.5 < p < 1 with ``df`` degrees of freedom.
+
+    P(T > t) is half the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2); the quantile is bisected down to adjacent floats.
+    """
+    a, b = df / 2.0, 0.5
+    lbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def upper_tail(t: float) -> float:
+        x, y = df / (df + t * t), t * t / (df + t * t)
+        front = math.exp(a * math.log(x) + b * math.log(y) - lbeta)
+        if x < (a + 1.0) / (a + b + 2.0):
+            return 0.5 * front * _betacf(a, b, x) / a
+        return 0.5 - 0.5 * front * _betacf(b, a, y) / b
+
+    q = 1.0 - p
+    lo, hi = 0.0, 1.0
+    while upper_tail(hi) > q:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if upper_tail(mid) > q:
+            lo = mid
+        else:
+            hi = mid
+
+
 def report(runs) -> dict[str, tuple[float, float]]:
     """Per-metric (mean, 95% confidence half-width) over repeated runs."""
     runs = list(runs)
     if len(runs) < 2:
         raise NeedMoreRunsError("confidence intervals need at least 2 runs")
-    from scipy.stats import t as student_t
-
-    quantile = float(student_t.ppf(0.975, len(runs) - 1))
+    quantile = _t_quantile(0.975, len(runs) - 1)
     out: dict[str, tuple[float, float]] = {}
     for name in METRIC_NAMES:
         values = [getattr(m, name) for m in runs]
@@ -436,10 +488,6 @@ def report(runs) -> dict[str, tuple[float, float]]:
         half = quantile * statistics.stdev(values) / math.sqrt(len(values))
         out[name] = (mean, half)
     return out
-
-
-def format_interval(mean: float, half: float) -> str:
-    return f"{mean:.4g} (±{half:.3g})"
 
 
 def format_report(rep: dict[str, tuple[float, float]]) -> str:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dyncast import wire
 from dyncast.cli import main
 
 CHANNEL_FLAGS = [
@@ -37,6 +38,23 @@ def test_send_then_recv_round_trip(tmp_path, capsys):
     assert out.read_bytes() == data
     names = [ln.split()[0] for ln in stdout.strip().splitlines()]
     assert names == ["time", "gput", "tput", "loss", "dup", "sym", "head", "net", "comp"]
+
+
+def test_send_honours_levels_and_session_id(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(random.Random(7).randbytes(50_000))
+    trace = tmp_path / "emitted.trace"
+    assert main([
+        "send", "--file", str(src), "--out", str(trace),
+        "--levels", "5", "--session-id", "9", *CHANNEL_FLAGS,
+    ]) == 0
+    assert "5 levels per buffer" in capsys.readouterr().out
+    header, *records = trace.read_text().splitlines()
+    assert "levels=5" in header.split()
+    assert records
+    for line in records:
+        parsed, _ = wire.parse_packet(bytes.fromhex(line.split()[2]))
+        assert parsed.session_id == 9
 
 
 def test_recv_without_dimensions_fails(tmp_path, capsys):

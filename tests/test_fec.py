@@ -214,18 +214,6 @@ def test_sparse_rank_deficit_then_closure():
     assert dec.blocks() == blocks
 
 
-def test_structure_only_decoder_has_no_payload():
-    spec = CodecSpec("sparse_parity", 10, 20, 4, seed=1)
-    dec = SymbolDecoder(spec, track_data=False)
-    for i in range(spec.n):
-        dec.add(i)
-        if dec.complete:
-            break
-    assert dec.complete
-    with pytest.raises(NotDecodedError):
-        dec.blocks()
-
-
 def test_epsilon_overhead_never_decodable():
     spec = CodecSpec("sparse_parity", 10, 20, 4, seed=1)
     with pytest.raises(NotDecodedError):

@@ -234,13 +234,18 @@ def test_determinism_and_seed_sensitivity():
     mk = lambda seed: Scenario(
         channel=CFG, iid_loss=0.1, receivers=(ReceiverSpec(CFG.base_rate),), duration=4.0, seed=seed
     )
-    a = run(mk(4), emitted, collect_link_events=True)
-    b = run(mk(4), emitted, collect_link_events=True)
-    c = run(mk(5), emitted, collect_link_events=True)
-    assert a.link_events == b.link_events
+    a = run(mk(4), emitted)
+    b = run(mk(4), emitted)
+    c = run(mk(5), emitted)
+
+    def deliveries(res):
+        return [(r.time, r.group, r.packet) for r in res.receivers[0].trace]
+
+    assert a.link == b.link
     assert a.receivers[0].state.missed == b.receivers[0].state.missed
-    assert [r.time for r in a.receivers[0].trace] == [r.time for r in b.receivers[0].trace]
-    assert a.link_events != c.link_events
+    assert deliveries(a) == deliveries(b)
+    assert a.link != c.link
+    assert deliveries(a) != deliveries(c)
 
 
 # ---------------------------------------------------------------------------

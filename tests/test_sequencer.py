@@ -240,8 +240,6 @@ def test_empty_buffer_rejected():
     with pytest.raises(EmptyBufferError):
         SequenceRequest(b"", 1.0)
     with pytest.raises(ValueError):
-        SequenceRequest(b"x", 1.0, buffer_length=2)
-    with pytest.raises(ValueError):
         SequenceRequest(b"x", 0.0)
 
 
@@ -250,14 +248,6 @@ def test_zero_budget_window_rejected():
     # A microscopic window carries no whole packet on any group.
     with pytest.raises(NoCapacityError):
         sequence(SequenceRequest(b"x" * 1448, 1e-7), cfg, 0.05)
-
-
-def test_align_start_pushes_to_next_boundary():
-    cfg = ChannelConfig(tsd=4.0)
-    data = bytes(40 * 1448)
-    aligned = sequence(SequenceRequest(data, 4.0), cfg, 1.25, align_start=True)
-    direct = sequence(SequenceRequest(data, 4.0), cfg, 4.0)
-    assert aligned == direct
 
 
 def test_sequencing_is_deterministic():

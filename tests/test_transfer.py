@@ -2,6 +2,9 @@
 
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from dyncast.transfer import (
     TransferCounters,
     TransferMetrics,
     TransferTimeoutError,
+    _t_quantile,
     compute_metrics,
     format_metrics,
     format_report,
@@ -293,6 +297,21 @@ def test_duplicates_counted_against_missed_block():
     assert compute_metrics(c).dup == pytest.approx(300.0 / B)
 
 
+def test_wrong_buffer_length_dropped_and_counted():
+    # Parses, but a buffer of 8 bytes cannot hold the 64-byte symbol of its level.
+    data, sess = null_session()
+    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(data))
+    h = wire.PacketHeader(0, sess.session_id, 0, 0, 0, offset=0, buffer_length=8, payload_len=8)
+    assert rx.on_packet(0.0, wire.pack_packet(h, b"8bytes!!")) is False
+    assert rx.reassembler.counters.malformed == 1
+    assert rx.reassembler.current is None
+    assert rx.received_symbols == 0
+    for t, _, datagram in sess.emissions(max_buffers=sess.block_count):
+        if rx.on_packet(t, datagram):
+            break
+    assert rx.file() == data
+
+
 # ---------------------------------------------------------------------------
 # simulated end-to-end
 
@@ -394,6 +413,40 @@ def test_report_uses_student_t_quantile():
     # sd of 1..20 is sqrt(35); the 97.5% Student quantile at 19 dof
     expected = 2.0930240544 * math.sqrt(35.0) / math.sqrt(20.0)
     assert half == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "df,expected",
+    [
+        (1, 12.706204736174694),
+        (2, 4.302652729749462),
+        (5, 2.5705818356363146),
+        (30, 2.0422724563012378),
+        (1000, 1.9623390808264083),
+    ],
+)
+def test_t_quantile_matches_reference(df, expected):
+    # Reference values: scipy.stats.t.ppf(0.975, df).
+    assert _t_quantile(0.975, df) == pytest.approx(expected, rel=1e-10)
+
+
+def test_report_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "sys.path[0] = sys.argv[1]\n"
+        "from dyncast.transfer import TransferMetrics, report\n"
+        "report([TransferMetrics(*[v] * 9) for v in (1.0, 2.0)])\n"
+        "print(' '.join(sorted({name.split('.')[0] for name in sys.modules})))\n"
+    )
+    # -S skips site-packages and -E ignores PYTHONPATH: only src/ and the
+    # standard library are importable.
+    out = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", code, str(src)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    foreign = set(out.split()) - set(sys.stdlib_module_names) - {"dyncast", "__main__"}
+    assert not foreign
 
 
 def test_report_identical_runs_zero_width():
