@@ -105,6 +105,9 @@ def cmd_recv(args) -> int:
         for name, value in exc.partial.items():
             print(f"{name} {value:.6g}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"recv: {exc}", file=sys.stderr)
+        return 2
     Path(args.out).write_bytes(data)
     print(transfer.format_metrics(metrics))
     return 0

@@ -7,9 +7,13 @@ Three codecs share one interface:
   blocks at extra points of GF(256), so any k distinct symbols rebuild
   the file (zero reception overhead, k and n capped at 255).
 * ``sparse_parity`` XORs pseudo-random subsets of the source blocks,
-  balanced so every block feeds about a dozen repairs; an incremental
-  GF(2) elimination (which subsumes peeling) closes the decode a few
-  symbols past k.
+  balanced so every block feeds about a dozen repairs.  Its decoder
+  works in two phases.  While symbols arrive it tracks the exact GF(2)
+  rank on index masks alone, so the decode closes at the first
+  full-rank prefix a few symbols past k without touching a payload.
+  The first request for the blocks then solves once for the missing
+  sources (maximum-likelihood decoding in the sense of RFC 5170) and
+  checks every repair received before the close against the solution.
 
 Symbol data is treated as big integers for XOR work and as ``bytes``
 with per-scalar translation tables for GF(256) work, which keeps the
@@ -18,7 +22,9 @@ whole module dependency free and fast enough for file-sized symbols.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,18 +114,6 @@ def _gf_mul(a: int, b: int) -> int:
     return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
 
 
-def _gf_div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(256)")
-    if a == 0:
-        return 0
-    return _GF_EXP[(_GF_LOG[a] - _GF_LOG[b]) % 255]
-
-
-def _gf_inv(a: int) -> int:
-    return _gf_div(1, a)
-
-
 @lru_cache(maxsize=256)
 def _scale_table(c: int) -> bytes:
     return bytes(_gf_mul(c, v) for v in range(256))
@@ -187,20 +181,26 @@ def repair_support(spec: CodecSpec, index: int) -> tuple[int, ...]:
     return _support_layout(spec.k, spec.n, spec.seed)[index - spec.k]
 
 
-def _mds_repair_coeffs(spec: CodecSpec, point: int) -> list[int]:
-    """Lagrange coefficients mapping source values (points 0..k-1) to ``point``."""
-    k = spec.k
-    coeffs = []
-    for i in range(k):
-        num = 1
-        den = 1
-        for j in range(k):
-            if j == i:
-                continue
-            num = _gf_mul(num, point ^ j)
-            den = _gf_mul(den, i ^ j)
-        coeffs.append(_gf_div(num, den))
-    return coeffs
+def _interpolation_coeffs(points, targets) -> list[list[int]]:
+    """Lagrange coefficients from values at ``points`` to each of ``targets``.
+
+    Row t holds c_i with p(t) = sum_i c_i * p(points[i]) over GF(256)
+    for the polynomial p of degree < len(points) through the points; no
+    target may be one of the points.  Barycentric form in the log
+    domain: c_i = w_i * prod_j (t - x_j) / (t - x_i), with the weights
+    w_i = 1 / prod_{j != i} (x_i - x_j) computed once for all targets.
+    """
+    log, exp = _GF_LOG, _GF_EXP
+    points = list(points)
+    weight_logs = [
+        -sum(log[xi ^ xj] for xj in points if xj != xi) % 255 for xi in points
+    ]
+    rows = []
+    for t in targets:
+        dist_logs = [log[t ^ x] for x in points]
+        num = sum(dist_logs)
+        rows.append([exp[(num + w - d) % 255] for w, d in zip(weight_logs, dist_logs)])
+    return rows
 
 
 def encode(spec: CodecSpec, blocks) -> list[FecSymbol]:
@@ -210,11 +210,11 @@ def encode(spec: CodecSpec, blocks) -> list[FecSymbol]:
     if spec.name == "null":
         return symbols
     if spec.name == "mds":
-        for r in range(spec.k, spec.n):
-            coeffs = _mds_repair_coeffs(spec, r)
+        repairs = range(spec.k, spec.n)
+        for r, coeffs in zip(repairs, _interpolation_coeffs(range(spec.k), repairs)):
             acc = 0
-            for i in range(spec.k):
-                acc ^= _scaled(src[i], coeffs[i])
+            for block, c in zip(src, coeffs):
+                acc ^= _scaled(block, c)
             symbols.append(FecSymbol(r, "repair", acc.to_bytes(spec.symbol_size, "big")))
         return symbols
     # sparse_parity
@@ -228,18 +228,30 @@ def encode(spec: CodecSpec, blocks) -> list[FecSymbol]:
 
 
 class SymbolDecoder:
-    """Incremental decoder fed one symbol at a time."""
+    """Incremental decoder fed one symbol at a time.
+
+    For ``sparse_parity`` the sources received so far are one bitmask
+    (``_unknown`` holds the columns still missing).  Each repair's
+    support mask is projected off the received sources and reduced
+    top-bit against the repair pivots, one mask per pivot column.  A
+    source that lands on a pivot's column takes that pivot back out for
+    re-reduction.  Sources plus pivots is then the exact GF(2) rank of
+    everything received, and the decode closes when it reaches k.  The
+    rank cannot reach k before k distinct symbols, so nothing is reduced
+    until then.  No payload is touched until ``blocks()`` solves (see
+    ``_solve_sparse``).
+    """
 
     def __init__(self, spec: CodecSpec):
         self.spec = spec
-        self._received: dict[int, bytes] = {}
+        self._received: dict[int, bytes] = {}  # in arrival order
         self._done_at: int | None = None  # distinct count when decode closed
         self._blocks: list[bytes] | None = None
+        self._sources = 0
         if spec.name == "sparse_parity":
-            # pivot column -> (mask over source indices, payload as int)
-            self._pivots: dict[int, tuple[int, int]] = {}
-        else:
-            self._sources_seen = 0
+            self._unknown = (1 << spec.k) - 1
+            # pivot column -> repair mask over source columns, top bit = pivot
+            self._pivots: dict[int, int] = {}
 
     # -- feeding ---------------------------------------------------------
 
@@ -256,42 +268,66 @@ class SymbolDecoder:
             return "duplicate"
         self._received[index] = bytes(data)
         if self._done_at is None:
-            self._absorb(index, data)
+            if index < spec.k:
+                self._sources += 1
+            if spec.name == "sparse_parity":
+                self._track_rank(index)
             if self._closed():
                 self._done_at = len(self._received)
         return "new"
 
-    def _absorb(self, index: int, data: bytes) -> None:
-        spec = self.spec
-        if spec.name != "sparse_parity":
-            if index < spec.k:
-                self._sources_seen += 1
-            return
-        if index < spec.k:
-            mask = 1 << index
+    def _track_rank(self, index: int) -> None:
+        k = self.spec.k
+        distinct = len(self._received)
+        if distinct < k:
+            return  # the rank cannot reach k before k distinct symbols
+        if distinct == k:
+            # Sources first, so each repair is projected once, then the
+            # repairs lightest first, which keeps the pivots sparse.
+            for i in self._received:
+                if i < k:
+                    self._unknown ^= 1 << i
+            masks = [self._support_mask(i) & self._unknown for i in self._received if i >= k]
+            masks.sort(key=int.bit_count)
+            for mask in masks:
+                self._insert(mask)
+        elif index < k:
+            self._unknown ^= 1 << index
+            self._insert(self._pivots.pop(index, 0))
         else:
-            mask = 0
-            for i in repair_support(spec, index):
-                mask |= 1 << i
-        const = _scaled(data, 1)
+            self._insert(self._support_mask(index))
+
+    def _support_mask(self, index: int) -> int:
+        mask = 0
+        for i in repair_support(self.spec, index):
+            mask |= 1 << i
+        return mask
+
+    def _insert(self, mask: int) -> None:
+        """Reduce one repair mask top-bit; a nonzero remainder is a new pivot."""
+        unknown = self._unknown
+        received = self._received
+        pivots = self._pivots
+        mask &= unknown
         while mask:
             top = mask.bit_length() - 1
-            pivot = self._pivots.get(top)
+            if top in received:
+                # A pivot met on the way predates this source: project again.
+                mask &= unknown
+                continue
+            pivot = pivots.get(top)
             if pivot is None:
-                self._pivots[top] = (mask, const)
+                pivots[top] = mask & unknown
                 return
-            mask ^= pivot[0]
-            const ^= pivot[1]
-        if const != 0:
-            raise DecodeFailureError("inconsistent repair equation")
+            mask ^= pivot
 
     def _closed(self) -> bool:
         spec = self.spec
         if spec.name == "sparse_parity":
-            return len(self._pivots) == spec.k
+            return self._sources + len(self._pivots) == spec.k
         if spec.name == "mds":
             return len(self._received) >= spec.k
-        return self._sources_seen == spec.k
+        return self._sources == spec.k
 
     # -- results ---------------------------------------------------------
 
@@ -320,19 +356,68 @@ class SymbolDecoder:
     def _solve(self) -> list[bytes]:
         spec = self.spec
         if spec.name == "sparse_parity":
-            solved: dict[int, int] = {}
-            for col in sorted(self._pivots):
-                mask, const = self._pivots[col]
-                rest = mask & ~(1 << col)
-                while rest:
-                    low = rest & -rest
-                    const ^= solved[low.bit_length() - 1]
-                    rest ^= low
-                solved[col] = const
-            return [solved[i].to_bytes(spec.symbol_size, "big") for i in range(spec.k)]
+            return self._solve_sparse()
         if spec.name == "null":
             return [self._received[i] for i in range(spec.k)]
         return self._solve_mds()
+
+    def _solve_sparse(self) -> list[bytes]:
+        """One payload solve over the symbols received before the close.
+
+        The received sources are XORed out of each repair, the missing
+        columns are renumbered compactly, and the repairs, lightest
+        first, are eliminated top-bit with their payloads and then
+        back-substituted.  Columns that more repairs share take the lower
+        bits, so the elimination starts from the rarest columns; that
+        cuts its fill-in by about a fifth at k = 5525.  A repair that
+        eliminates to an empty mask is implied by the others, so its
+        payload must eliminate to zero: these checks together verify
+        every repair received before the close against the solution.
+        """
+        spec = self.spec
+        k = spec.k
+        received = list(itertools.islice(self._received.items(), self._done_at))
+        values = {i: int.from_bytes(data, "big") for i, data in received if i < k}
+        repairs = [(repair_support(spec, index), data) for index, data in received if index >= k]
+        degree = Counter(i for support, _ in repairs for i in support)
+        missing = sorted((i for i in range(k) if i not in values), key=lambda i: -degree[i])
+        column = {i: c for c, i in enumerate(missing)}
+        rows = []
+        for support, data in repairs:
+            mask = 0
+            const = int.from_bytes(data, "big")
+            for i in support:
+                value = values.get(i)
+                if value is None:
+                    mask |= 1 << column[i]
+                else:
+                    const ^= value
+            rows.append((mask, const))
+        rows.sort(key=lambda row: row[0].bit_count())
+        pivots: dict[int, tuple[int, int]] = {}
+        for mask, const in rows:
+            while mask:
+                top = mask.bit_length() - 1
+                pivot = pivots.get(top)
+                if pivot is None:
+                    pivots[top] = (mask, const)
+                    break
+                mask ^= pivot[0]
+                const ^= pivot[1]
+            else:
+                if const:
+                    raise DecodeFailureError("repairs received before the close contradict each other")
+        solved = []
+        for col in range(len(missing)):
+            mask, const = pivots[col]
+            rest = mask ^ (1 << col)
+            while rest:
+                low = rest & -rest
+                const ^= solved[low.bit_length() - 1]
+                rest ^= low
+            solved.append(const)
+        values.update(zip(missing, solved))
+        return [values[i].to_bytes(spec.symbol_size, "big") for i in range(k)]
 
     def _solve_mds(self) -> list[bytes]:
         spec = self.spec
@@ -344,21 +429,9 @@ class SymbolDecoder:
                 out[x] = v
         missing = [t for t in range(spec.k) if out[t] is None]
         if missing:
-            # Barycentric Lagrange through the k received points.
-            weights = []
-            for i, xi in enumerate(points):
-                w = 1
-                for j, xj in enumerate(points):
-                    if i != j:
-                        w = _gf_mul(w, xi ^ xj)
-                weights.append(_gf_inv(w))
-            for t in missing:
-                num = 1
-                for xj in points:
-                    num = _gf_mul(num, t ^ xj)
+            for t, coeffs in zip(missing, _interpolation_coeffs(points, missing)):
                 acc = 0
-                for xi, v, w in zip(points, values, weights):
-                    c = _gf_div(_gf_mul(num, w), t ^ xi)
+                for v, c in zip(values, coeffs):
                     acc ^= _scaled(v, c)
                 out[t] = acc.to_bytes(spec.symbol_size, "big")
         return out  # type: ignore[return-value]

@@ -215,6 +215,7 @@ class SymbolReceiver:
         levels: int,
         *,
         file_length: int | None = None,
+        session_id: int = 1,
     ):
         if not 1 <= levels <= plan.level_count:
             raise carousel.LevelOutOfRangeError(f"levels must be 1..{plan.level_count}")
@@ -223,10 +224,13 @@ class SymbolReceiver:
         self.levels = levels
         self.buffer_length = levels * spec.symbol_size
         self.file_length = file_length
+        self.session_id = session_id
         self.reassembler = Reassembler()
         self.decoder = fec.SymbolDecoder(spec)
         self.received_symbols = 0
         self.duplicate_symbols = 0
+        self.foreign_packets = 0  # another session's datagrams, dropped
+        self.conflicting_symbols = 0  # copies unlike the first one of their symbol, dropped
         self.done = False
         self.completion_time: float | None = None
         self._slots_done: set[int] = set()
@@ -242,6 +246,9 @@ class SymbolReceiver:
         # Every buffer of the session holds exactly one symbol per level.
         if header is None or header.buffer_length != self.buffer_length:
             self.reassembler.counters.malformed += 1
+            return False
+        if header.session_id != self.session_id:
+            self.foreign_packets += 1
             return False
         status, flushed = self.reassembler.on_packet(header, payload)
         if status in (STALE, MALFORMED):
@@ -261,8 +268,13 @@ class SymbolReceiver:
             self._slots_done.add(slot)
             position = self.plan.block_for(header.buffer_id, slot + 1)
             symbol = ring_symbol(position, self.spec.k, self.spec.n)
+            try:
+                status = self.decoder.add(symbol, data)
+            except fec.DecodeFailureError:
+                self.conflicting_symbols += 1
+                continue
             self.received_symbols += 1
-            if self.decoder.add(symbol, data) == "duplicate":
+            if status == "duplicate":
                 self.duplicate_symbols += 1
             if self.decoder.complete:
                 self.done = True
@@ -302,7 +314,8 @@ def simulate_transfer(
         raise ValueError("scenario has no receivers")
     session = CarouselSession(data, scenario.channel, codec, levels=levels, session_id=session_id)
     apps = [
-        SymbolReceiver(codec, session.plan, session.levels, file_length=len(data))
+        SymbolReceiver(codec, session.plan, session.levels,
+                       file_length=len(data), session_id=session_id)
         for _ in scenario.receivers
     ]
 
@@ -361,7 +374,7 @@ def send_file(
     count = buffers if buffers is not None else session.block_count
     with open(out_path, "w") as fh:
         fh.write(f"# levels={session.levels} blocks={session.block_count} "
-                 f"file_length={session.file_length}\n")
+                 f"file_length={session.file_length} session_id={session.session_id}\n")
         for t, group, datagram in session.emissions(max_buffers=count):
             fh.write(f"{round(t * 1e6)} {group} {datagram.hex()}\n")
     return session
@@ -374,8 +387,14 @@ def receive_file(
     levels: int | None = None,
     file_length: int | None = None,
 ) -> tuple[bytes, TransferMetrics, TransferCounters]:
-    """Replay an emission trace into a receiver until the decode closes."""
+    """Replay an emission trace into a receiver until the decode closes.
+
+    The trace header supplies ``levels``, ``file_length`` and the session
+    id (1 when the header has none); a ``levels`` argument that disagrees
+    with the header raises ValueError.
+    """
     app: SymbolReceiver | None = None
+    session_id = 1
     received = 0
     link_bytes = 0
     last_t = 0.0
@@ -386,8 +405,13 @@ def receive_file(
                 continue
             if line.startswith("#"):
                 meta = dict(f.split("=", 1) for f in line[1:].split())
+                header_levels = int(meta.get("levels", 0)) or None
                 if levels is None:
-                    levels = int(meta.get("levels", 0)) or None
+                    levels = header_levels
+                elif header_levels is not None and header_levels != levels:
+                    raise ValueError(f"levels={levels} disagrees with the trace header's "
+                                     f"levels={header_levels}")
+                session_id = int(meta.get("session_id", session_id))
                 if file_length is None and "file_length" in meta:
                     file_length = int(meta["file_length"])
                 continue
@@ -397,7 +421,8 @@ def receive_file(
                 if levels is None:
                     raise ValueError("levels unknown: pass levels= or use a trace header")
                 plan = carousel.build_plan(codec.n, levels)
-                app = SymbolReceiver(codec, plan, levels, file_length=file_length)
+                app = SymbolReceiver(codec, plan, levels, file_length=file_length,
+                                     session_id=session_id)
             last_t = int(t_us) / 1e6
             received += 1
             link_bytes += len(datagram)

@@ -57,6 +57,21 @@ def test_send_honours_levels_and_session_id(tmp_path, capsys):
         assert parsed.session_id == 9
 
 
+def test_recv_levels_unlike_header_exits_2(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(random.Random(8).randbytes(20_000))
+    trace = tmp_path / "emitted.trace"
+    assert main(["send", "--file", str(src), "--out", str(trace),
+                 "--levels", "3", *CHANNEL_FLAGS]) == 0
+    capsys.readouterr()
+    rc = main(["recv", "--trace", str(trace), "--out", str(tmp_path / "x.bin"), "--levels", "4"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1
+    assert "levels=4" in err and "levels=3" in err
+    assert not (tmp_path / "x.bin").exists()
+
+
 def test_recv_without_dimensions_fails(tmp_path, capsys):
     data = random.Random(4).randbytes(8_000)
     src = tmp_path / "in.bin"

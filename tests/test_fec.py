@@ -2,14 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncast.fec import (
+    _GF_EXP,
+    _GF_LOG,
     BadSymbolSizeError,
     CodecSpec,
     DecodeFailureError,
     NeedMoreSymbols,
     NotDecodedError,
     SymbolDecoder,
+    _interpolation_coeffs,
     decode,
     encode,
     epsilon_overhead,
@@ -245,3 +250,164 @@ def test_block_padding_rules():
         encode(spec, [b"aaaa", b"bbbb", b"ccccc"])  # overlong block
     with pytest.raises(BadSymbolSizeError):
         encode(spec, [b"aaaa", b"bbbb"])  # wrong block count
+
+
+# ---------------------------------------------------------------------------
+# References: the earlier straightforward forms of the MDS coefficients and
+# of the sparse decoder, kept to pin the faster ones down.
+
+
+def _ref_gf_mul(a, b):
+    if a == 0 or b == 0:
+        return 0
+    return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
+
+
+def _ref_gf_div(a, b):
+    if a == 0:
+        return 0
+    return _GF_EXP[(_GF_LOG[a] - _GF_LOG[b]) % 255]
+
+
+def _ref_mds_repair_coeffs(k, point):
+    """Lagrange coefficients mapping source values (points 0..k-1) to ``point``."""
+    coeffs = []
+    for i in range(k):
+        num = 1
+        den = 1
+        for j in range(k):
+            if j == i:
+                continue
+            num = _ref_gf_mul(num, point ^ j)
+            den = _ref_gf_mul(den, i ^ j)
+        coeffs.append(_ref_gf_div(num, den))
+    return coeffs
+
+
+@pytest.mark.parametrize("k,n", [(1, 2), (2, 4), (10, 20), (125, 250), (127, 255)])
+def test_mds_coefficients_match_lagrange_reference(k, n):
+    got = _interpolation_coeffs(range(k), range(k, n))
+    assert got == [_ref_mds_repair_coeffs(k, r) for r in range(k, n)]
+
+
+class ReferenceSparseDecoder:
+    """Sparse decoder that carries payloads through a top-bit elimination."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self._received = {}
+        self._done_at = None
+        self._pivots = {}  # pivot column -> (mask over source indices, payload as int)
+
+    def add(self, index, data):
+        if index in self._received:
+            if self._received[index] != data:
+                raise DecodeFailureError(f"symbol {index} received twice with different data")
+            return "duplicate"
+        self._received[index] = bytes(data)
+        if self._done_at is None:
+            self._absorb(index, data)
+            if len(self._pivots) == self.spec.k:
+                self._done_at = len(self._received)
+        return "new"
+
+    def _absorb(self, index, data):
+        spec = self.spec
+        if index < spec.k:
+            mask = 1 << index
+        else:
+            mask = 0
+            for i in repair_support(spec, index):
+                mask |= 1 << i
+        const = int.from_bytes(data, "big")
+        while mask:
+            top = mask.bit_length() - 1
+            pivot = self._pivots.get(top)
+            if pivot is None:
+                self._pivots[top] = (mask, const)
+                return
+            mask ^= pivot[0]
+            const ^= pivot[1]
+        if const != 0:
+            raise DecodeFailureError("inconsistent repair equation")
+
+    @property
+    def complete(self):
+        return self._done_at is not None
+
+    @property
+    def epsilon(self):
+        return self._done_at - self.spec.k
+
+    def blocks(self):
+        solved = {}
+        for col in sorted(self._pivots):
+            mask, const = self._pivots[col]
+            rest = mask & ~(1 << col)
+            while rest:
+                low = rest & -rest
+                const ^= solved[low.bit_length() - 1]
+                rest ^= low
+            solved[col] = const
+        return [solved[i].to_bytes(self.spec.symbol_size, "big") for i in range(self.spec.k)]
+
+
+def assert_same_as_reference(spec, order, blocks):
+    symbols = encode(spec, blocks)
+    ref = ReferenceSparseDecoder(spec)
+    dec = SymbolDecoder(spec)
+    for index in order:
+        assert dec.add(index, symbols[index].data) == ref.add(index, symbols[index].data)
+        assert dec.complete == ref.complete
+    if ref.complete:
+        assert dec.epsilon == ref.epsilon
+        assert dec.blocks() == ref.blocks() == blocks
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 60),
+    extra=st.integers(0, 60),
+    code_seed=st.integers(0, 2**16),
+    order_seed=st.integers(0, 2**16),
+    repairs_first=st.booleans(),
+    drop=st.sampled_from([0.0, 0.1, 0.3]),
+    dup=st.sampled_from([0.0, 0.2]),
+)
+def test_sparse_decoder_matches_reference(k, extra, code_seed, order_seed, repairs_first, drop, dup):
+    spec = CodecSpec("sparse_parity", k, k + extra, 3, seed=code_seed)
+    rng = random.Random(order_seed)
+    order = list(range(spec.n))
+    rng.shuffle(order)
+    if repairs_first:
+        order.sort(key=lambda i: i < k)  # stable: repairs, then sources, each shuffled
+    order = [i for i in order if rng.random() >= drop]
+    for i in list(order):
+        if rng.random() < dup:
+            order.insert(rng.randrange(len(order) + 1), i)
+    assert_same_as_reference(spec, order, blocks_of(spec, seed=order_seed))
+
+
+def test_sparse_decoder_matches_reference_at_k1000():
+    spec = CodecSpec("sparse_parity", 1000, 2000, 8, seed=41)
+    rng = random.Random(43)
+    order = [i for i in rng.sample(range(spec.n), spec.n) if rng.random() >= 0.2]
+    assert_same_as_reference(spec, order, blocks_of(spec, seed=5))
+
+
+def test_corrupt_redundant_repair_fails_the_decode():
+    # A repair whose sources all arrive before the close adds nothing to the
+    # rank, so one flipped bit in it contradicts the sources.
+    spec = CodecSpec("sparse_parity", 30, 60, 4, seed=2)
+    symbols = encode(spec, blocks_of(spec, seed=3))
+    last = 0
+    repair = next(r for r in range(spec.k, spec.n) if last not in repair_support(spec, r))
+    corrupt = bytes([symbols[repair].data[0] ^ 0x10]) + symbols[repair].data[1:]
+    dec = SymbolDecoder(spec)
+    with pytest.raises(DecodeFailureError):
+        for sym in symbols[1 : spec.k]:
+            dec.add(sym.index, sym.data)
+        dec.add(repair, corrupt)
+        dec.add(last, symbols[last].data)
+        assert dec.complete and dec.epsilon == 1
+        dec.blocks()

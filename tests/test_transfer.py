@@ -1,5 +1,6 @@
 """File transfer: wire format, metrics, carousel sessions, reports."""
 
+import dataclasses
 import math
 import random
 import subprocess
@@ -312,6 +313,55 @@ def test_wrong_buffer_length_dropped_and_counted():
     assert rx.file() == data
 
 
+def buffer_datagrams(sess, buffer_id):
+    return [d for _, _, d in sess.emissions(max_buffers=buffer_id + 1)
+            if wire.parse_packet(d)[0].buffer_id == buffer_id]
+
+
+def repacked(datagram, *, flip=False, **fields):
+    header, payload = wire.parse_packet(datagram)
+    if flip:
+        payload = bytes([payload[0] ^ 1]) + payload[1:]
+    return wire.pack_packet(dataclasses.replace(header, **fields), payload)
+
+
+def test_conflicting_later_lap_copy_dropped_and_counted():
+    # Buffer 40 is the second lap of buffer 0: the same symbol, here with other bytes.
+    data, sess = null_session()
+    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(data))
+    for datagram in buffer_datagrams(sess, 0):
+        rx.on_packet(0.0, datagram)
+    before = dataclasses.asdict(rx.reassembler.counters)
+    for datagram in buffer_datagrams(sess, 40):
+        assert rx.on_packet(1.0, repacked(datagram, flip=True)) is False
+    assert rx.conflicting_symbols == 1
+    assert rx.received_symbols == 1 and rx.duplicate_symbols == 0
+    after = dataclasses.asdict(rx.reassembler.counters)
+    assert after["malformed"] == before["malformed"] and after["duplicate"] == before["duplicate"]
+    for t, _, datagram in sess.emissions(max_buffers=2 * sess.block_count):
+        if wire.parse_packet(datagram)[0].buffer_id > 40 and rx.on_packet(t, datagram):
+            break
+    assert rx.file() == data
+
+
+def test_foreign_session_dropped_and_counted():
+    data, sess = null_session()
+    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(data))
+    for datagram in buffer_datagrams(sess, 0):
+        assert rx.on_packet(0.0, repacked(datagram, session_id=77)) is False
+    assert rx.received_symbols == 0
+    assert rx.foreign_packets == len(buffer_datagrams(sess, 0))
+    assert rx.reassembler.current is None
+
+
+def test_simulated_transfer_honours_session_id():
+    data = random.Random(98).randbytes(20_000)
+    spec = spec_for_file("null", len(data), 1448)
+    scen = Scenario(channel=CFG, receivers=(ReceiverSpec(CFG.mean_top_rate),), duration=60.0)
+    (out,), _ = simulate_transfer(data, scen, spec, session_id=5)
+    assert out.done and out.file == data
+
+
 # ---------------------------------------------------------------------------
 # simulated end-to-end
 
@@ -377,6 +427,25 @@ def test_send_receive_file_round_trip(tmp_path):
     assert got == data
     assert c.file_length == len(data)
     assert metrics.time > 0 and metrics.sym >= 0
+
+
+def test_receive_file_takes_session_from_header(tmp_path):
+    data = random.Random(14).randbytes(20_000)
+    src = tmp_path / "payload.bin"
+    src.write_bytes(data)
+    spec = spec_for_file("sparse_parity", len(data), 1448, seed=4)
+    trace = tmp_path / "emitted.trace"
+    send_file(src, trace, channel=CFG, codec=spec, session_id=9)
+    header, *records = trace.read_text().splitlines()
+    assert "session_id=9" in header.split()
+    assert receive_file(trace, spec)[0] == data
+    # A header without session_id means session 1.
+    bare = tmp_path / "bare.trace"
+    send_file(src, bare, channel=CFG, codec=spec)
+    header, *records = bare.read_text().splitlines()
+    bare.write_text("\n".join([header.replace(" session_id=1", ""), *records]) + "\n")
+    assert "session_id" not in bare.read_text().splitlines()[0]
+    assert receive_file(bare, spec)[0] == data
 
 
 def test_receive_file_truncated_trace_times_out(tmp_path):
