@@ -9,9 +9,8 @@ import math
 import sys
 from pathlib import Path
 
-from . import carousel, netsim, transfer
+from . import carousel, fec, netsim, transfer
 from .channel import ChannelConfig
-from .fec import CodecSpec
 
 
 def _add_channel_args(p: argparse.ArgumentParser) -> None:
@@ -63,8 +62,12 @@ def cmd_plan(args) -> int:
 def cmd_send(args) -> int:
     channel = _channel_from_args(args)
     size = Path(args.file).stat().st_size
-    spec = transfer.spec_for_file(args.codec, size, args.symbol_size,
-                                  n=args.fec_n, seed=args.fec_seed)
+    try:
+        spec = transfer.spec_for_file(args.codec, size, args.symbol_size,
+                                      n=args.fec_n, seed=args.fec_seed)
+    except ValueError as exc:
+        print(f"send: {exc}", file=sys.stderr)
+        return 2
     session = transfer.send_file(
         args.file, args.out,
         channel=channel, codec=spec, levels=args.levels, session_id=args.session_id,
@@ -75,18 +78,22 @@ def cmd_send(args) -> int:
     return 0
 
 
-def _read_trace_meta(path) -> dict[str, int]:
+def _read_trace_meta(path) -> dict[str, str]:
     with open(path) as fh:
         first = fh.readline().strip()
     if not first.startswith("#"):
         return {}
-    return {k: int(v) for k, v in (f.split("=", 1) for f in first[1:].split())}
+    return dict(f.split("=", 1) for f in first[1:].split())
+
+
+def _meta_int(meta: dict[str, str], key: str) -> int | None:
+    return int(meta[key]) if key in meta else None
 
 
 def cmd_recv(args) -> int:
     meta = _read_trace_meta(args.trace)
-    file_length = args.file_length if args.file_length is not None else meta.get("file_length")
-    n = args.fec_n if args.fec_n is not None else meta.get("blocks")
+    file_length = args.file_length if args.file_length is not None else _meta_int(meta, "file_length")
+    n = args.fec_n if args.fec_n is not None else _meta_int(meta, "blocks")
     k = args.fec_k
     if k is None:
         if file_length is None:
@@ -95,8 +102,8 @@ def cmd_recv(args) -> int:
         k = math.ceil(file_length / args.symbol_size)
     if n is None:
         n = k if args.codec == "null" else 2 * k
-    spec = CodecSpec(args.codec, k, n, args.symbol_size, args.fec_seed)
     try:
+        spec = fec.CodecSpec(args.codec, k, n, args.symbol_size, args.fec_seed)
         data, metrics, _counters = transfer.receive_file(
             args.trace, spec, levels=args.levels, file_length=file_length
         )
@@ -104,6 +111,9 @@ def cmd_recv(args) -> int:
         print(f"recv: {exc}", file=sys.stderr)
         for name, value in exc.partial.items():
             print(f"{name} {value:.6g}", file=sys.stderr)
+        return 1
+    except (fec.DecodeFailureError, transfer.DigestMismatchError) as exc:
+        print(f"recv: decode failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"recv: {exc}", file=sys.stderr)
@@ -116,8 +126,12 @@ def cmd_recv(args) -> int:
 def cmd_sim(args) -> int:
     scenario = netsim.load_scenario(args.scenario)
     data = Path(args.file).read_bytes()
-    spec = transfer.spec_for_file(args.codec, len(data), args.symbol_size,
-                                  n=args.fec_n, seed=args.fec_seed)
+    try:
+        spec = transfer.spec_for_file(args.codec, len(data), args.symbol_size,
+                                      n=args.fec_n, seed=args.fec_seed)
+    except ValueError as exc:
+        print(f"sim: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_receiver: list[list[transfer.TransferMetrics]] = [[] for _ in scenario.receivers]

@@ -286,6 +286,21 @@ def run(
             size = len(in_service[1])
             push(t + size * 8.0 / scenario.bottleneck_rate, _EV_SERVICE, None)
 
+    def listeners(group: int, t: float) -> list[int]:
+        """Indices of the receivers not done and subscribed to ``group`` at ``t``.
+
+        ReceiverState.subscribed inlined, with the oldest live group
+        derived once per event instead of once per receiver.
+        """
+        oldest = interval_index(cfg, t) + 1
+        base = group == BASE_GROUP
+        return [
+            i for i, state in enumerate(rxs)
+            if not state.done and t >= state.start_time - _EPS
+            and (base or (state.top_group is not None and oldest <= state.top_group >= group))
+        ]
+
+    done_count = 0
     end_time = 0.0
     while heap:
         t, kind, _, payload = heapq.heappop(heap)
@@ -302,9 +317,8 @@ def run(
             link.offered_bytes += len(packet)
             if in_service is not None and len(queue) >= scenario.queue_capacity:
                 link.queue_dropped += 1
-                for state in rxs:
-                    if not state.done and state.subscribed(group, t):
-                        state.missed += 1
+                for i in listeners(group, t):
+                    rxs[i].missed += 1
             else:
                 queue.append((group, packet))
                 start_service(t)
@@ -314,24 +328,23 @@ def run(
             in_service = None
             if lose_packet():
                 link.channel_lost += 1
-                for state in rxs:
-                    if not state.done and state.subscribed(group, t):
-                        state.missed += 1
+                for i in listeners(group, t):
+                    rxs[i].missed += 1
             else:
                 link.delivered += 1
                 link.delivered_bytes += len(packet)
-                for i, state in enumerate(rxs):
-                    if state.done or not state.subscribed(group, t):
-                        continue
+                for i in listeners(group, t):
+                    state = rxs[i]
                     state.note_delivery(len(packet))
                     if collect_traces:
                         results[i].trace.append(DeliveryRecord(t, group, packet))
                     if on_delivery is not None and on_delivery(i, t, group, packet):
                         state.done = True
                         state.done_time = t
+                        done_count += 1
             start_service(t)
         assert link.in_flight == len(queue) + (in_service is not None)
-        if rxs and all(state.done for state in rxs):
+        if rxs and done_count == len(rxs):
             break
     return SimResult(results, link, end_time)
 

@@ -33,6 +33,10 @@ class NeedMoreRunsError(ValueError):
     """Confidence intervals need at least two runs."""
 
 
+class DigestMismatchError(Exception):
+    """The decoded file differs from the SHA-256 in the trace header."""
+
+
 class TransferTimeoutError(Exception):
     """Decode did not close before the input ended."""
 
@@ -354,6 +358,15 @@ def simulate_transfer(
 # ---------------------------------------------------------------------------
 # Trace-file transport: `send` writes datagrams, `recv` replays them.
 
+
+def _sha256_hex(data: bytes) -> str:
+    # Imported here: hashlib loads OpenSSL (~3.6 MB resident), which only
+    # the trace files need.
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def send_file(
     path,
     out_path,
@@ -374,7 +387,8 @@ def send_file(
     count = buffers if buffers is not None else session.block_count
     with open(out_path, "w") as fh:
         fh.write(f"# levels={session.levels} blocks={session.block_count} "
-                 f"file_length={session.file_length} session_id={session.session_id}\n")
+                 f"file_length={session.file_length} session_id={session.session_id} "
+                 f"sha256={_sha256_hex(data)}\n")
         for t, group, datagram in session.emissions(max_buffers=count):
             fh.write(f"{round(t * 1e6)} {group} {datagram.hex()}\n")
     return session
@@ -389,12 +403,14 @@ def receive_file(
 ) -> tuple[bytes, TransferMetrics, TransferCounters]:
     """Replay an emission trace into a receiver until the decode closes.
 
-    The trace header supplies ``levels``, ``file_length`` and the session
-    id (1 when the header has none); a ``levels`` argument that disagrees
-    with the header raises ValueError.
+    The trace header supplies ``levels``, ``file_length``, the session
+    id (1 when the header has none) and the file's SHA-256; a ``levels``
+    argument that disagrees with the header raises ValueError, and a
+    decoded file unlike the digest raises DigestMismatchError.
     """
     app: SymbolReceiver | None = None
     session_id = 1
+    digest = None
     received = 0
     link_bytes = 0
     last_t = 0.0
@@ -414,6 +430,7 @@ def receive_file(
                 session_id = int(meta.get("session_id", session_id))
                 if file_length is None and "file_length" in meta:
                     file_length = int(meta["file_length"])
+                digest = meta.get("sha256", digest)
                 continue
             t_us, _group, hexdata = line.split()
             datagram = bytes.fromhex(hexdata)
@@ -442,9 +459,13 @@ def receive_file(
     )
     if app is None or not app.done:
         raise TransferTimeoutError("trace ended before the decode closed", counters)
+    data = app.file()
+    if digest is not None and _sha256_hex(data) != digest:
+        raise DigestMismatchError(f"the {len(data)} decoded bytes do not match "
+                                  f"the trace header's sha256")
     if counters.file_length == 0:
-        counters.file_length = len(app.file())
-    return app.file(), compute_metrics(counters), counters
+        counters.file_length = len(data)
+    return data, compute_metrics(counters), counters
 
 
 # ---------------------------------------------------------------------------

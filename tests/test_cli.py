@@ -72,6 +72,44 @@ def test_recv_levels_unlike_header_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.bin").exists()
 
 
+@pytest.mark.parametrize("seed", [4, 5])
+def test_recv_with_the_wrong_fec_seed_fails_loudly(tmp_path, capsys, seed):
+    # Seed 4 decodes to wrong bytes that only the header's sha256 exposes;
+    # seed 5 ends in contradicting repairs.
+    src = tmp_path / "in.bin"
+    src.write_bytes(random.Random(7).randbytes(50_000))
+    trace = tmp_path / "emitted.trace"
+    assert main(["send", "--file", str(src), "--out", str(trace),
+                 "--fec-seed", "3", *CHANNEL_FLAGS]) == 0
+    assert "sha256=" in trace.read_text().splitlines()[0]
+    capsys.readouterr()
+    out = tmp_path / "x.bin"
+    rc = main(["recv", "--trace", str(trace), "--out", str(out), "--fec-seed", str(seed)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("recv: decode failed")
+    assert not out.exists()
+
+
+def test_mds_over_255_symbols_exits_2(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(200_000))  # k = 139, n = 278 at 1448-byte symbols
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("receiver = 2885390\n")
+    for argv in (
+        ["send", "--file", str(src), "--out", str(tmp_path / "t.trace"), "--codec", "mds"],
+        ["sim", "--file", str(src), "--scenario", str(scenario), "--codec", "mds",
+         "--out-dir", str(tmp_path / "simout")],
+    ):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith(argv[0] + ":")
+        assert "255" in err and "k=139" in err
+    assert not (tmp_path / "t.trace").exists()
+    assert not (tmp_path / "simout").exists()
+
+
 def test_recv_without_dimensions_fails(tmp_path, capsys):
     data = random.Random(4).randbytes(8_000)
     src = tmp_path / "in.bin"

@@ -14,6 +14,8 @@ from dyncast.fec import (
     NeedMoreSymbols,
     NotDecodedError,
     SymbolDecoder,
+    _PLANE_MIN_ROWS,
+    _gf_combine,
     _interpolation_coeffs,
     decode,
     encode,
@@ -253,8 +255,9 @@ def test_block_padding_rules():
 
 
 # ---------------------------------------------------------------------------
-# References: the earlier straightforward forms of the MDS coefficients and
-# of the sparse decoder, kept to pin the faster ones down.
+# References: the earlier straightforward forms of the MDS coefficients, of
+# the GF(256) multiply-accumulate and of the sparse decoder, kept to pin the
+# faster ones down.
 
 
 def _ref_gf_mul(a, b):
@@ -269,13 +272,13 @@ def _ref_gf_div(a, b):
     return _GF_EXP[(_GF_LOG[a] - _GF_LOG[b]) % 255]
 
 
-def _ref_mds_repair_coeffs(k, point):
-    """Lagrange coefficients mapping source values (points 0..k-1) to ``point``."""
+def _ref_lagrange_coeffs(points, point):
+    """Lagrange coefficients mapping values at ``points`` to ``point``."""
     coeffs = []
-    for i in range(k):
+    for i in points:
         num = 1
         den = 1
-        for j in range(k):
+        for j in points:
             if j == i:
                 continue
             num = _ref_gf_mul(num, point ^ j)
@@ -287,7 +290,53 @@ def _ref_mds_repair_coeffs(k, point):
 @pytest.mark.parametrize("k,n", [(1, 2), (2, 4), (10, 20), (125, 250), (127, 255)])
 def test_mds_coefficients_match_lagrange_reference(k, n):
     got = _interpolation_coeffs(range(k), range(k, n))
-    assert got == [_ref_mds_repair_coeffs(k, r) for r in range(k, n)]
+    assert got == [_ref_lagrange_coeffs(range(k), r) for r in range(k, n)]
+    # The decode side: any k received points, some of the rest as targets.
+    rng = random.Random(k)
+    for _ in range(3):
+        points = rng.sample(range(n), k)
+        others = [x for x in range(n) if x not in points]
+        targets = rng.sample(others, min(8, len(others)))
+        got = _interpolation_coeffs(points, targets)
+        assert got == [_ref_lagrange_coeffs(points, t) for t in targets]
+
+
+def _ref_scaled(data, c):
+    """c * data as a big integer (data interpreted byte-wise over GF(256))."""
+    if c == 0:
+        return 0
+    if c == 1:
+        return int.from_bytes(data, "big")
+    return int.from_bytes(data.translate(bytes(_ref_gf_mul(c, v) for v in range(256))), "big")
+
+
+def _ref_combine(rows, operands, size):
+    out = []
+    for coeffs in rows:
+        acc = 0
+        for v, c in zip(operands, coeffs):
+            acc ^= _ref_scaled(v, c)
+        out.append(acc.to_bytes(size, "big"))
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    size=st.sampled_from([1, 2, 37, 1448]),
+    rows=st.integers(1, 2 * _PLANE_MIN_ROWS),
+    operands=st.integers(1, 20),
+    zero_one=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_gf_combine_matches_per_product_reference(size, rows, operands, zero_one, seed):
+    rng = random.Random(seed)
+    data = [rng.randbytes(size) for _ in range(operands)]
+    coeffs = [
+        [rng.choice((0, 1)) if rng.random() < zero_one else rng.randrange(256)
+         for _ in range(operands)]
+        for _ in range(rows)
+    ]
+    assert _gf_combine(coeffs, data, size) == _ref_combine(coeffs, data, size)
 
 
 class ReferenceSparseDecoder:

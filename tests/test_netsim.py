@@ -156,6 +156,17 @@ def test_on_delivery_done_stops_early():
     assert st.done and st.received == 1
     assert st.done_time == pytest.approx(100 * 8.0 / scen.bottleneck_rate)
     assert res.end_time < 0.2
+    # With two receivers the run goes on until the second one is done too.
+    scen = Scenario(channel=CFG, receivers=(ReceiverSpec(CFG.base_rate),) * 2, duration=30.0)
+    seen = [0, 0]
+
+    def done_after_5_and_10(i, t, g, p):
+        seen[i] += 1
+        return seen[i] == 5 * (i + 1)
+
+    res = run(scen, emitted, on_delivery=done_after_5_and_10)
+    assert [r.state.received for r in res.receivers] == [5, 10]
+    assert res.end_time == res.receivers[1].state.done_time < 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +221,39 @@ def test_membership_expires_with_quiescence():
     # group 1 quiesces at t = 1 * tsd = 1.0; past it only base remains
     assert not st.subscribed(1, 2.5)
     assert st.subscribed(0, 2.5)
+
+
+def test_deliveries_follow_the_subscription_rule():
+    # Packets on every group, alive or not, reach exactly the receivers
+    # that ReceiverState.subscribed admits at delivery time, given the
+    # joins made so far.  One receiver starts late; the slowest one joins
+    # a group only every third slot, so its top group expires between.
+    rng = random.Random(9)
+    # 100 us apart at least, far above the 1.6 us service time: no queueing.
+    times = sorted(rng.sample(range(120_000), 1200))
+    emitted = [(i * 1e-4, rng.randrange(20), b"p" * 200) for i in times]
+    specs = (
+        ReceiverSpec(CFG.base_rate),
+        ReceiverSpec(0.5 * CFG.mean_top_rate, 1.2),
+        ReceiverSpec(0.025 * CFG.mean_top_rate),
+    )
+    scen = Scenario(channel=CFG, bottleneck_rate=1e9, receivers=specs, duration=14.0)
+    res = run(scen, emitted)
+    assert res.link.delivered == len(emitted)
+    for rres in res.receivers:
+        probe = ReceiverState(rres.state.spec, CFG)
+        expected = []
+        for t, group, packet in emitted:
+            t_rx = t + len(packet) * 8.0 / scen.bottleneck_rate
+            tops = [g for tj, g in rres.state.joins if tj <= t_rx]
+            probe.top_group = tops[-1] if tops else None
+            if probe.subscribed(group, t_rx):
+                expected.append((t_rx, group))
+        assert [(r.time, r.group) for r in rres.trace] == expected
+    assert res.receivers[0].trace and all(r.group == 0 for r in res.receivers[0].trace)
+    assert min(r.time for r in res.receivers[1].trace) >= 2.0
+    slow = res.receivers[2].state.joins
+    assert all(t1 - t0 >= 2.0 for (t0, _), (t1, _) in zip(slow, slow[1:]))
 
 
 def test_start_time_snaps_to_next_boundary():

@@ -1,6 +1,7 @@
 """File transfer: wire format, metrics, carousel sessions, reports."""
 
 import dataclasses
+import hashlib
 import math
 import random
 import subprocess
@@ -16,6 +17,7 @@ from dyncast.netsim import ReceiverSpec, Scenario
 from dyncast.transfer import (
     METRIC_NAMES,
     CarouselSession,
+    DigestMismatchError,
     MetricUndefinedError,
     NeedMoreRunsError,
     SymbolReceiver,
@@ -445,6 +447,27 @@ def test_receive_file_takes_session_from_header(tmp_path):
     header, *records = bare.read_text().splitlines()
     bare.write_text("\n".join([header.replace(" session_id=1", ""), *records]) + "\n")
     assert "session_id" not in bare.read_text().splitlines()[0]
+    assert receive_file(bare, spec)[0] == data
+
+
+def test_receive_file_checks_the_header_digest(tmp_path):
+    data = random.Random(15).randbytes(20_000)
+    src = tmp_path / "payload.bin"
+    src.write_bytes(data)
+    spec = spec_for_file("sparse_parity", len(data), 1448, seed=4)
+    trace = tmp_path / "emitted.trace"
+    send_file(src, trace, channel=CFG, codec=spec)
+    header, *records = trace.read_text().splitlines()
+    digest = hashlib.sha256(data).hexdigest()
+    assert f"sha256={digest}" in header.split()
+    forged = tmp_path / "forged.trace"
+    forged.write_text("\n".join([header.replace(digest, "0" * 64), *records]) + "\n")
+    with pytest.raises(DigestMismatchError):
+        receive_file(forged, spec)
+    # A header without sha256 is still accepted.
+    bare = tmp_path / "bare.trace"
+    bare.write_text("\n".join([header.replace(f" sha256={digest}", ""), *records]) + "\n")
+    assert "sha256" not in bare.read_text().splitlines()[0]
     assert receive_file(bare, spec)[0] == data
 
 
