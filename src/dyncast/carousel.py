@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class TooManyLevelsError(Exception):
+class TooManyLevelsError(ValueError):
     """More levels requested than blocks available."""
 
 
-class LevelOutOfRangeError(Exception):
+class LevelOutOfRangeError(ValueError):
     """A level index outside the plan was used."""
 
 

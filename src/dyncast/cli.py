@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -47,6 +46,8 @@ def _add_codec_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_plan(args) -> int:
+    if args.starts < 1:
+        raise ValueError("--starts must be >= 1")
     plan = carousel.build_plan(args.blocks, args.levels)
     print("level offsets:", " ".join(str(o) for o in plan.level_offsets))
     for lv in range(1, args.levels + 1):
@@ -62,12 +63,8 @@ def cmd_plan(args) -> int:
 def cmd_send(args) -> int:
     channel = _channel_from_args(args)
     size = Path(args.file).stat().st_size
-    try:
-        spec = transfer.spec_for_file(args.codec, size, args.symbol_size,
-                                      n=args.fec_n, seed=args.fec_seed)
-    except ValueError as exc:
-        print(f"send: {exc}", file=sys.stderr)
-        return 2
+    spec = transfer.spec_for_file(args.codec, size, args.symbol_size,
+                                  n=args.fec_n, seed=args.fec_seed)
     session = transfer.send_file(
         args.file, args.out,
         channel=channel, codec=spec, levels=args.levels, session_id=args.session_id,
@@ -78,46 +75,8 @@ def cmd_send(args) -> int:
     return 0
 
 
-def _read_trace_meta(path) -> dict[str, str]:
-    with open(path) as fh:
-        first = fh.readline().strip()
-    if not first.startswith("#"):
-        return {}
-    return dict(f.split("=", 1) for f in first[1:].split())
-
-
-def _meta_int(meta: dict[str, str], key: str) -> int | None:
-    return int(meta[key]) if key in meta else None
-
-
 def cmd_recv(args) -> int:
-    meta = _read_trace_meta(args.trace)
-    file_length = args.file_length if args.file_length is not None else _meta_int(meta, "file_length")
-    n = args.fec_n if args.fec_n is not None else _meta_int(meta, "blocks")
-    k = args.fec_k
-    if k is None:
-        if file_length is None:
-            print("recv: need --fec-k or a trace with a file_length header", file=sys.stderr)
-            return 2
-        k = math.ceil(file_length / args.symbol_size)
-    if n is None:
-        n = k if args.codec == "null" else 2 * k
-    try:
-        spec = fec.CodecSpec(args.codec, k, n, args.symbol_size, args.fec_seed)
-        data, metrics, _counters = transfer.receive_file(
-            args.trace, spec, levels=args.levels, file_length=file_length
-        )
-    except transfer.TransferTimeoutError as exc:
-        print(f"recv: {exc}", file=sys.stderr)
-        for name, value in exc.partial.items():
-            print(f"{name} {value:.6g}", file=sys.stderr)
-        return 1
-    except (fec.DecodeFailureError, transfer.DigestMismatchError) as exc:
-        print(f"recv: decode failed: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"recv: {exc}", file=sys.stderr)
-        return 2
+    data, metrics, _counters = transfer.receive_file(args.trace)
     Path(args.out).write_bytes(data)
     print(transfer.format_metrics(metrics))
     return 0
@@ -126,16 +85,12 @@ def cmd_recv(args) -> int:
 def cmd_sim(args) -> int:
     scenario = netsim.load_scenario(args.scenario)
     data = Path(args.file).read_bytes()
-    try:
-        spec = transfer.spec_for_file(args.codec, len(data), args.symbol_size,
-                                      n=args.fec_n, seed=args.fec_seed)
-    except ValueError as exc:
-        print(f"sim: {exc}", file=sys.stderr)
-        return 2
+    spec = transfer.spec_for_file(args.codec, len(data), args.symbol_size,
+                                  n=args.fec_n, seed=args.fec_seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_receiver: list[list[transfer.TransferMetrics]] = [[] for _ in scenario.receivers]
-    timed_out = False
+    failed = False
     for run in range(args.runs):
         scen = dataclasses.replace(scenario, seed=scenario.seed + run)
         outcomes, result = transfer.simulate_transfer(
@@ -151,11 +106,12 @@ def cmd_sim(args) -> int:
             if outcome.done:
                 (out_dir / f"{tag}.bin").write_bytes(outcome.file)
                 ok = "ok" if outcome.file == data else "MISMATCH"
+                failed |= ok != "ok"
                 print(f"# {tag}: completed in {outcome.metrics.time:.3f}s ({ok})")
                 print(transfer.format_metrics(outcome.metrics))
                 per_receiver[i].append(outcome.metrics)
             else:
-                timed_out = True
+                failed = True
                 print(f"# {tag}: timed out after {scen.duration}s; partial metrics:")
                 for name, value in transfer.partial_metrics(outcome.counters).items():
                     print(f"{name} {value:.6g}")
@@ -166,15 +122,25 @@ def cmd_sim(args) -> int:
                 print(f"# receiver {i}: mean and 95% interval over {len(runs)} runs")
                 print(transfer.format_report(transfer.report(runs)))
                 print()
-    return 1 if timed_out else 0
+    return 1 if failed else 0
+
+
+_COUNTER_FIELDS = tuple(f.name for f in dataclasses.fields(transfer.TransferCounters))
+
+
+def _read_counters(path) -> transfer.TransferCounters:
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if (not isinstance(payload, dict) or payload.keys() != set(_COUNTER_FIELDS)
+            or not all(type(v) in (int, float) for v in payload.values())):
+        raise ValueError(f"{path}: not a JSON object of the numbers {', '.join(_COUNTER_FIELDS)}")
+    return transfer.TransferCounters(**payload)
 
 
 def cmd_metrics(args) -> int:
-    all_metrics = []
-    for path in args.counters:
-        payload = json.loads(Path(path).read_text())
-        counters = transfer.TransferCounters(**payload)
-        all_metrics.append(transfer.compute_metrics(counters))
+    all_metrics = [transfer.compute_metrics(_read_counters(path)) for path in args.counters]
     if len(all_metrics) == 1:
         print(transfer.format_metrics(all_metrics[0]))
     else:
@@ -208,9 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recv", help="decode a file from an emission trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fec-k", type=int, default=None)
-    p.add_argument("--file-length", type=int, default=None)
-    _add_codec_args(p)
     p.set_defaults(func=cmd_recv)
 
     p = sub.add_parser("sim", help="run transfers through the deterministic simulator")
@@ -229,8 +192,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place where errors become exit codes (see README)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except transfer.TransferTimeoutError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        for name, value in exc.partial.items():
+            print(f"{name} {value:.6g}", file=sys.stderr)
+        return 1
+    except (fec.DecodeFailureError, transfer.DigestMismatchError) as exc:
+        print(f"{args.command}: decode failed: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

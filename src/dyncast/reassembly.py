@@ -24,7 +24,7 @@ MALFORMED = "malformed"
 FLUSHED_PREVIOUS = "flushed_previous"
 
 
-class IntegrityError(Exception):
+class IntegrityError(ValueError):
     """Two packets delivered different bytes for the same buffer range."""
 
 
@@ -158,7 +158,7 @@ class Reassembler:
             self.current = ReassemblyBuffer(header.buffer_id, header.buffer_length)
         try:
             stored = self.current.insert(header.offset, payload)
-        except ValueError:
+        except ValueError:  # outside the buffer, or an IntegrityError
             self.counters.malformed += 1
             return MALFORMED, flushed
         if stored == DUPLICATE:

@@ -40,10 +40,10 @@ class DigestMismatchError(Exception):
 class TransferTimeoutError(Exception):
     """Decode did not close before the input ended."""
 
-    def __init__(self, message: str, counters: "TransferCounters | None" = None):
+    def __init__(self, message: str, counters: "TransferCounters"):
         super().__init__(message)
         self.counters = counters
-        self.partial = partial_metrics(counters) if counters is not None else {}
+        self.partial = partial_metrics(counters)
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,8 @@ def spec_for_file(name: str, file_length: int, symbol_size: int, *,
     """Codec dimensions for a file: k from its size, n defaulting to 2k."""
     if file_length <= 0:
         raise ValueError("empty file")
+    if symbol_size < 1:
+        raise ValueError("symbol_size must be >= 1")
     k = math.ceil(file_length / symbol_size)
     if n is None:
         n = k if name == "null" else 2 * k
@@ -139,6 +141,12 @@ def ring_symbol(position: int, k: int, n: int) -> int:
     if (position + 1) * k // n > before:
         return before
     return k + position - before
+
+
+def _checked_session_id(session_id: int) -> int:
+    if not 0 <= session_id <= 0xFFFFFFFF:
+        raise ValueError(f"session_id {session_id} not in 0..{0xFFFFFFFF}")
+    return session_id
 
 
 class CarouselSession:
@@ -166,7 +174,7 @@ class CarouselSession:
         self.cfg = cfg
         self.spec = spec
         self.file_length = len(data)
-        self.session_id = session_id
+        self.session_id = _checked_session_id(session_id)
         self.start_time = start_time
         ss = spec.symbol_size
         self.symbols = fec.encode(spec, [data[i * ss : (i + 1) * ss] for i in range(spec.k)])
@@ -218,7 +226,7 @@ class SymbolReceiver:
         plan: carousel.CarouselPlan,
         levels: int,
         *,
-        file_length: int | None = None,
+        file_length: int,
         session_id: int = 1,
     ):
         if not 1 <= levels <= plan.level_count:
@@ -228,7 +236,7 @@ class SymbolReceiver:
         self.levels = levels
         self.buffer_length = levels * spec.symbol_size
         self.file_length = file_length
-        self.session_id = session_id
+        self.session_id = _checked_session_id(session_id)
         self.reassembler = Reassembler()
         self.decoder = fec.SymbolDecoder(spec)
         self.received_symbols = 0
@@ -291,8 +299,7 @@ class SymbolReceiver:
         return self.decoder.epsilon if self.done else max(self.decoder.distinct - self.spec.k, 0)
 
     def file(self) -> bytes:
-        data = b"".join(self.decoder.blocks())
-        return data[: self.file_length] if self.file_length is not None else data
+        return b"".join(self.decoder.blocks())[: self.file_length]
 
 
 @dataclass
@@ -379,14 +386,19 @@ def send_file(
 ) -> CarouselSession:
     """Sequence a file onto an emission-trace file (one datagram per line).
 
+    Line 1 is the header ``receive_file`` needs: the FEC Object
+    Transmission Information (codec, n, symbol size, seed; k follows from
+    the file length), the levels, the session id and the file's SHA-256.
     ``buffers`` defaults to one full carousel period, which always carries
     every symbol at least once.
     """
     data = Path(path).read_bytes()
     session = CarouselSession(data, channel, codec, levels=levels, session_id=session_id)
+    spec = session.spec
     count = buffers if buffers is not None else session.block_count
     with open(out_path, "w") as fh:
-        fh.write(f"# levels={session.levels} blocks={session.block_count} "
+        fh.write(f"# codec={spec.name} n={spec.n} symbol_size={spec.symbol_size} "
+                 f"fec_seed={spec.seed} levels={session.levels} "
                  f"file_length={session.file_length} session_id={session.session_id} "
                  f"sha256={_sha256_hex(data)}\n")
         for t, group, datagram in session.emissions(max_buffers=count):
@@ -394,77 +406,82 @@ def send_file(
     return session
 
 
-def receive_file(
-    trace_path,
-    codec: fec.CodecSpec,
-    *,
-    levels: int | None = None,
-    file_length: int | None = None,
-) -> tuple[bytes, TransferMetrics, TransferCounters]:
+def _sha256_field(value: str) -> str:
+    if len(value) != 64 or value.strip("0123456789abcdef"):
+        raise ValueError("not a hex SHA-256")
+    return value
+
+
+# The header fields in the order ``send_file`` writes them.
+_HEADER_FIELDS = (("codec", str), ("n", int), ("symbol_size", int), ("fec_seed", int),
+                  ("levels", int), ("file_length", int), ("session_id", int),
+                  ("sha256", _sha256_field))
+
+
+def _read_header(line: str) -> tuple[SymbolReceiver, str]:
+    """The receiver and the file digest a trace header describes.
+
+    Raises ValueError naming the first field that is missing or invalid.
+    """
+    fields = dict(token.partition("=")[::2] for token in line.removeprefix("#").split())
+    meta = {}
+    for name, parse in _HEADER_FIELDS:
+        if name not in fields:
+            raise ValueError(f"trace header: no {name}= field")
+        try:
+            meta[name] = parse(fields[name])
+        except ValueError:
+            raise ValueError(f"trace header: invalid {name}={fields[name]}") from None
+    try:
+        spec = spec_for_file(meta["codec"], meta["file_length"], meta["symbol_size"],
+                             n=meta["n"], seed=meta["fec_seed"])
+        plan = carousel.build_plan(spec.n, meta["levels"])
+        app = SymbolReceiver(spec, plan, meta["levels"], file_length=meta["file_length"],
+                             session_id=meta["session_id"])
+    except ValueError as exc:
+        raise ValueError(f"trace header: {exc}") from None
+    return app, meta["sha256"]
+
+
+def receive_file(trace_path) -> tuple[bytes, TransferMetrics, TransferCounters]:
     """Replay an emission trace into a receiver until the decode closes.
 
-    The trace header supplies ``levels``, ``file_length``, the session
-    id (1 when the header has none) and the file's SHA-256; a ``levels``
-    argument that disagrees with the header raises ValueError, and a
-    decoded file unlike the digest raises DigestMismatchError.
+    The receiver is built from the trace header alone (see ``send_file``);
+    a missing or invalid header field raises ValueError, and a decoded
+    file unlike the header's digest raises DigestMismatchError.
     """
-    app: SymbolReceiver | None = None
-    session_id = 1
-    digest = None
-    received = 0
-    link_bytes = 0
+    received = link_bytes = 0
     last_t = 0.0
     with open(trace_path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                meta = dict(f.split("=", 1) for f in line[1:].split())
-                header_levels = int(meta.get("levels", 0)) or None
-                if levels is None:
-                    levels = header_levels
-                elif header_levels is not None and header_levels != levels:
-                    raise ValueError(f"levels={levels} disagrees with the trace header's "
-                                     f"levels={header_levels}")
-                session_id = int(meta.get("session_id", session_id))
-                if file_length is None and "file_length" in meta:
-                    file_length = int(meta["file_length"])
-                digest = meta.get("sha256", digest)
+        app, digest = _read_header(fh.readline())
+        for line in fh:
+            if not line.strip():
                 continue
             t_us, _group, hexdata = line.split()
             datagram = bytes.fromhex(hexdata)
-            if app is None:
-                if levels is None:
-                    raise ValueError("levels unknown: pass levels= or use a trace header")
-                plan = carousel.build_plan(codec.n, levels)
-                app = SymbolReceiver(codec, plan, levels, file_length=file_length,
-                                     session_id=session_id)
             last_t = int(t_us) / 1e6
             received += 1
             link_bytes += len(datagram)
             if app.on_packet(last_t, datagram):
                 break
-    elapsed = app.completion_time if (app is not None and app.done) else last_t
+    elapsed = app.completion_time if app.done else last_t
     counters = TransferCounters(
-        file_length=file_length if file_length is not None else (app.file_length or 0) if app else 0,
-        k=codec.k,
-        epsilon=app.epsilon if app is not None else 0,
-        received_symbols=app.received_symbols if app is not None else 0,
+        file_length=app.file_length,
+        k=app.spec.k,
+        epsilon=app.epsilon,
+        received_symbols=app.received_symbols,
         received_packets=received,
         missed_packets=0,
         link_bytes=link_bytes,
-        elapsed=elapsed or 0.0,
-        network_time=elapsed or 0.0,
+        elapsed=elapsed,
+        network_time=elapsed,
     )
-    if app is None or not app.done:
+    if not app.done:
         raise TransferTimeoutError("trace ended before the decode closed", counters)
     data = app.file()
-    if digest is not None and _sha256_hex(data) != digest:
+    if _sha256_hex(data) != digest:
         raise DigestMismatchError(f"the {len(data)} decoded bytes do not match "
                                   f"the trace header's sha256")
-    if counters.file_length == 0:
-        counters.file_length = len(data)
     return data, compute_metrics(counters), counters
 
 

@@ -1,11 +1,12 @@
 """Command line entry points, exercised in-process through main(argv)."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
-from dyncast import wire
+from dyncast import transfer, wire
 from dyncast.cli import main
 
 CHANNEL_FLAGS = [
@@ -57,6 +58,37 @@ def test_send_honours_levels_and_session_id(tmp_path, capsys):
         assert parsed.session_id == 9
 
 
+@pytest.mark.parametrize("flags", [
+    ["--codec", "null"],
+    ["--codec", "mds"],
+    ["--codec", "sparse_parity"],
+    ["--symbol-size", "1000"],
+    ["--fec-seed", "3", "--levels", "5", "--session-id", "9"],
+], ids=" ".join)
+def test_flagless_recv_takes_the_codec_from_the_header(tmp_path, capsys, flags):
+    data = random.Random(10).randbytes(30_000)
+    src = tmp_path / "in.bin"
+    src.write_bytes(data)
+    trace = tmp_path / "emitted.trace"
+    assert main(["send", "--file", str(src), "--out", str(trace), *flags, *CHANNEL_FLAGS]) == 0
+    out = tmp_path / "out.bin"
+    assert main(["recv", "--trace", str(trace), "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+    assert capsys.readouterr().err == ""
+
+
+def edit_header(trace, tmp_path, edit):
+    """A copy of ``trace`` whose header tokens went through ``edit``."""
+    header, records = trace.read_text().split("\n", 1)
+    edited = tmp_path / "edited.trace"
+    edited.write_text(" ".join(edit(header.split())) + "\n" + records)
+    return edited
+
+
+def set_field(name, value):
+    return lambda tokens: [f"{name}={value}" if t.startswith(name + "=") else t for t in tokens]
+
+
 def test_recv_levels_unlike_header_exits_2(tmp_path, capsys):
     src = tmp_path / "in.bin"
     src.write_bytes(random.Random(8).randbytes(20_000))
@@ -64,11 +96,12 @@ def test_recv_levels_unlike_header_exits_2(tmp_path, capsys):
     assert main(["send", "--file", str(src), "--out", str(trace),
                  "--levels", "3", *CHANNEL_FLAGS]) == 0
     capsys.readouterr()
-    rc = main(["recv", "--trace", str(trace), "--out", str(tmp_path / "x.bin"), "--levels", "4"])
+    edited = edit_header(trace, tmp_path, set_field("levels", 999))
+    rc = main(["recv", "--trace", str(edited), "--out", str(tmp_path / "x.bin")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1
-    assert "levels=4" in err and "levels=3" in err
+    assert "999 levels" in err
     assert not (tmp_path / "x.bin").exists()
 
 
@@ -81,10 +114,12 @@ def test_recv_with_the_wrong_fec_seed_fails_loudly(tmp_path, capsys, seed):
     trace = tmp_path / "emitted.trace"
     assert main(["send", "--file", str(src), "--out", str(trace),
                  "--fec-seed", "3", *CHANNEL_FLAGS]) == 0
-    assert "sha256=" in trace.read_text().splitlines()[0]
+    header = trace.read_text().splitlines()[0].split()
+    assert "fec_seed=3" in header and any(t.startswith("sha256=") for t in header)
     capsys.readouterr()
     out = tmp_path / "x.bin"
-    rc = main(["recv", "--trace", str(trace), "--out", str(out), "--fec-seed", str(seed)])
+    edited = edit_header(trace, tmp_path, set_field("fec_seed", seed))
+    rc = main(["recv", "--trace", str(edited), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("\n") == 1 and err.startswith("recv: decode failed")
@@ -124,7 +159,117 @@ def test_recv_without_dimensions_fails(tmp_path, capsys):
     rc = main(["recv", "--trace", str(headerless), "--out", str(tmp_path / "x.bin")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "--fec-k" in err
+    assert err.count("\n") == 1 and "trace header" in err
+    assert not (tmp_path / "x.bin").exists()
+
+
+@pytest.fixture(scope="module")
+def sent_trace(tmp_path_factory):
+    d = tmp_path_factory.mktemp("sent")
+    src = d / "in.bin"
+    src.write_bytes(random.Random(11).randbytes(20_000))
+    trace = d / "emitted.trace"
+    assert main(["send", "--file", str(src), "--out", str(trace), *CHANNEL_FLAGS]) == 0
+    return trace
+
+
+HEADER_FIELDS = ("codec", "n", "symbol_size", "fec_seed", "levels", "file_length",
+                 "session_id", "sha256")
+
+
+def recv_header(edit):
+    def argv(tmp_path, trace):
+        edited = edit_header(trace, tmp_path, edit)
+        return ["recv", "--trace", str(edited), "--out", str(tmp_path / "x.bin")]
+    return argv
+
+
+def with_file(name, text):
+    def path(tmp_path):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+    return path
+
+
+def sim_scenario(text):
+    scenario = with_file("scenario.txt", text)
+    return lambda tmp_path, trace: [
+        "sim", "--file", str(trace), "--scenario", scenario(tmp_path),
+        "--out-dir", str(tmp_path / "simout"),
+    ]
+
+
+def metrics_file(text):
+    counters = with_file("counters.json", text)
+    return lambda tmp_path, trace: ["metrics", counters(tmp_path)]
+
+
+COUNTERS = dict(
+    file_length=1000, k=1, epsilon=0, received_symbols=1, received_packets=1,
+    missed_packets=0, link_bytes=1480, elapsed=1.0, network_time=1.0,
+    packet_length=1480, applicative_data=1448,
+)
+
+BAD_INPUTS = [
+    *(pytest.param(recv_header(lambda t, f=f: [x for x in t if not x.startswith(f + "=")]),
+                   f"no {f}=", id=f"header-without-{f}") for f in HEADER_FIELDS),
+    pytest.param(recv_header(set_field("n", "x")), "n=x", id="header-n=x"),
+    pytest.param(recv_header(set_field("file_length", "abc")), "file_length=abc",
+                 id="header-file_length=abc"),
+    pytest.param(recv_header(lambda t: [x.replace("levels=", "levels") for x in t]), "no levels=",
+                 id="header-field-without-="),
+    pytest.param(recv_header(set_field("codec", "turbo")), "turbo", id="header-codec=turbo"),
+    pytest.param(recv_header(set_field("symbol_size", 0)), "symbol_size", id="header-symbol_size=0"),
+    pytest.param(recv_header(set_field("n", 5)), "n must be >= k", id="header-n-below-k"),
+    pytest.param(recv_header(set_field("session_id", 2**32 + 1)), "session_id",
+                 id="header-session_id-past-32-bits"),
+    pytest.param(recv_header(set_field("sha256", "abc")), "sha256=abc", id="header-sha256=abc"),
+    pytest.param(lambda tmp_path, trace: ["plan", "--blocks", "3", "--levels", "5"],
+                 "5 levels > 3 blocks", id="plan-more-levels-than-blocks"),
+    pytest.param(lambda tmp_path, trace: ["plan", "--blocks", "3", "--levels", "1", "--starts", "0"],
+                 "--starts", id="plan-no-starts"),
+    pytest.param(lambda tmp_path, trace: ["send", "--file", str(tmp_path / "missing.bin"),
+                                          "--out", str(tmp_path / "t.trace")],
+                 "missing.bin", id="send-missing-file"),
+    pytest.param(lambda tmp_path, trace: ["send", "--file", str(trace), "--out",
+                                          str(tmp_path / "t.trace"), "--session-id", str(2**32 + 1)],
+                 "session_id", id="send-session_id-past-32-bits"),
+    pytest.param(lambda tmp_path, trace: ["send", "--file", str(trace), "--out",
+                                          str(tmp_path / "t.trace"), "--symbol-size", "0"],
+                 "symbol_size", id="send-symbol-size-0"),
+    pytest.param(lambda tmp_path, trace: ["recv", "--trace", str(tmp_path / "missing.trace"),
+                                          "--out", str(tmp_path / "x.bin")],
+                 "missing.trace", id="recv-missing-trace"),
+    pytest.param(lambda tmp_path, trace: ["sim", "--file", str(tmp_path / "missing.bin"),
+                                          "--scenario", with_file("s.txt", "receiver = 1e6\n")(tmp_path),
+                                          "--out-dir", str(tmp_path / "simout")],
+                 "missing.bin", id="sim-missing-file"),
+    pytest.param(sim_scenario("receiver = 1e6\ncolour = blue\n"), "unknown key 'colour'",
+                 id="sim-scenario-unknown-key"),
+    pytest.param(sim_scenario("receiver = 1e6\ndecay = 1.5\n"), "decay_ratio",
+                 id="sim-scenario-invalid-ladder"),
+    pytest.param(metrics_file('{"k": 1}'), "counters.json", id="metrics-missing-fields"),
+    pytest.param(metrics_file("[1, 2]"), "counters.json", id="metrics-not-an-object"),
+    pytest.param(metrics_file("{not json"), "counters.json", id="metrics-not-json"),
+    pytest.param(metrics_file(json.dumps({**COUNTERS, "k": "one"})), "counters.json",
+                 id="metrics-string-count"),
+    pytest.param(metrics_file(json.dumps({**COUNTERS, "extra": 1})), "counters.json",
+                 id="metrics-extra-field"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, sent_trace, argv, message):
+    args = argv(tmp_path, sent_trace)
+    rc = main(args)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith(args[0] + ":")
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.bin").exists()
+    assert not (tmp_path / "t.trace").exists()
+    assert not (tmp_path / "simout").exists()
 
 
 def test_recv_truncated_trace_reports_partial(tmp_path, capsys):
@@ -171,6 +316,24 @@ def test_sim_writes_artifacts_and_report(tmp_path, capsys):
         assert (out_dir / f"run{run}_rx0.trace").exists()
     assert "completed" in out and "MISMATCH" not in out
     assert "# receiver 0: mean and 95% interval over 2 runs" in out
+
+
+def test_sim_exits_1_on_a_mismatched_file(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "in.bin"
+    src.write_bytes(random.Random(12).randbytes(5_000))
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("receiver = 2885390\n")
+    real = transfer.simulate_transfer
+
+    def corrupting(*args, **kwargs):
+        outcomes, result = real(*args, **kwargs)
+        return [dataclasses.replace(o, file=b"x" + o.file[1:]) for o in outcomes], result
+
+    monkeypatch.setattr(transfer, "simulate_transfer", corrupting)
+    rc = main(["sim", "--file", str(src), "--scenario", str(scenario),
+               "--out-dir", str(tmp_path / "simout")])
+    assert rc == 1
+    assert "(MISMATCH)" in capsys.readouterr().out
 
 
 def test_metrics_single_and_report(tmp_path, capsys):

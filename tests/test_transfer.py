@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import subprocess
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncast import wire
 from dyncast.channel import ChannelConfig
@@ -356,6 +359,86 @@ def test_foreign_session_dropped_and_counted():
     assert rx.reassembler.current is None
 
 
+def test_conflicting_copy_in_the_open_buffer_counted_as_malformed():
+    data, sess = null_session()
+    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(data))
+    (datagram,) = buffer_datagrams(sess, 0)
+    assert rx.on_packet(0.0, datagram) is False
+    assert rx.on_packet(0.0, repacked(datagram, flip=True)) is False
+    assert rx.reassembler.counters.malformed == 1
+    assert rx.received_symbols == 1 and rx.conflicting_symbols == 0
+
+
+@pytest.mark.parametrize("session_id", [-1, 2**32, 2**32 + 1])
+def test_session_id_outside_32_bits_rejected(session_id):
+    data, sess = null_session()
+    with pytest.raises(ValueError, match="session_id"):
+        CarouselSession(data, SMALL_CFG, sess.spec, levels=1, session_id=session_id)
+    with pytest.raises(ValueError, match="session_id"):
+        SymbolReceiver(sess.spec, sess.plan, 1, file_length=len(data), session_id=session_id)
+    top = CarouselSession(data, SMALL_CFG, sess.spec, levels=1, session_id=2**32 - 1)
+    _, _, datagram = next(top.emissions())
+    assert wire.parse_packet(datagram)[0].session_id == 2**32 - 1
+
+
+# One small session per codec (k = 12, three 64-byte levels per buffer).
+FUZZ_DATA = random.Random(21).randbytes(64 * 12 - 5)
+FUZZ_SESSIONS = {
+    name: CarouselSession(FUZZ_DATA, SMALL_CFG, spec_for_file(name, len(FUZZ_DATA), 64, seed=1),
+                          levels=3, session_id=7)
+    for name in ("null", "sparse_parity", "mds")
+}
+
+
+def fuzz_datagrams(sess):
+    """Lists of datagram groups: raw bytes, forged headers, real and mutated datagrams."""
+    real = [d for _, _, d in sess.emissions(max_buffers=2 * sess.block_count)]
+    right = sess.buffer_length
+
+    def forge(session_id, buffer_id, offset, buffer_length, payload_len, payload):
+        if payload_len is None:
+            payload_len = len(payload)
+        header = wire.PacketHeader(0, session_id, 0, 0, buffer_id, offset, buffer_length,
+                                   payload_len)
+        return [wire.pack_header(header) + payload]
+
+    def mutate(i, position, xor):
+        # The real datagram, then a copy with one byte changed.
+        d = real[i]
+        position %= len(d)
+        return [d, d[:position] + bytes([d[position] ^ xor]) + d[position + 1:]]
+
+    forged = st.builds(
+        forge,
+        st.sampled_from([sess.session_id, 1, 0, 2**32 - 1]),
+        st.integers(0, 2 * sess.block_count) | st.just(2**32 - 1),
+        st.integers(0, right + 64),
+        st.sampled_from([right, right - 1, right + 64, 8, 0]),
+        st.none() | st.integers(0, 100),
+        st.binary(max_size=100),
+    )
+    mutated = st.builds(mutate, st.integers(0, len(real) - 1), st.integers(0, 2000),
+                        st.integers(1, 255))
+    raw = st.binary(max_size=300).map(lambda b: [b])
+    exact = st.sampled_from(real).map(lambda d: [d])
+    return st.lists(st.one_of(raw, forged, exact, mutated), max_size=40)
+
+
+@pytest.mark.parametrize("codec", sorted(FUZZ_SESSIONS))
+def test_on_packet_never_raises(codec):
+    sess = FUZZ_SESSIONS[codec]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(fuzz_datagrams(sess))
+    def feed(groups):
+        rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(FUZZ_DATA),
+                            session_id=sess.session_id)
+        for datagram in itertools.chain.from_iterable(groups):
+            assert type(rx.on_packet(0.0, datagram)) is bool
+
+    feed()
+
+
 def test_simulated_transfer_honours_session_id():
     data = random.Random(98).randbytes(20_000)
     spec = spec_for_file("null", len(data), 1448)
@@ -424,8 +507,8 @@ def test_send_receive_file_round_trip(tmp_path):
     trace = tmp_path / "emitted.trace"
     spec = spec_for_file("sparse_parity", len(data), 1448, seed=4)
     session = send_file(src, trace, channel=CFG, codec=spec)
-    assert trace.read_text().startswith("# levels=")
-    got, metrics, c = receive_file(trace, spec)
+    assert trace.read_text().startswith("# codec=sparse_parity n=28 symbol_size=1448 fec_seed=4 ")
+    got, metrics, c = receive_file(trace)
     assert got == data
     assert c.file_length == len(data)
     assert metrics.time > 0 and metrics.sym >= 0
@@ -440,14 +523,15 @@ def test_receive_file_takes_session_from_header(tmp_path):
     send_file(src, trace, channel=CFG, codec=spec, session_id=9)
     header, *records = trace.read_text().splitlines()
     assert "session_id=9" in header.split()
-    assert receive_file(trace, spec)[0] == data
-    # A header without session_id means session 1.
+    assert receive_file(trace)[0] == data
+    # A header without session_id is rejected.
     bare = tmp_path / "bare.trace"
     send_file(src, bare, channel=CFG, codec=spec)
     header, *records = bare.read_text().splitlines()
     bare.write_text("\n".join([header.replace(" session_id=1", ""), *records]) + "\n")
     assert "session_id" not in bare.read_text().splitlines()[0]
-    assert receive_file(bare, spec)[0] == data
+    with pytest.raises(ValueError, match="session_id="):
+        receive_file(bare)
 
 
 def test_receive_file_checks_the_header_digest(tmp_path):
@@ -463,12 +547,13 @@ def test_receive_file_checks_the_header_digest(tmp_path):
     forged = tmp_path / "forged.trace"
     forged.write_text("\n".join([header.replace(digest, "0" * 64), *records]) + "\n")
     with pytest.raises(DigestMismatchError):
-        receive_file(forged, spec)
-    # A header without sha256 is still accepted.
+        receive_file(forged)
+    # A header without sha256 is rejected.
     bare = tmp_path / "bare.trace"
     bare.write_text("\n".join([header.replace(f" sha256={digest}", ""), *records]) + "\n")
     assert "sha256" not in bare.read_text().splitlines()[0]
-    assert receive_file(bare, spec)[0] == data
+    with pytest.raises(ValueError, match="sha256="):
+        receive_file(bare)
 
 
 def test_receive_file_truncated_trace_times_out(tmp_path):
@@ -482,7 +567,7 @@ def test_receive_file_truncated_trace_times_out(tmp_path):
     cut = tmp_path / "cut.trace"
     cut.write_text("\n".join(lines[:4]) + "\n")  # header + 3 PDUs < k symbols
     with pytest.raises(TransferTimeoutError) as exc:
-        receive_file(cut, spec)
+        receive_file(cut)
     assert exc.value.counters.received_packets == 3
     assert "head" in exc.value.partial
 
