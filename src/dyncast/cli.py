@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -195,7 +196,18 @@ def main(argv=None) -> int:
     """Run one subcommand; the one place where errors become exit codes (see README)."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed our output (``dyncast recv ... | head``): that
+        # ends the output, it is not bad input.  The interpreter's last
+        # flush goes to os.devnull, and the exit code is 128 + SIGPIPE,
+        # what a shell reports for a writer killed by a closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except transfer.TransferTimeoutError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         for name, value in exc.partial.items():

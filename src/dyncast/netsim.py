@@ -127,20 +127,6 @@ class ReceiverState:
     def active(self, t: float) -> bool:
         return t >= self.start_time - _EPS
 
-    def _effective_top(self, t: float) -> int | None:
-        if self.top_group is None:
-            return None
-        oldest = interval_index(self.cfg, t) + 1
-        return self.top_group if self.top_group >= oldest else None
-
-    def subscribed(self, group: int, t: float) -> bool:
-        if not self.active(t):
-            return False
-        if group == BASE_GROUP:
-            return True
-        top = self._effective_top(t)
-        return top is not None and group <= top
-
     def subscription_rate_integral(self, t0: float, t1: float) -> float:
         """Bits of nominal subscription rate over [t0, t1]."""
         if t1 <= t0:
@@ -289,8 +275,9 @@ def run(
     def listeners(group: int, t: float) -> list[int]:
         """Indices of the receivers not done and subscribed to ``group`` at ``t``.
 
-        ReceiverState.subscribed inlined, with the oldest live group
-        derived once per event instead of once per receiver.
+        The oldest live group is derived once per event instead of once
+        per receiver; ``subscribed`` in tests/test_netsim.py states the
+        rule one receiver at a time and is the reference for this one.
         """
         oldest = interval_index(cfg, t) + 1
         base = group == BASE_GROUP

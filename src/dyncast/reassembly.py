@@ -9,8 +9,7 @@ wrap during long sessions.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .wire import PacketHeader
 
@@ -33,91 +32,66 @@ def serial_newer(a: int, b: int) -> bool:
     return a != b and (a - b) % _SERIAL_MOD < _SERIAL_HALF
 
 
-@dataclass
 class ReassemblyBuffer:
-    buffer_id: int
-    expected_length: int
-    parts: list[tuple[int, bytearray]] = field(default_factory=list)
+    """One buffer under construction: its bytes and a mask of the offsets received.
+
+    Bit i of ``mask`` is set once byte i has arrived; bytes whose bit is
+    clear are zero placeholders.
+    """
+
+    def __init__(self, buffer_id: int, expected_length: int):
+        self.buffer_id = buffer_id
+        self.expected_length = expected_length
+        self.data = bytearray(expected_length)
+        self.mask = 0
 
     def insert(self, offset: int, data: bytes) -> str:
-        """Store one PDU; merges with touching parts, verifying overlaps."""
-        if offset < 0 or offset + len(data) > self.expected_length:
+        """Store one PDU, verifying the bytes it shares with earlier ones.
+
+        A rejected PDU (ValueError, IntegrityError) leaves the buffer as it was.
+        """
+        end = offset + len(data)
+        if offset < 0 or end > self.expected_length:
             raise ValueError("PDU outside the buffer")
-        if not data:
+        span = ((1 << len(data)) - 1) << offset
+        seen = self.mask & span
+        if seen == span:
+            if self.data[offset:end] != data:
+                raise IntegrityError(f"buffer {self.buffer_id}: conflicting bytes at {offset}..{end}")
             return DUPLICATE
-        starts = [p[0] for p in self.parts]
-        i = bisect_right(starts, offset)
-        # Walk every stored part touching [offset, offset+len(data)).
-        lo = max(i - 1, 0)
-        new_start, new_end = offset, offset + len(data)
-        merged = bytearray(data)
-        absorbed: list[int] = []
-        for idx in range(lo, len(self.parts)):
-            p_start, p_data = self.parts[idx]
-            p_end = p_start + len(p_data)
-            if p_end < new_start:
-                continue
-            if p_start > new_end:
-                break
-            # Overlapping region must carry identical bytes.
-            o_start, o_end = max(p_start, new_start), min(p_end, new_end)
-            if o_start < o_end:
-                if (
-                    p_data[o_start - p_start : o_end - p_start]
-                    != merged[o_start - new_start : o_end - new_start]
-                ):
+        if seen:
+            # A partial overlap: only traces and fuzzed input send one.
+            seen >>= offset
+            for i, byte in enumerate(data):
+                if seen >> i & 1 and self.data[offset + i] != byte:
                     raise IntegrityError(
-                        f"buffer {self.buffer_id}: conflicting bytes at {o_start}..{o_end}"
+                        f"buffer {self.buffer_id}: conflicting byte at {offset + i}"
                     )
-            if p_start <= new_start and p_end >= new_end:
-                return DUPLICATE
-            # Grow the merged span over this part.
-            if p_start < new_start:
-                merged[:0] = p_data[: new_start - p_start]
-                new_start = p_start
-            if p_end > new_end:
-                merged.extend(p_data[len(p_data) - (p_end - new_end) :])
-                new_end = p_end
-            absorbed.append(idx)
-        for idx in reversed(absorbed):
-            del self.parts[idx]
-        self.parts.insert(bisect_right([p[0] for p in self.parts], new_start), (new_start, merged))
+        self.data[offset:end] = data
+        self.mask |= span
         return STORED
 
     def contiguous_prefix(self) -> bytes:
         """Bytes available from offset 0 without a hole."""
-        if not self.parts or self.parts[0][0] != 0:
-            return b""
-        return bytes(self.parts[0][1])
+        mask = self.mask
+        return bytes(self.data[: (~mask & (mask + 1)).bit_length() - 1])
 
     def covered(self, start: int, end: int) -> bytes | None:
-        """The bytes of [start, end) if fully received, else None.
-
-        Parts are kept merged, so full coverage means one part spans
-        the whole range.
-        """
+        """The bytes of [start, end) if fully received, else None."""
         if not 0 <= start <= end <= self.expected_length:
             raise ValueError("range outside the buffer")
-        i = bisect_right([p[0] for p in self.parts], start)
-        if i == 0:
+        span = ((1 << (end - start)) - 1) << start
+        if self.mask & span != span:
             return None
-        p_start, p_data = self.parts[i - 1]
-        if p_start + len(p_data) < end:
-            return None
-        return bytes(p_data[start - p_start : end - p_start])
-
-    def all_parts(self) -> list[tuple[int, bytes]]:
-        return [(off, bytes(data)) for off, data in self.parts]
+        return bytes(self.data[start:end])
 
     @property
     def received_bytes(self) -> int:
-        return sum(len(d) for _, d in self.parts)
+        return self.mask.bit_count()
 
     @property
     def is_complete(self) -> bool:
-        return len(self.parts) == 1 and self.parts[0][0] == 0 and len(
-            self.parts[0][1]
-        ) == self.expected_length
+        return self.mask == (1 << self.expected_length) - 1
 
 
 @dataclass
@@ -130,7 +104,11 @@ class Counters:
 
 
 class Reassembler:
-    """Feeds packets into per-buffer reassembly, one open buffer at a time."""
+    """Feeds packets into per-buffer reassembly, one open buffer at a time.
+
+    A buffer is allocated at its header's ``buffer_length`` when it opens,
+    so callers bound that field first (SymbolReceiver admits only its own).
+    """
 
     def __init__(self) -> None:
         self.current: ReassemblyBuffer | None = None

@@ -242,6 +242,7 @@ class SymbolReceiver:
         self.received_symbols = 0
         self.duplicate_symbols = 0
         self.foreign_packets = 0  # another session's datagrams, dropped
+        self.malformed_packets = 0  # unparsable or of another buffer length, dropped
         self.conflicting_symbols = 0  # copies unlike the first one of their symbol, dropped
         self.done = False
         self.completion_time: float | None = None
@@ -257,7 +258,7 @@ class SymbolReceiver:
             header = None
         # Every buffer of the session holds exactly one symbol per level.
         if header is None or header.buffer_length != self.buffer_length:
-            self.reassembler.counters.malformed += 1
+            self.malformed_packets += 1
             return False
         if header.session_id != self.session_id:
             self.foreign_packets += 1
@@ -447,19 +448,27 @@ def receive_file(trace_path) -> tuple[bytes, TransferMetrics, TransferCounters]:
     """Replay an emission trace into a receiver until the decode closes.
 
     The receiver is built from the trace header alone (see ``send_file``);
-    a missing or invalid header field raises ValueError, and a decoded
-    file unlike the header's digest raises DigestMismatchError.
+    a missing or invalid header field raises ValueError, and so does a
+    malformed record line, naming the file and line.  An unterminated
+    malformed last line is a trace cut short: it ends the input, and an
+    undecoded file then raises TransferTimeoutError like any other cut.  A
+    decoded file unlike the header's digest raises DigestMismatchError.
     """
     received = link_bytes = 0
     last_t = 0.0
     with open(trace_path) as fh:
         app, digest = _read_header(fh.readline())
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            t_us, _group, hexdata = line.split()
-            datagram = bytes.fromhex(hexdata)
-            last_t = int(t_us) / 1e6
+            try:
+                t_us, _group, hexdata = line.split()
+                datagram = bytes.fromhex(hexdata)
+                last_t = int(t_us) / 1e6
+            except ValueError as exc:
+                if not line.endswith("\n"):
+                    break
+                raise ValueError(f"{trace_path}:{number}: {exc}") from None
             received += 1
             link_bytes += len(datagram)
             if app.on_packet(last_t, datagram):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import random
+import sys
 
 import pytest
 
@@ -199,6 +201,13 @@ def sim_scenario(text):
     ]
 
 
+def recv_bad_second_record(tmp_path, trace):
+    header, first, records = trace.read_text().split("\n", 2)
+    edited = tmp_path / "edited.trace"
+    edited.write_text(f"{header}\n{first}\n1 0 0g\n{records}")
+    return ["recv", "--trace", str(edited), "--out", str(tmp_path / "x.bin")]
+
+
 def metrics_file(text):
     counters = with_file("counters.json", text)
     return lambda tmp_path, trace: ["metrics", counters(tmp_path)]
@@ -240,6 +249,8 @@ BAD_INPUTS = [
     pytest.param(lambda tmp_path, trace: ["recv", "--trace", str(tmp_path / "missing.trace"),
                                           "--out", str(tmp_path / "x.bin")],
                  "missing.trace", id="recv-missing-trace"),
+    pytest.param(recv_bad_second_record, "edited.trace:3: non-hexadecimal",
+                 id="recv-malformed-record"),
     pytest.param(lambda tmp_path, trace: ["sim", "--file", str(tmp_path / "missing.bin"),
                                           "--scenario", with_file("s.txt", "receiver = 1e6\n")(tmp_path),
                                           "--out-dir", str(tmp_path / "simout")],
@@ -284,6 +295,19 @@ def test_recv_truncated_trace_reports_partial(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "head" in captured.err
+
+
+@pytest.mark.parametrize("buffering", [1, -1], ids=["line-buffered", "block-buffered"])
+def test_recv_into_a_closed_pipe_exits_141_quietly(tmp_path, capsys, monkeypatch, sent_trace,
+                                                   buffering):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = os.fdopen(write_end, "w", buffering=buffering)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    rc = main(["recv", "--trace", str(sent_trace), "--out", str(tmp_path / "x.bin")])
+    assert rc == 141
+    assert capsys.readouterr().err == ""
+    stdout.close()  # the last flush goes to os.devnull instead of raising
 
 
 def test_sim_writes_artifacts_and_report(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dyncast.channel import ChannelConfig, interval_index
+from dyncast.channel import BASE_GROUP, ChannelConfig, interval_index
 from dyncast.netsim import (
     GilbertLoss,
     ReceiverSpec,
@@ -214,18 +214,31 @@ def test_joins_are_chronological_and_increasing():
     assert len(set(groups)) == len(groups)
 
 
+def subscribed(state, group, t):
+    """The subscription rule, one receiver at a time: the reference for
+    the receivers netsim.run delivers each packet to."""
+    if not state.active(t):
+        return False
+    if group == BASE_GROUP:
+        return True
+    top = state.top_group
+    if top is None or top < interval_index(state.cfg, t) + 1:
+        return False  # nothing joined yet, or every joined group has quiesced
+    return group <= top
+
+
 def test_membership_expires_with_quiescence():
     st = ReceiverState(ReceiverSpec(CFG.base_rate), CFG)
     st.top_group = 1
-    assert st.subscribed(1, 0.5)
+    assert subscribed(st, 1, 0.5)
     # group 1 quiesces at t = 1 * tsd = 1.0; past it only base remains
-    assert not st.subscribed(1, 2.5)
-    assert st.subscribed(0, 2.5)
+    assert not subscribed(st, 1, 2.5)
+    assert subscribed(st, 0, 2.5)
 
 
 def test_deliveries_follow_the_subscription_rule():
     # Packets on every group, alive or not, reach exactly the receivers
-    # that ReceiverState.subscribed admits at delivery time, given the
+    # that ``subscribed`` admits at delivery time, given the
     # joins made so far.  One receiver starts late; the slowest one joins
     # a group only every third slot, so its top group expires between.
     rng = random.Random(9)
@@ -247,7 +260,7 @@ def test_deliveries_follow_the_subscription_rule():
             t_rx = t + len(packet) * 8.0 / scen.bottleneck_rate
             tops = [g for tj, g in rres.state.joins if tj <= t_rx]
             probe.top_group = tops[-1] if tops else None
-            if probe.subscribed(group, t_rx):
+            if subscribed(probe, group, t_rx):
                 expected.append((t_rx, group))
         assert [(r.time, r.group) for r in rres.trace] == expected
     assert res.receivers[0].trace and all(r.group == 0 for r in res.receivers[0].trace)

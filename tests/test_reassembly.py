@@ -39,7 +39,7 @@ def test_adjacent_parts_merge():
     buf = ReassemblyBuffer(1, 2896)
     assert buf.insert(0, b"a" * 1448) == STORED
     assert buf.insert(1448, b"b" * 1448) == STORED
-    assert len(buf.parts) == 1
+    assert buf.covered(1000, 2000) == b"a" * 448 + b"b" * 552  # across the seam
     assert buf.is_complete
     assert buf.contiguous_prefix() == b"a" * 1448 + b"b" * 1448
 
@@ -67,7 +67,7 @@ def test_partial_overlap_identical_bytes_merges():
     buf = ReassemblyBuffer(1, 400)
     buf.insert(0, data[:250])
     assert buf.insert(200, data[200:]) == STORED
-    assert len(buf.parts) == 1
+    assert buf.received_bytes == 400
     assert buf.contiguous_prefix() == data
 
 
@@ -89,7 +89,8 @@ def test_insert_outside_buffer_rejected():
 def test_empty_payload_is_noop():
     buf = ReassemblyBuffer(1, 100)
     assert buf.insert(0, b"") == DUPLICATE
-    assert buf.parts == []
+    assert buf.received_bytes == 0
+    assert buf.covered(0, 1) is None
 
 
 def test_covered_ranges():
@@ -133,6 +134,56 @@ def test_random_replay_matches_interval_oracle():
         assert buf.contiguous_prefix() == original
 
 
+def test_random_overlaps_match_byte_oracle():
+    rng = random.Random(815)
+    kinds = set()  # (covered before, outcome) pairs seen, to prove both compare paths ran
+    for _ in range(30):
+        length = rng.randrange(1, 300)
+        original = rng.randbytes(length)
+        buf = ReassemblyBuffer(0, length)
+        stored: dict[int, int] = {}  # oracle: offset -> byte received there
+        ranges = []
+        for _ in range(25):
+            if ranges and rng.random() < 0.4:  # inside an earlier PDU
+                lo, hi = rng.choice(ranges)
+                off = rng.randrange(lo, hi)
+                end = rng.randrange(off, hi) + 1
+            else:
+                off = rng.randrange(length)
+                end = rng.randrange(off, length) + 1
+            ranges.append((off, end))
+            chunk = bytearray(original[off:end])
+            if rng.random() < 0.3:  # one flipped byte
+                chunk[rng.randrange(len(chunk))] ^= 1 << rng.randrange(8)
+            positions = range(off, end)
+            conflict = any(i in stored and stored[i] != chunk[i - off] for i in positions)
+            contained = all(i in stored for i in positions)
+            if conflict:
+                with pytest.raises(IntegrityError):
+                    buf.insert(off, bytes(chunk))
+                outcome = "conflict"
+            else:
+                outcome = buf.insert(off, bytes(chunk))
+                assert outcome == (DUPLICATE if contained else STORED)
+                stored.update(zip(positions, chunk))
+            kinds.add((contained, outcome))
+            # The buffer holds exactly the oracle's bytes, also after a rejection.
+            assert buf.received_bytes == len(stored)
+            assert [buf.covered(i, i + 1) for i in range(length)] == [
+                bytes([stored[i]]) if i in stored else None for i in range(length)
+            ]
+            a = rng.randrange(length)
+            b = rng.randrange(a, length) + 1
+            want = bytes(stored[i] for i in range(a, b)) if all(i in stored for i in range(a, b)) else None
+            assert buf.covered(a, b) == want
+            prefix = 0
+            while prefix in stored:
+                prefix += 1
+            assert buf.contiguous_prefix() == bytes(stored[i] for i in range(prefix))
+            assert buf.is_complete == (len(stored) == length)
+    assert {(True, "conflict"), (False, "conflict"), (True, DUPLICATE), (False, STORED)} <= kinds
+
+
 # ---------------------------------------------------------------------------
 # serial-number comparison
 
@@ -164,7 +215,8 @@ def test_new_buffer_flushes_previous():
     status, flushed = r.on_packet(hdr(11, 0, 5, 20), b"ccccc")
     assert status == FLUSHED_PREVIOUS
     assert flushed is not None and flushed.buffer_id == 10
-    assert flushed.all_parts() == [(0, b"aaaaa"), (10, b"bbbbb")]
+    assert flushed.covered(0, 5) == b"aaaaa" and flushed.covered(10, 15) == b"bbbbb"
+    assert flushed.covered(5, 10) is None and flushed.received_bytes == 10
     assert r.current.buffer_id == 11
     assert r.counters.flushed == 1
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -309,7 +310,8 @@ def test_wrong_buffer_length_dropped_and_counted():
     rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(data))
     h = wire.PacketHeader(0, sess.session_id, 0, 0, 0, offset=0, buffer_length=8, payload_len=8)
     assert rx.on_packet(0.0, wire.pack_packet(h, b"8bytes!!")) is False
-    assert rx.reassembler.counters.malformed == 1
+    assert rx.malformed_packets == 1
+    assert rx.reassembler.counters.malformed == 0
     assert rx.reassembler.current is None
     assert rx.received_symbols == 0
     for t, _, datagram in sess.emissions(max_buffers=sess.block_count):
@@ -570,6 +572,41 @@ def test_receive_file_truncated_trace_times_out(tmp_path):
         receive_file(cut)
     assert exc.value.counters.received_packets == 3
     assert "head" in exc.value.partial
+
+
+def sent_lines(tmp_path):
+    """The lines of a sent trace that needs more than its first 3 records."""
+    data = random.Random(13).randbytes(20_000)
+    src = tmp_path / "payload.bin"
+    src.write_bytes(data)
+    trace = tmp_path / "emitted.trace"
+    send_file(src, trace, channel=CFG, codec=spec_for_file("sparse_parity", len(data), 1448, seed=4))
+    return trace.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("where", ["time", "group", "hex"])
+def test_receive_file_record_cut_mid_line_times_out(tmp_path, where):
+    # ``head -c`` ends the trace inside its fifth line: in the time field,
+    # right after the group, or one hex digit into the datagram.
+    lines = sent_lines(tmp_path)
+    t_us, group, _ = lines[4].split()
+    end = {"time": len(t_us) - 1, "group": len(t_us) + 1 + len(group),
+           "hex": len(t_us) + len(group) + 3}[where]
+    cut = tmp_path / "cut.trace"
+    cut.write_text("".join(lines[:4]) + lines[4][:end])
+    with pytest.raises(TransferTimeoutError) as exc:
+        receive_file(cut)
+    assert exc.value.counters.received_packets == 3
+    assert "head" in exc.value.partial
+
+
+@pytest.mark.parametrize("record", ["1 0 zz", "1 0", "x 0 00", "1 0 00 7"])
+def test_receive_file_malformed_record_names_the_line(tmp_path, record):
+    lines = sent_lines(tmp_path)
+    bad = tmp_path / "bad.trace"
+    bad.write_text("".join(lines[:3]) + record + "\n" + "".join(lines[3:]))
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:4: ")):
+        receive_file(bad)
 
 
 # ---------------------------------------------------------------------------
