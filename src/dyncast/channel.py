@@ -177,6 +177,8 @@ def cumulative_rate_integral(cfg: ChannelConfig, group: int, t0: float, t1: floa
     """Integral of the cumulative rate over [t0, t1], clamped to the group lifetime.
 
     Returns bits.  For the base group this is simply base_rate * (t1 - t0).
+    ``tiles_in_window``'s nested ``floored`` inlines this expression; the
+    two must stay identical float operation for float operation.
     """
     if t1 <= t0:
         return 0.0
@@ -193,61 +195,59 @@ def cumulative_rate_integral(cfg: ChannelConfig, group: int, t0: float, t1: floa
     return cfg.max_cumulative_rate * cfg.sub_tsi * slots
 
 
-def _sent_packets(cfg: ChannelConfig, group: int, t: float) -> float:
-    """Fractional packet count sent by ``group`` from its accounting origin to ``t``.
-
-    The accounting origin is the group's start time (t = 0 for the base
-    group).  Budgets are differences of floors of this function, which
-    keeps per-group long-run counts within one packet of the rate
-    integral no matter how windows are sliced.
-    """
-    bits_per_packet = 8.0 * cfg.packet_payload
-    if group == BASE_GROUP:
-        return cfg.base_rate * max(t, 0.0) / bits_per_packet
-    start = group_start_time(cfg, group)
-    if t <= start:
-        return 0.0
-    t = min(t, group_quiescence_time(cfg, group))
-    own = cumulative_rate_integral(cfg, group, start, t)
-    # Subtract the neighbour below: the previous dynamic group until it
-    # quiesces, the base group afterwards.
-    switch = group_quiescence_time(cfg, group - 1) if group - 1 >= 1 else start
-    if group - 1 >= 1:
-        own -= cumulative_rate_integral(cfg, group - 1, start, min(t, switch))
-    if t > switch:
-        own -= cfg.base_rate * (t - switch)
-    return own / bits_per_packet
-
-
 def tiles_in_window(cfg: ChannelConfig, t_start: float, t_end: float) -> list[TileBudget]:
     """Every (active group x sub slot) cell overlapping [t_start, t_end).
 
     Cells clipped by the window edges get pro-rated budgets.  Tiles are
     returned ordered by (interval, group).
+
+    A cell's budget is the difference of the floors of the packets its
+    group has sent since its start (t = 0 for the base group) at the two
+    cell edges, which keeps per-group long-run counts within one packet
+    of the rate integral no matter how windows are sliced.  A dynamic
+    group's count is its cumulative rate integral minus that of the
+    neighbour below it: the previous dynamic group until it quiesces, the
+    base group afterwards.  The integrals are those of
+    ``cumulative_rate_integral``, float operation for float operation;
+    ``ref_tiles_in_window`` in tests/test_channel.py is the reference.
     """
     if t_start < 0:
         raise ValueError("window must start at t >= 0")
     if t_end <= t_start:
         raise ValueError("empty window")
     s = cfg.sub_tsi
+    base_rate, rho, groups = cfg.base_rate, cfg.decay_ratio, cfg.group_count
+    top_s = cfg.max_cumulative_rate * s
+    log_inv = math.log(1.0 / rho)
+    bits_per_packet = 8.0 * cfg.packet_payload
+
+    def floored(group: int, t: float) -> int:
+        if group == BASE_GROUP:
+            return math.floor(base_rate * max(t, 0.0) / bits_per_packet + _GRID_EPS)
+        n = group - groups + 1  # the group starts at n * s
+        start = n * s
+        if t <= start:
+            return 0
+        t = min(t, group * s)
+        sent = top_s * ((rho ** (start / s - n) - rho ** (t / s - n)) / log_inv)
+        switch = start
+        if group > 1:  # the neighbour below is dynamic until it quiesces at switch
+            switch = (group - 1) * s
+            age0 = start / s - (n - 1)
+            sent -= top_s * ((rho ** age0 - rho ** (min(t, switch) / s - (n - 1))) / log_inv)
+        if t > switch:
+            sent -= base_rate * (t - switch)
+        return math.floor(sent / bits_per_packet + _GRID_EPS)
+
     tiles: list[TileBudget] = []
     i = interval_index(cfg, t_start)
     while i * s < t_end - _GRID_EPS:
         span0 = max(t_start, i * s)
         span1 = min(t_end, (i + 1) * s)
-        for group in [BASE_GROUP] + list(range(i + 1, i + cfg.group_count)):
-            count = math.floor(_sent_packets(cfg, group, span1) + _GRID_EPS) - math.floor(
-                _sent_packets(cfg, group, span0) + _GRID_EPS
-            )
+        for group in (BASE_GROUP, *range(i + 1, i + groups)):
             tiles.append(
-                TileBudget(
-                    tile=TileId(group, i),
-                    packet_count=count,
-                    min_cum_rate=_cum_at(cfg, group, span1),
-                    max_cum_rate=_cum_at(cfg, group, span0),
-                    start=span0,
-                    end=span1,
-                )
+                TileBudget(TileId(group, i), floored(group, span1) - floored(group, span0),
+                           _cum_at(cfg, group, span1), _cum_at(cfg, group, span0), span0, span1)
             )
         i += 1
     return tiles

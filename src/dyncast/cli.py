@@ -62,6 +62,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_send(args) -> int:
+    if args.buffers is not None and args.buffers < 1:
+        raise ValueError("--buffers must be >= 1")
     channel = _channel_from_args(args)
     size = Path(args.file).stat().st_size
     spec = transfer.spec_for_file(args.codec, size, args.symbol_size,
@@ -84,6 +86,8 @@ def cmd_recv(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    if args.runs < 1:
+        raise ValueError("--runs must be >= 1")
     scenario = netsim.load_scenario(args.scenario)
     data = Path(args.file).read_bytes()
     spec = transfer.spec_for_file(args.codec, len(data), args.symbol_size,

@@ -272,6 +272,8 @@ def run(
             size = len(in_service[1])
             push(t + size * 8.0 / scenario.bottleneck_rate, _EV_SERVICE, None)
 
+    pending = list(enumerate(rxs))  # the receivers not done, in index order
+
     def listeners(group: int, t: float) -> list[int]:
         """Indices of the receivers not done and subscribed to ``group`` at ``t``.
 
@@ -282,12 +284,11 @@ def run(
         oldest = interval_index(cfg, t) + 1
         base = group == BASE_GROUP
         return [
-            i for i, state in enumerate(rxs)
-            if not state.done and t >= state.start_time - _EPS
+            i for i, state in pending
+            if t >= state.start_time - _EPS
             and (base or (state.top_group is not None and oldest <= state.top_group >= group))
         ]
 
-    done_count = 0
     end_time = 0.0
     while heap:
         t, kind, _, payload = heapq.heappop(heap)
@@ -328,10 +329,10 @@ def run(
                     if on_delivery is not None and on_delivery(i, t, group, packet):
                         state.done = True
                         state.done_time = t
-                        done_count += 1
+                        pending = [(j, rx) for j, rx in pending if not rx.done]
             start_service(t)
         assert link.in_flight == len(queue) + (in_service is not None)
-        if rxs and done_count == len(rxs):
+        if rxs and not pending:
             break
     return SimResult(results, link, end_time)
 

@@ -16,7 +16,8 @@ group mid-tile still collects the prefix end of the tile's range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .channel import ChannelConfig, TileBudget, tiles_in_window
 
@@ -50,14 +51,13 @@ class SequenceRequest:
         return len(self.data)
 
 
-@dataclass(frozen=True)
-class SequencedPacket:
+class SequencedPacket(NamedTuple):
     pdu_index: int  # j: position of the PDU in the buffer
     group: int  # g: multicast group carrying the packet
     seq: int  # s: per-group send counter inside the buffer window
     send_time: float
     offset: int
-    payload: bytes = field(repr=False)
+    payload: bytes
 
 
 def infer_buffer_time(first_level_bytes: int, min_rate: float) -> float:
@@ -117,19 +117,13 @@ def sequence(request: SequenceRequest, cfg: ChannelConfig, t_start: float) -> li
 
     emitted.sort(key=lambda e: (e[0], e[1], e[3]))
     counters: dict[int, int] = {}
+    data = request.data
     packets: list[SequencedPacket] = []
     for send_time, group, j, _ in emitted:
         seq = counters.get(group, 0)
         counters[group] = seq + 1
         offset = j * pdu_size
         packets.append(
-            SequencedPacket(
-                pdu_index=j,
-                group=group,
-                seq=seq,
-                send_time=send_time,
-                offset=offset,
-                payload=request.data[offset : offset + pdu_size],
-            )
+            SequencedPacket(j, group, seq, send_time, offset, data[offset : offset + pdu_size])
         )
     return packets

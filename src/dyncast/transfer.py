@@ -197,23 +197,17 @@ class CarouselSession:
 
     def emissions(self, *, max_buffers: int | None = None):
         """Yield (send_time, group, datagram) in send order, buffer after buffer."""
+        tsd, session_id = self.cfg.tsd, self.session_id
         buffer_id = 0
         while max_buffers is None or buffer_id < max_buffers:
             t0 = self.start_time + buffer_id * self.buffer_time
             payload = self.buffer_payload(buffer_id)
+            buffer_length = len(payload)
             request = SequenceRequest(payload, self.buffer_time, buffer_id=buffer_id)
-            for p in sequence(request, self.cfg, t0):
-                header = wire.PacketHeader(
-                    group=p.group,
-                    session_id=self.session_id,
-                    tsi=max(int(p.send_time / self.cfg.tsd), 0),
-                    seq=p.seq,
-                    buffer_id=buffer_id,
-                    offset=p.offset,
-                    buffer_length=len(payload),
-                    payload_len=len(p.payload),
-                )
-                yield p.send_time, p.group, wire.pack_packet(header, p.payload)
+            for _, group, seq, send_time, offset, pdu in sequence(request, self.cfg, t0):
+                header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0), seq,
+                                           buffer_id, offset, buffer_length, len(pdu))
+                yield send_time, group, wire.pack_packet(header, pdu)
             buffer_id += 1
 
 

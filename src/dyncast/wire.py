@@ -11,10 +11,11 @@ With the default 1448-byte payload a datagram is exactly 1480 bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 HEADER_FORMAT = ">BBHIIIIIIHH"
-HEADER_SIZE = struct.calcsize(HEADER_FORMAT)
+_HEADER = struct.Struct(HEADER_FORMAT)
+HEADER_SIZE = _HEADER.size
 assert HEADER_SIZE == 32
 
 PROTOCOL_VERSION = 1
@@ -25,8 +26,7 @@ class MalformedPacketError(Exception):
     """The datagram does not parse as a protocol packet."""
 
 
-@dataclass(frozen=True)
-class PacketHeader:
+class PacketHeader(NamedTuple):
     group: int
     session_id: int
     tsi: int
@@ -41,19 +41,20 @@ class PacketHeader:
 
 
 def pack_header(h: PacketHeader) -> bytes:
-    return struct.pack(
-        HEADER_FORMAT,
-        h.version,
-        h.flags,
-        h.group & 0xFFFF,
-        h.session_id & 0xFFFFFFFF,
-        h.tsi & 0xFFFFFFFF,
-        h.seq & 0xFFFFFFFF,
-        h.buffer_id & 0xFFFFFFFF,
-        h.offset,
-        h.buffer_length,
-        h.payload_len,
-        h.reserved,
+    (group, session_id, tsi, seq, buffer_id, offset, buffer_length, payload_len,
+     version, flags, reserved) = h
+    return _HEADER.pack(
+        version,
+        flags,
+        group & 0xFFFF,
+        session_id & 0xFFFFFFFF,
+        tsi & 0xFFFFFFFF,
+        seq & 0xFFFFFFFF,
+        buffer_id & 0xFFFFFFFF,
+        offset,
+        buffer_length,
+        payload_len,
+        reserved,
     )
 
 
@@ -67,9 +68,8 @@ def parse_packet(datagram: bytes) -> tuple[PacketHeader, bytes]:
     """Split a datagram into (header, payload), validating the framing."""
     if len(datagram) < HEADER_SIZE:
         raise MalformedPacketError("datagram shorter than the header")
-    fields = struct.unpack(HEADER_FORMAT, datagram[:HEADER_SIZE])
     (version, flags, group, session_id, tsi, seq,
-     buffer_id, offset, buffer_length, payload_len, reserved) = fields
+     buffer_id, offset, buffer_length, payload_len, reserved) = _HEADER.unpack_from(datagram)
     if version != PROTOCOL_VERSION:
         raise MalformedPacketError(f"unknown protocol version {version}")
     payload = datagram[HEADER_SIZE:]
@@ -79,17 +79,6 @@ def parse_packet(datagram: bytes) -> tuple[PacketHeader, bytes]:
         raise MalformedPacketError("payload larger than the maximum")
     if offset + payload_len > buffer_length:
         raise MalformedPacketError("PDU extends past the end of its buffer")
-    header = PacketHeader(
-        group=group,
-        session_id=session_id,
-        tsi=tsi,
-        seq=seq,
-        buffer_id=buffer_id,
-        offset=offset,
-        buffer_length=buffer_length,
-        payload_len=payload_len,
-        version=version,
-        flags=flags,
-        reserved=reserved,
-    )
+    header = PacketHeader(group, session_id, tsi, seq, buffer_id, offset, buffer_length,
+                          payload_len, version, flags, reserved)
     return header, payload

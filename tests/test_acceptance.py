@@ -11,6 +11,7 @@ missing, and 4 >= 3/2).  The test states the bound literally and is left red
 on purpose rather than weakened to pass.
 """
 
+import hashlib
 import itertools
 import random
 import statistics
@@ -435,6 +436,17 @@ def test_criterion_9_loss_robustness():
 # -------------------------------------------------------------- criterion 10
 
 
+# SHA-256 of criterion 10's delivery trace: repr of each delivery time, the
+# group and the datagram.  Two runs of one build agreeing with each other
+# would not catch an ulp-level change between builds; this constant does.
+# It was computed on x86_64 with glibc 2.36 and CPython 3.11.7.  The budgets
+# floor results of libm's pow (rho ** x), so a mismatch on another libm or
+# Python build is a platform difference first: compare against the parent
+# commit on that platform before touching the code, and do not re-pin the
+# constant on a different platform to make it pass.
+CRITERION_10_TRACE_SHA256 = "7e987a91a82c44bd375e6ae3c5639bf3114c2d266bfe01b548c443df381d006b"
+
+
 def test_criterion_10_determinism():
     cfg = ChannelConfig(128000.0, 4e6, 0.7, 2.0, 2, 1448, 10)
     data = random.Random(0xE0).randbytes(300_000)
@@ -457,12 +469,16 @@ def test_criterion_10_determinism():
             format_trace_line(r.time, r.group, r.packet, "deliver")
             for r in sim.receivers[0].trace
         ).encode()
-        return trace, outcome.metrics.as_dict(), outcome.counters, outcome.file, sim.link
+        digest = hashlib.sha256(b"".join(
+            f"{r.time!r} {r.group} ".encode() + r.packet for r in sim.receivers[0].trace
+        )).hexdigest()
+        return trace, outcome.metrics.as_dict(), outcome.counters, outcome.file, sim.link, digest
 
     first = traced_run()
     second = traced_run()
     ok = (
-        first[0] == second[0]
+        first[5] == second[5] == CRITERION_10_TRACE_SHA256
+        and first[0] == second[0]
         and first[1] == second[1]
         and first[2] == second[2]
         and first[3] == second[3] == data
@@ -472,5 +488,5 @@ def test_criterion_10_determinism():
         10,
         "equal seeds, identical runs",
         ok,
-        f"{len(first[0])} trace bytes and all metrics bit-identical",
+        f"{len(first[0])} trace bytes and all metrics bit-identical, trace digest pinned",
     )

@@ -2,13 +2,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncast.channel import (
     BASE_GROUP,
     ChannelConfig,
     QuiescentGroupError,
+    TileBudget,
+    TileId,
     active_groups,
     cumulative_rate,
+    cumulative_rate_integral,
     group_quiescence_time,
     group_rate,
     group_start_time,
@@ -255,3 +260,109 @@ def test_interval_index_on_boundaries():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ChannelConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Reference budgets: the per-call derivation tiles_in_window used before it
+# evaluated each group's count inline.  Every TileBudget field must match it
+# exactly, because budgets are floors and one ulp can move a floor.
+
+def ref_sent_packets(cfg: ChannelConfig, group: int, t: float) -> float:
+    """Fractional packet count sent by ``group`` from its start to ``t``."""
+    bits_per_packet = 8.0 * cfg.packet_payload
+    if group == BASE_GROUP:
+        return cfg.base_rate * max(t, 0.0) / bits_per_packet
+    start = group_start_time(cfg, group)
+    if t <= start:
+        return 0.0
+    t = min(t, group_quiescence_time(cfg, group))
+    own = cumulative_rate_integral(cfg, group, start, t)
+    switch = group_quiescence_time(cfg, group - 1) if group - 1 >= 1 else start
+    if group - 1 >= 1:
+        own -= cumulative_rate_integral(cfg, group - 1, start, min(t, switch))
+    if t > switch:
+        own -= cfg.base_rate * (t - switch)
+    return own / bits_per_packet
+
+
+def ref_cum_at(cfg: ChannelConfig, group: int, t: float) -> float:
+    if group == BASE_GROUP:
+        return cfg.base_rate
+    age = t / cfg.sub_tsi - (group - cfg.group_count + 1)
+    return cfg.max_cumulative_rate * cfg.decay_ratio ** age
+
+
+def ref_tiles_in_window(cfg: ChannelConfig, t_start: float, t_end: float) -> list[TileBudget]:
+    s = cfg.sub_tsi
+    tiles: list[TileBudget] = []
+    i = interval_index(cfg, t_start)
+    while i * s < t_end - 1e-9:
+        span0 = max(t_start, i * s)
+        span1 = min(t_end, (i + 1) * s)
+        for group in [BASE_GROUP] + list(range(i + 1, i + cfg.group_count)):
+            count = math.floor(ref_sent_packets(cfg, group, span1) + 1e-9) - math.floor(
+                ref_sent_packets(cfg, group, span0) + 1e-9
+            )
+            tiles.append(
+                TileBudget(
+                    tile=TileId(group, i),
+                    packet_count=count,
+                    min_cum_rate=ref_cum_at(cfg, group, span1),
+                    max_cum_rate=ref_cum_at(cfg, group, span0),
+                    start=span0,
+                    end=span1,
+                )
+            )
+        i += 1
+    return tiles
+
+
+@st.composite
+def channel_configs(draw) -> ChannelConfig:
+    """Valid ladders: the top rate decayed down the ladder still covers the base."""
+    groups = draw(st.integers(2, 14))
+    rho = draw(st.floats(0.3, 0.95))
+    max_rate = draw(st.floats(1e5, 1e7))
+    base = max_rate * rho ** (groups - 1) * draw(st.floats(0.05, 1.0))
+    return ChannelConfig(
+        base_rate=base,
+        max_cumulative_rate=max_rate,
+        decay_ratio=rho,
+        tsd=draw(st.floats(0.25, 8.0)),
+        groups_per_tsi=draw(st.integers(1, 4)),
+        packet_payload=draw(st.sampled_from([64, 512, 1448])),
+        group_count=groups,
+    )
+
+
+def assert_budgets_match_reference(cfg: ChannelConfig, t_start: float, t_end: float) -> None:
+    got = tiles_in_window(cfg, t_start, t_end)
+    want = ref_tiles_in_window(cfg, t_start, t_end)
+    assert got == want, (cfg, t_start, t_end)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(channel_configs(), st.floats(0.0, 60.0), st.floats(0.005, 3.0), st.integers(1, 40))
+def test_back_to_back_windows_match_reference(cfg, start, buffer_fraction, windows):
+    # The windows CarouselSession.emissions hands the sequencer: buffer b
+    # starts at start + b * buffer_time and ends buffer_time later.
+    buffer_time = buffer_fraction * cfg.sub_tsi
+    for b in range(windows):
+        t0 = start + b * buffer_time
+        assert_budgets_match_reference(cfg, t0, t0 + buffer_time)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    channel_configs(),
+    st.floats(0.0, 300.0) | st.integers(0, 100).map(float),
+    st.floats(1e-6, 5.0),
+    st.booleans(),
+)
+def test_random_windows_match_reference(cfg, start, length, on_grid):
+    # Starts on the sub-slot grid and lengths in whole sub slots hit the
+    # edge cases where a cell's instants coincide with group lifetimes.
+    t_start = start * cfg.sub_tsi if on_grid else start
+    t_end = t_start + (length * cfg.sub_tsi if on_grid else length)
+    if t_end > t_start:
+        assert_budgets_match_reference(cfg, t_start, t_end)

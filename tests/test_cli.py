@@ -201,6 +201,11 @@ def sim_scenario(text):
     ]
 
 
+def sim_runs(runs):
+    return lambda tmp_path, trace: [*sim_scenario("receiver = 1e6\n")(tmp_path, trace),
+                                    "--runs", runs]
+
+
 def recv_bad_second_record(tmp_path, trace):
     header, first, records = trace.read_text().split("\n", 2)
     edited = tmp_path / "edited.trace"
@@ -246,6 +251,12 @@ BAD_INPUTS = [
     pytest.param(lambda tmp_path, trace: ["send", "--file", str(trace), "--out",
                                           str(tmp_path / "t.trace"), "--symbol-size", "0"],
                  "symbol_size", id="send-symbol-size-0"),
+    pytest.param(lambda tmp_path, trace: ["send", "--file", str(trace), "--out",
+                                          str(tmp_path / "t.trace"), "--buffers", "0"],
+                 "--buffers", id="send-no-buffers"),
+    pytest.param(lambda tmp_path, trace: ["send", "--file", str(trace), "--out",
+                                          str(tmp_path / "t.trace"), "--buffers", "-1"],
+                 "--buffers", id="send-negative-buffers"),
     pytest.param(lambda tmp_path, trace: ["recv", "--trace", str(tmp_path / "missing.trace"),
                                           "--out", str(tmp_path / "x.bin")],
                  "missing.trace", id="recv-missing-trace"),
@@ -255,6 +266,8 @@ BAD_INPUTS = [
                                           "--scenario", with_file("s.txt", "receiver = 1e6\n")(tmp_path),
                                           "--out-dir", str(tmp_path / "simout")],
                  "missing.bin", id="sim-missing-file"),
+    pytest.param(sim_runs("0"), "--runs", id="sim-no-runs"),
+    pytest.param(sim_runs("-3"), "--runs", id="sim-negative-runs"),
     pytest.param(sim_scenario("receiver = 1e6\ncolour = blue\n"), "unknown key 'colour'",
                  id="sim-scenario-unknown-key"),
     pytest.param(sim_scenario("receiver = 1e6\ndecay = 1.5\n"), "decay_ratio",
