@@ -9,6 +9,8 @@ sub-slot boundaries: they join the next younger group whenever the
 average rate they would have consumed since their start, including one
 sub slot ahead at the candidate's rate, stays within their target.
 Groups are left only once quiescent, which costs nothing by then.
+Events at one instant run in a fixed order: the boundary's policy step,
+then the service completion, then the emission.
 
 Everything random flows from one seeded generator drawn in a fixed
 order, so equal seeds give bit-identical traces and counters.
@@ -16,9 +18,10 @@ order, so equal seeds give bit-identical traces and counters.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,12 +143,6 @@ class ReceiverState:
             bits += self.cfg.base_rate * (t1 - max(t0, quiesce))
         return bits
 
-    # -- delivery accounting ----------------------------------------------
-
-    def note_delivery(self, size: int) -> None:
-        self.received += 1
-        self.received_bytes += size
-
 
 def receiver_policy_step(state: ReceiverState, t: float, cfg: ChannelConfig) -> list[int]:
     """Evaluate joins at sub-slot boundary ``t``; returns groups joined now.
@@ -198,10 +195,7 @@ class SimResult:
     end_time: float
 
 
-# Event kinds, in tie-break priority order at equal timestamps.
-_EV_POLICY = 0
-_EV_SERVICE = 1
-_EV_EMIT = 2
+_NO_EMISSION = (math.inf, BASE_GROUP, b"")
 
 
 def run(
@@ -211,43 +205,26 @@ def run(
     on_delivery=None,
     collect_traces: bool = True,
 ) -> SimResult:
-    """Simulate ``packet_source`` (iterable of (time, group, bytes)) over the path.
+    """Simulate ``packet_source`` over the path.
 
+    ``packet_source`` yields (time, group, bytes) in non-decreasing time.
     ``on_delivery(receiver_index, time, group, packet) -> bool`` may mark a
     receiver as done; the run stops early once every receiver is done.
+
+    The loop merges three pending events, taking the earliest: the next
+    sub-slot boundary, the completion of the one packet in service and
+    the one emission pulled from the source; ties go in that order.
+    Listener lists are cached and change only when a receiver joins or
+    finishes, or when a packet's group, sub-slot index or passed start
+    thresholds select another list.
     """
     cfg = scenario.channel
+    duration, rate = scenario.duration, scenario.bottleneck_rate
     rng = random.Random(scenario.seed)
     rxs = [ReceiverState(spec, cfg) for spec in scenario.receivers]
     results = [ReceiverResult(state, []) for state in rxs]
     link = LinkCounters()
     gilbert_bad = False
-
-    source = iter(packet_source)
-    heap: list[tuple[float, int, int, object]] = []
-    seq = 0
-
-    def push(time: float, kind: int, payload: object) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (time, kind, seq, payload))
-        seq += 1
-
-    def pull_emission() -> None:
-        try:
-            t_emit, group, packet = next(source)
-        except StopIteration:
-            return
-        if t_emit <= scenario.duration:
-            push(t_emit, _EV_EMIT, (group, packet))
-
-    s = cfg.sub_tsi
-    n_boundaries = math.floor(scenario.duration / s + _EPS) + 1
-    for i in range(n_boundaries):
-        push(i * s, _EV_POLICY, i)
-    pull_emission()
-
-    queue: list[tuple[int, bytes]] = []
-    in_service: tuple[int, bytes] | None = None
 
     def lose_packet() -> bool:
         nonlocal gilbert_bad
@@ -265,72 +242,101 @@ def run(
             lost = lost or gilbert_bad
         return lost
 
-    def start_service(t: float) -> None:
-        nonlocal in_service
-        if in_service is None and queue:
-            in_service = queue.pop(0)
-            size = len(in_service[1])
-            push(t + size * 8.0 / scenario.bottleneck_rate, _EV_SERVICE, None)
+    source = iter(packet_source)
+
+    def pull_emission() -> tuple:
+        item = next(source, _NO_EMISSION)
+        return item if item[0] <= duration else _NO_EMISSION
+
+    s = cfg.sub_tsi
+    n_boundaries = math.floor(duration / s + _EPS) + 1
+    policy_i, t_policy = 0, 0.0
+    in_service: tuple[int, bytes] | None = None
+    t_service = math.inf
+    queue: deque[tuple[int, bytes]] = deque()  # waiting behind the one in service
+    t_emit, emit_group, emit_packet = pull_emission()
 
     pending = list(enumerate(rxs))  # the receivers not done, in index order
+    start_thresholds = sorted(state.start_time - _EPS for state in rxs)
+    base_lists: dict[int, list] = {}  # by count of start thresholds passed
+    dynamic_lists: dict[int, list] = {}  # by lowest top group that listens
 
-    def listeners(group: int, t: float) -> list[int]:
-        """Indices of the receivers not done and subscribed to ``group`` at ``t``.
+    def listeners(group: int, t: float) -> list[tuple[int, ReceiverState]]:
+        """The pending receivers subscribed to ``group`` at ``t``.
 
-        The oldest live group is derived once per event instead of once
-        per receiver; ``subscribed`` in tests/test_netsim.py states the
-        rule one receiver at a time and is the reference for this one.
+        ``subscribed`` in tests/test_netsim.py states the rule one receiver
+        at a time and is the reference for this one.  A set top group
+        implies the receiver was active at an earlier policy event, so
+        only the base group tests the start time.
         """
-        oldest = interval_index(cfg, t) + 1
-        base = group == BASE_GROUP
-        return [
-            i for i, state in pending
-            if t >= state.start_time - _EPS
-            and (base or (state.top_group is not None and oldest <= state.top_group >= group))
-        ]
+        if group == BASE_GROUP:
+            key = bisect_right(start_thresholds, t)
+            found = base_lists.get(key)
+            if found is None:
+                found = base_lists[key] = [
+                    (i, state) for i, state in pending if t >= state.start_time - _EPS
+                ]
+        else:
+            key = max(group, interval_index(cfg, t) + 1)
+            found = dynamic_lists.get(key)
+            if found is None:
+                found = dynamic_lists[key] = [
+                    (i, state) for i, state in pending
+                    if state.top_group is not None and state.top_group >= key
+                ]
+        return found
 
     end_time = 0.0
-    while heap:
-        t, kind, _, payload = heapq.heappop(heap)
-        if t > scenario.duration + _EPS:
+    while True:
+        t = min(t_policy, t_service, t_emit)
+        if t > duration + _EPS:
             break
-        end_time = max(end_time, t)
-        if kind == _EV_POLICY:
-            for state in rxs:
-                if state.active(t) and not state.done:
-                    receiver_policy_step(state, t, cfg)
-        elif kind == _EV_EMIT:
-            group, packet = payload  # type: ignore[misc]
-            link.offered += 1
-            link.offered_bytes += len(packet)
-            if in_service is not None and len(queue) >= scenario.queue_capacity:
-                link.queue_dropped += 1
-                for i in listeners(group, t):
-                    rxs[i].missed += 1
-            else:
-                queue.append((group, packet))
-                start_service(t)
-            pull_emission()
-        else:  # _EV_SERVICE
+        end_time = t
+        if t == t_policy:
+            for _, state in pending:
+                if state.active(t) and receiver_policy_step(state, t, cfg):
+                    dynamic_lists.clear()
+            policy_i += 1
+            t_policy = policy_i * s if policy_i < n_boundaries else math.inf
+        elif t == t_service:
             group, packet = in_service  # type: ignore[misc]
-            in_service = None
+            size = len(packet)
             if lose_packet():
                 link.channel_lost += 1
-                for i in listeners(group, t):
-                    rxs[i].missed += 1
+                for _, state in listeners(group, t):
+                    state.missed += 1
             else:
                 link.delivered += 1
-                link.delivered_bytes += len(packet)
-                for i in listeners(group, t):
-                    state = rxs[i]
-                    state.note_delivery(len(packet))
+                link.delivered_bytes += size
+                for i, state in listeners(group, t):
+                    state.received += 1
+                    state.received_bytes += size
                     if collect_traces:
                         results[i].trace.append(DeliveryRecord(t, group, packet))
                     if on_delivery is not None and on_delivery(i, t, group, packet):
                         state.done = True
                         state.done_time = t
                         pending = [(j, rx) for j, rx in pending if not rx.done]
-            start_service(t)
+                        base_lists.clear()
+                        dynamic_lists.clear()
+            if queue:
+                in_service = queue.popleft()
+                t_service = t + len(in_service[1]) * 8.0 / rate
+            else:
+                in_service, t_service = None, math.inf
+        else:
+            link.offered += 1
+            link.offered_bytes += len(emit_packet)
+            if in_service is None:
+                in_service = (emit_group, emit_packet)
+                t_service = t + len(emit_packet) * 8.0 / rate
+            elif len(queue) < scenario.queue_capacity:
+                queue.append((emit_group, emit_packet))
+            else:
+                link.queue_dropped += 1
+                for _, state in listeners(emit_group, t):
+                    state.missed += 1
+            t_emit, emit_group, emit_packet = pull_emission()
         assert link.in_flight == len(queue) + (in_service is not None)
         if rxs and not pending:
             break

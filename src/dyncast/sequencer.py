@@ -26,7 +26,7 @@ class EmptyBufferError(ValueError):
     """The buffer to sequence holds no data."""
 
 
-class NoCapacityError(Exception):
+class NoCapacityError(ValueError):
     """The scheduling window has a zero packet budget."""
 
 

@@ -168,6 +168,9 @@ class CarouselSession:
         if start_time < 0:
             raise ValueError("start_time cannot be negative")
         cfg = channel if channel is not None else ChannelConfig()
+        if cfg.packet_payload > wire.MAX_PAYLOAD:
+            raise ValueError(f"packet_payload {cfg.packet_payload} > {wire.MAX_PAYLOAD}, "
+                             "the most one datagram carries")
         spec = codec if codec is not None else spec_for_file("sparse_parity", len(data), 1448)
         if spec.k != math.ceil(len(data) / spec.symbol_size):
             raise ValueError("codec k does not match the file and symbol size")
@@ -392,12 +395,17 @@ def send_file(
     spec = session.spec
     count = buffers if buffers is not None else session.block_count
     with open(out_path, "w") as fh:
-        fh.write(f"# codec={spec.name} n={spec.n} symbol_size={spec.symbol_size} "
-                 f"fec_seed={spec.seed} levels={session.levels} "
-                 f"file_length={session.file_length} session_id={session.session_id} "
-                 f"sha256={_sha256_hex(data)}\n")
-        for t, group, datagram in session.emissions(max_buffers=count):
-            fh.write(f"{round(t * 1e6)} {group} {datagram.hex()}\n")
+        try:
+            fh.write(f"# codec={spec.name} n={spec.n} symbol_size={spec.symbol_size} "
+                     f"fec_seed={spec.seed} levels={session.levels} "
+                     f"file_length={session.file_length} session_id={session.session_id} "
+                     f"sha256={_sha256_hex(data)}\n")
+            for t, group, datagram in session.emissions(max_buffers=count):
+                fh.write(f"{round(t * 1e6)} {group} {datagram.hex()}\n")
+        except BaseException:
+            fh.close()
+            Path(out_path).unlink()  # a cut trace would read as a lossy channel
+            raise
     return session
 
 

@@ -206,6 +206,12 @@ def sim_runs(runs):
                                     "--runs", runs]
 
 
+def send_small(*flags):
+    small = with_file("small.bin", "x" * 5000)
+    return lambda tmp_path, trace: ["send", "--file", small(tmp_path),
+                                    "--out", str(tmp_path / "t.trace"), *flags]
+
+
 def recv_bad_second_record(tmp_path, trace):
     header, first, records = trace.read_text().split("\n", 2)
     edited = tmp_path / "edited.trace"
@@ -257,6 +263,12 @@ BAD_INPUTS = [
     pytest.param(lambda tmp_path, trace: ["send", "--file", str(trace), "--out",
                                           str(tmp_path / "t.trace"), "--buffers", "-1"],
                  "--buffers", id="send-negative-buffers"),
+    pytest.param(send_small("--payload", "2000", "--symbol-size", "2000"), "packet_payload 2000 > 1448",
+                 id="send-payload-above-datagram"),
+    pytest.param(send_small("--payload", "70000"), "packet_payload 70000 > 1448",
+                 id="send-payload-past-16-bits"),
+    pytest.param(send_small("--symbol-size", "10", "--codec", "null"), "zero packets",
+                 id="send-zero-packet-budget"),
     pytest.param(lambda tmp_path, trace: ["recv", "--trace", str(tmp_path / "missing.trace"),
                                           "--out", str(tmp_path / "x.bin")],
                  "missing.trace", id="recv-missing-trace"),
@@ -294,6 +306,15 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, sent_trace, argv, mes
     assert not (tmp_path / "x.bin").exists()
     assert not (tmp_path / "t.trace").exists()
     assert not (tmp_path / "simout").exists()
+
+
+def test_sim_rejects_scenario_payload_above_datagram(tmp_path, capsys, sent_trace):
+    # sim has made its --out-dir by the time the session checks the channel
+    argv = sim_scenario("receiver = 1e6\npayload = 2000\n")(tmp_path, sent_trace)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "sim: packet_payload 2000 > 1448, the most one datagram carries\n")
+    assert not any((tmp_path / "simout").iterdir())
 
 
 def test_recv_truncated_trace_reports_partial(tmp_path, capsys):
