@@ -93,7 +93,6 @@ def cmd_sim(args) -> int:
     spec = transfer.spec_for_file(args.codec, len(data), args.symbol_size,
                                   n=args.fec_n, seed=args.fec_seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     per_receiver: list[list[transfer.TransferMetrics]] = [[] for _ in scenario.receivers]
     failed = False
     for run in range(args.runs):
@@ -101,6 +100,9 @@ def cmd_sim(args) -> int:
         outcomes, result = transfer.simulate_transfer(
             data, scen, spec, levels=args.levels, collect_traces=args.write_traces
         )
+        # Made only now, so a run rejected while its session is built
+        # leaves no directory behind.
+        out_dir.mkdir(parents=True, exist_ok=True)
         for i, outcome in enumerate(outcomes):
             tag = f"run{run}_rx{i}"
             (out_dir / f"{tag}_counters.json").write_text(

@@ -14,6 +14,14 @@ Three codecs share one interface:
   The first request for the blocks then solves once for the missing
   sources (maximum-likelihood decoding in the sense of RFC 5170) and
   checks every repair received before the close against the solution.
+  Both phases order their work by peeling with inactivation (RFC 6330
+  section 5.4; Shokrollahi, "Raptor Codes", 2006), ``_peel``: a repair
+  with one unknown source left solves it, and when none has, the
+  lightest repair's other unknowns are set aside as inactive.  Only the
+  inactive core, about a third of the missing sources at k = 5525, goes
+  through dense elimination.  The rank phase renumbers its mask bits
+  for this: inactive columns lowest, then peeled ones in peel order,
+  then the sources received by the k-th symbol.
 
 Symbol data is treated as big integers for XOR work.  GF(256) work
 (the ``mds`` encode and solve) goes through one multiply-accumulate
@@ -28,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -272,19 +279,83 @@ def encode(spec: CodecSpec, blocks) -> list[FecSymbol]:
     return symbols
 
 
+def _peel(rows, columns) -> tuple[list[tuple[int, int]], list[int]]:
+    """Peeling order with inactivation for a sparse GF(2) system.
+
+    ``rows`` holds each equation's distinct unknown columns, all drawn
+    from ``columns``.  Returns ``(peeled, inactive)``, a partition of the
+    columns: ``peeled`` lists (column, row) pairs in which every other
+    column of the row is peeled earlier or inactive, so the row solves
+    its column once the inactive columns are known.  A live row with
+    exactly one unresolved column is peeled on it.  When none is left,
+    the lightest live row keeps its most shared column and the rest of
+    its columns become inactive, which peels it next.  Columns that no
+    live row reaches become inactive last, in ``columns`` order.
+    """
+    rows_of: dict[int, list[int]] = {c: [] for c in columns}
+    for r, row in enumerate(rows):
+        for c in row:
+            rows_of[c].append(r)
+    weight = [len(row) for row in rows]  # unresolved columns per row
+    # Rows by weight, last in first out; an entry whose row has lost
+    # weight since is stale.
+    buckets: list[list[int]] = [[] for _ in range(max(weight, default=0) + 2)]
+    for r, w in enumerate(weight):
+        buckets[w].append(r)
+    ripple = buckets[1]
+    resolved: set[int] = set()
+    peeled: list[tuple[int, int]] = []
+    inactive: list[int] = []
+
+    def resolve(c: int) -> None:
+        resolved.add(c)
+        for r in rows_of[c]:
+            weight[r] -= 1
+            buckets[weight[r]].append(r)
+
+    while True:
+        while ripple:
+            r = ripple.pop()
+            if weight[r] == 1:
+                c = next(c for c in rows[r] if c not in resolved)
+                peeled.append((c, r))
+                resolve(c)
+        for w in range(2, len(buckets)):
+            bucket = buckets[w]
+            while bucket and weight[bucket[-1]] != w:
+                bucket.pop()
+            if bucket:
+                r = bucket.pop()
+                break
+        else:
+            break
+        live = [c for c in rows[r] if c not in resolved]
+        keep = max(live, key=lambda c: len(rows_of[c]))
+        for c in live:
+            if c != keep:
+                inactive.append(c)
+                resolve(c)
+    inactive += [c for c in rows_of if c not in resolved]
+    return peeled, inactive
+
+
 class SymbolDecoder:
     """Incremental decoder fed one symbol at a time.
 
-    For ``sparse_parity`` the sources received so far are one bitmask
-    (``_unknown`` holds the columns still missing).  Each repair's
-    support mask is projected off the received sources and reduced
-    top-bit against the repair pivots, one mask per pivot column.  A
-    source that lands on a pivot's column takes that pivot back out for
-    re-reduction.  Sources plus pivots is then the exact GF(2) rank of
-    everything received, and the decode closes when it reaches k.  The
-    rank cannot reach k before k distinct symbols, so nothing is reduced
-    until then.  No payload is touched until ``blocks()`` solves (see
-    ``_solve_sparse``).
+    For ``sparse_parity`` the rank cannot reach k before k distinct
+    symbols, so nothing is reduced until then.  The k-th symbol peels
+    the repairs so far (``_first_batch``) and renumbers the mask bits:
+    inactive columns lowest, then peeled columns in peel order, then the
+    received sources.  ``_bit`` maps a source index to its bit and
+    ``_unknown`` holds the bits still missing.  Each peeled column gets
+    its pivot directly, its own bit plus inactive bits; the repairs
+    peeling left over, and every repair after the k-th symbol, are
+    projected off the received sources and reduced top-bit against the
+    pivots, one mask per pivot bit.  A source that lands on a pivot's
+    bit takes that pivot back out for re-reduction.  Sources plus
+    pivots is then the exact GF(2) rank of everything received, which
+    no bit order changes, and the decode closes when it reaches k.  No
+    payload is touched until ``blocks()`` solves (see ``_solve_sparse``).
     """
 
     def __init__(self, spec: CodecSpec):
@@ -294,8 +365,11 @@ class SymbolDecoder:
         self._blocks: list[bytes] | None = None
         self._sources = 0
         if spec.name == "sparse_parity":
-            self._unknown = (1 << spec.k) - 1
-            # pivot column -> repair mask over source columns, top bit = pivot
+            # Set at the k-th distinct symbol (``_first_batch``): the mask
+            # bit of each source column, the bits still missing, and pivot
+            # bit -> repair mask whose top bit is the pivot.
+            self._bit: list[int] = []
+            self._unknown = 0
             self._pivots: dict[int, int] = {}
 
     # -- feeding ---------------------------------------------------------
@@ -327,44 +401,79 @@ class SymbolDecoder:
         if distinct < k:
             return  # the rank cannot reach k before k distinct symbols
         if distinct == k:
-            # Sources first, so each repair is projected once, then the
-            # repairs lightest first, which keeps the pivots sparse.
-            for i in self._received:
-                if i < k:
-                    self._unknown ^= 1 << i
-            masks = [self._support_mask(i) & self._unknown for i in self._received if i >= k]
-            masks.sort(key=int.bit_count)
-            for mask in masks:
-                self._insert(mask)
+            self._first_batch()
         elif index < k:
-            self._unknown ^= 1 << index
-            self._insert(self._pivots.pop(index, 0))
+            bit = self._bit[index]
+            self._unknown ^= 1 << bit
+            self._insert(self._pivots.pop(bit, 0))
         else:
             self._insert(self._support_mask(index))
 
+    def _first_batch(self) -> None:
+        """Peel the first k symbols and renumber the mask bits.
+
+        Each peeled row, reduced by the pivots of its earlier peeled
+        columns, is its own column's pivot: its own bit plus inactive
+        bits.  The rows peeling did not use reduce the same way to
+        inactive bits alone, and only they go through ``_insert``,
+        lightest first.
+        """
+        k = self.spec.k
+        received = self._received
+        repairs = [
+            [i for i in repair_support(self.spec, j) if i not in received]
+            for j in received if j >= k
+        ]
+        missing = [i for i in range(k) if i not in received]
+        peeled, inactive = _peel(repairs, missing)
+        order = inactive + [c for c, _ in peeled] + [i for i in received if i < k]
+        bit = self._bit = [0] * k
+        for b, i in enumerate(order):
+            bit[i] = b
+        self._unknown = (1 << len(missing)) - 1
+        pivots = self._pivots
+
+        def reduced(row: list[int]) -> int:
+            # An earlier peeled column's pivot clears its bit and brings
+            # in its inactive part; the row's own column and the inactive
+            # ones have no pivot yet, so they add their own bits.
+            mask = 0
+            for i in row:
+                b = bit[i]
+                mask ^= pivots.get(b, 0) ^ 1 << b
+            return mask
+
+        for c, r in peeled:
+            pivots[bit[c]] = reduced(repairs[r])
+        used = {r for _, r in peeled}
+        core = [reduced(row) for r, row in enumerate(repairs) if r not in used]
+        core.sort(key=int.bit_count)
+        for mask in core:
+            self._insert(mask)
+
     def _support_mask(self, index: int) -> int:
+        bit = self._bit
         mask = 0
         for i in repair_support(self.spec, index):
-            mask |= 1 << i
+            mask |= 1 << bit[i]
         return mask
 
     def _insert(self, mask: int) -> None:
         """Reduce one repair mask top-bit; a nonzero remainder is a new pivot."""
         unknown = self._unknown
-        received = self._received
         pivots = self._pivots
         mask &= unknown
         while mask:
             top = mask.bit_length() - 1
-            if top in received:
-                # A pivot met on the way predates this source: project again.
-                mask &= unknown
-                continue
-            pivot = pivots.get(top)
-            if pivot is None:
+            pivot = pivots.get(top)  # pivots sit on unknown bits only
+            if pivot is not None:
+                mask ^= pivot
+            elif unknown >> top & 1:
                 pivots[top] = mask & unknown
                 return
-            mask ^= pivot
+            else:
+                # A pivot met on the way predates this source: project again.
+                mask &= unknown
 
     def _closed(self) -> bool:
         spec = self.spec
@@ -409,38 +518,56 @@ class SymbolDecoder:
     def _solve_sparse(self) -> list[bytes]:
         """One payload solve over the symbols received before the close.
 
-        The received sources are XORed out of each repair, the missing
-        columns are renumbered compactly, and the repairs, lightest
-        first, are eliminated top-bit with their payloads and then
-        back-substituted.  Columns that more repairs share take the lower
-        bits, so the elimination starts from the rarest columns; that
-        cuts its fill-in by about a fifth at k = 5525.  A repair that
-        eliminates to an empty mask is implied by the others, so its
-        payload must eliminate to zero: these checks together verify
-        every repair received before the close against the solution.
+        The received sources are XORed out of each repair, and ``_peel``
+        orders the rest.  Each peeled column is written as a payload plus
+        a mask over the inactive columns, one XOR per row entry; the rows
+        peeling did not use are reduced the same way, leaving a dense core
+        over the inactive columns alone.  The core, lightest rows first,
+        is eliminated top-bit with its payloads and back-substituted, and
+        the peeled columns are then resolved forward from their own sparse
+        rows.  A core row that eliminates to an empty mask is implied by
+        the others, so its payload must eliminate to zero: these checks
+        together verify every repair received before the close against
+        the solution.
         """
         spec = self.spec
         k = spec.k
         received = list(itertools.islice(self._received.items(), self._done_at))
         values = {i: int.from_bytes(data, "big") for i, data in received if i < k}
-        repairs = [(repair_support(spec, index), data) for index, data in received if index >= k]
-        degree = Counter(i for support, _ in repairs for i in support)
-        missing = sorted((i for i in range(k) if i not in values), key=lambda i: -degree[i])
-        column = {i: c for c, i in enumerate(missing)}
         rows = []
-        for support, data in repairs:
-            mask = 0
-            const = int.from_bytes(data, "big")
-            for i in support:
-                value = values.get(i)
-                if value is None:
-                    mask |= 1 << column[i]
-                else:
-                    const ^= value
-            rows.append((mask, const))
-        rows.sort(key=lambda row: row[0].bit_count())
+        consts = []
+        for index, data in received:
+            if index >= k:
+                row = []
+                const = int.from_bytes(data, "big")
+                for i in repair_support(spec, index):
+                    value = values.get(i)
+                    if value is None:
+                        row.append(i)
+                    else:
+                        const ^= value
+                rows.append(row)
+                consts.append(const)
+        peeled, inactive = _peel(rows, [i for i in range(k) if i not in values])
+        # Column -> (mask over the inactive columns, payload) it equals.
+        terms = {i: (1 << b, 0) for b, i in enumerate(inactive)}
+
+        def reduced(r: int, own: int | None = None) -> tuple[int, int]:
+            mask, const = 0, consts[r]
+            for i in rows[r]:
+                if i != own:
+                    m, p = terms[i]
+                    mask ^= m
+                    const ^= p
+            return mask, const
+
+        for c, r in peeled:
+            terms[c] = reduced(r, c)
+        used = {r for _, r in peeled}
+        core = [reduced(r) for r in range(len(rows)) if r not in used]
+        core.sort(key=lambda row: row[0].bit_count())
         pivots: dict[int, tuple[int, int]] = {}
-        for mask, const in rows:
+        for mask, const in core:
             while mask:
                 top = mask.bit_length() - 1
                 pivot = pivots.get(top)
@@ -453,7 +580,7 @@ class SymbolDecoder:
                 if const:
                     raise DecodeFailureError("repairs received before the close contradict each other")
         solved = []
-        for col in range(len(missing)):
+        for col in range(len(inactive)):
             mask, const = pivots[col]
             rest = mask ^ (1 << col)
             while rest:
@@ -461,7 +588,13 @@ class SymbolDecoder:
                 const ^= solved[low.bit_length() - 1]
                 rest ^= low
             solved.append(const)
-        values.update(zip(missing, solved))
+        values.update(zip(inactive, solved))
+        for c, r in peeled:
+            const = consts[r]
+            for i in rows[r]:
+                if i != c:
+                    const ^= values[i]
+            values[c] = const
         return [values[i].to_bytes(spec.symbol_size, "big") for i in range(k)]
 
     def _solve_mds(self) -> list[bytes]:

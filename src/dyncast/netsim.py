@@ -225,19 +225,21 @@ def run(
     results = [ReceiverResult(state, []) for state in rxs]
     link = LinkCounters()
     gilbert_bad = False
+    iid_loss, burst = scenario.iid_loss, scenario.burst
+    p_enter, p_exit = (burst.p_enter, burst.p_exit) if burst is not None else (0.0, 0.0)
 
     def lose_packet() -> bool:
         nonlocal gilbert_bad
         lost = False
-        if scenario.iid_loss > 0.0 and rng.random() < scenario.iid_loss:
+        if iid_loss > 0.0 and rng.random() < iid_loss:
             lost = True
-        if scenario.burst is not None:
+        if burst is not None:
             r = rng.random()
             if gilbert_bad:
-                if r < scenario.burst.p_exit:
+                if r < p_exit:
                     gilbert_bad = False
             else:
-                if r < scenario.burst.p_enter:
+                if r < p_enter:
                     gilbert_bad = True
             lost = lost or gilbert_bad
         return lost

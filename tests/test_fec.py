@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from dyncast.fec import (
     _PLANE_MIN_ROWS,
     _gf_combine,
     _interpolation_coeffs,
+    _peel,
     decode,
     encode,
     epsilon_overhead,
@@ -437,6 +439,30 @@ def test_sparse_decoder_matches_reference(k, extra, code_seed, order_seed, repai
     assert_same_as_reference(spec, order, blocks_of(spec, seed=order_seed))
 
 
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    k=st.integers(200, 600),
+    repair_share=st.sampled_from([0.5, 1.0]),
+    code_seed=st.integers(0, 2**16),
+    order_seed=st.integers(0, 2**16),
+    drop=st.sampled_from([0.0, 0.1]),
+    dup=st.sampled_from([0.0, 0.2]),
+)
+def test_sparse_decoder_matches_reference_with_an_inactive_core(k, repair_share, code_seed,
+                                                                order_seed, drop, dup):
+    # Repairs first: the k-th distinct symbol peels a batch with hundreds of
+    # inactive columns, and the sources arriving after it land on pivots of
+    # the renumbered columns.
+    spec = CodecSpec("sparse_parity", k, k + int(repair_share * k), 3, seed=code_seed)
+    rng = random.Random(order_seed)
+    order = rng.sample(range(k, spec.n), spec.n - k) + rng.sample(range(k), k)
+    order = [i for i in order if rng.random() >= drop]
+    for i in list(order):
+        if rng.random() < dup:
+            order.insert(rng.randrange(len(order) + 1), i)
+    assert_same_as_reference(spec, order, blocks_of(spec, seed=order_seed))
+
+
 def test_sparse_decoder_matches_reference_at_k1000():
     spec = CodecSpec("sparse_parity", 1000, 2000, 8, seed=41)
     rng = random.Random(43)
@@ -460,3 +486,52 @@ def test_corrupt_redundant_repair_fails_the_decode():
         dec.add(last, symbols[last].data)
         assert dec.complete and dec.epsilon == 1
         dec.blocks()
+
+
+def test_corrupt_redundant_repair_fails_a_peeled_decode():
+    # Repairs first at k = 300, so the solve peels and eliminates an
+    # inactive core.  The first repair is implied by the rest of the close
+    # set, so one flipped bit in it must fail the decode.
+    spec = CodecSpec("sparse_parity", 300, 600, 4, seed=7)
+    symbols = encode(spec, blocks_of(spec, seed=8))
+    rng = random.Random(9)
+    order = rng.sample(range(spec.k, spec.n), spec.n - spec.k) + rng.sample(range(spec.k), spec.k)
+    data = {i: symbols[i].data for i in order}
+    data[order[0]] = bytes([data[order[0]][0] ^ 0x10]) + data[order[0]][1:]
+    dec = SymbolDecoder(spec)
+    for i in order:
+        dec.add(i, data[i])
+        if dec.complete:
+            break
+    close = order[: dec.distinct]
+    check = SymbolDecoder(spec)
+    for i in close[1:]:
+        check.add(i, symbols[i].data)
+    assert check.complete and dec.epsilon > 0
+    with pytest.raises(DecodeFailureError):
+        dec.blocks()
+
+
+def sparse_systems():
+    """Rows of distinct columns, some rows empty and some columns in no row."""
+    columns = st.lists(st.integers(-5, 10**9), unique=True, max_size=40)
+    return columns.flatmap(lambda cols: st.tuples(
+        st.lists(st.lists(st.sampled_from(cols), unique=True, max_size=8) if cols
+                 else st.just([]), max_size=60),
+        st.just(cols),
+    ))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_peel_partitions_the_columns_in_a_solvable_order(system):
+    rows, columns = system
+    peeled, inactive = _peel(rows, columns)
+    assert sorted([c for c, _ in peeled] + inactive) == sorted(columns)
+    assert len({r for _, r in peeled}) == len(peeled)
+    known = set(inactive)
+    for c, r in peeled:
+        assert c in rows[r] and c not in known
+        assert set(rows[r]) - {c} <= known
+        known.add(c)
+    assert _peel(copy.deepcopy(rows), list(columns)) == (peeled, inactive)
