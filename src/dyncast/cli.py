@@ -13,32 +13,25 @@ from . import carousel, fec, netsim, transfer
 from .channel import ChannelConfig
 
 
-def _add_channel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--base-rate", type=float, default=64_000.0, help="base group rate, bits/s")
-    p.add_argument("--max-rate", type=float, default=4_000_000.0,
-                   help="cumulative rate of a newborn group, bits/s")
-    p.add_argument("--decay", type=float, default=0.7, help="per sub-slot decay ratio")
-    p.add_argument("--tsd", type=float, default=4.0, help="time slot duration, s")
-    p.add_argument("--groups-per-tsi", type=int, default=1)
-    p.add_argument("--payload", type=int, default=1448, help="PDU payload bytes")
-    p.add_argument("--group-count", type=int, default=12)
+# The channel flags are the scenario file's ChannelConfig keys with dashes.
+_CHANNEL_KEYS = {key: (name, convert) for key, (cls, name, convert) in netsim.SCENARIO_KEYS.items()
+                 if cls is ChannelConfig}
+
+_CHANNEL_HELP = {
+    "base_rate": "base group rate, bits/s",
+    "max_rate": "cumulative rate of a newborn group, bits/s",
+    "decay": "per sub-slot decay ratio",
+    "tsd": "time slot duration, s",
+    "payload": "PDU payload bytes",
+}
 
 
 def _channel_from_args(args) -> ChannelConfig:
-    return ChannelConfig(
-        base_rate=args.base_rate,
-        max_cumulative_rate=args.max_rate,
-        decay_ratio=args.decay,
-        tsd=args.tsd,
-        groups_per_tsi=args.groups_per_tsi,
-        packet_payload=args.payload,
-        group_count=args.group_count,
-    )
+    return ChannelConfig(**{name: getattr(args, key) for key, (name, _) in _CHANNEL_KEYS.items()})
 
 
 def _add_codec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--codec", choices=("null", "mds", "sparse_parity"),
-                   default="sparse_parity")
+    p.add_argument("--codec", choices=fec.CODEC_NAMES, default="sparse_parity")
     p.add_argument("--symbol-size", type=int, default=1448)
     p.add_argument("--fec-n", type=int, default=None, help="total symbols (default 2k)")
     p.add_argument("--fec-seed", type=int, default=0)
@@ -175,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="carousel buffers to emit (default: one full period)")
     p.add_argument("--session-id", type=int, default=1)
     _add_codec_args(p)
-    _add_channel_args(p)
+    for key, (name, convert) in _CHANNEL_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=convert,
+                       default=getattr(ChannelConfig, name), help=_CHANNEL_HELP.get(key))
     p.set_defaults(func=cmd_send)
 
     p = sub.add_parser("recv", help="decode a file from an emission trace")

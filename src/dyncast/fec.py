@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-_CODEC_NAMES = ("null", "mds", "sparse_parity")
+CODEC_NAMES = ("null", "mds", "sparse_parity")
 
 
 class FecError(Exception):
@@ -75,7 +75,7 @@ class CodecSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.name not in _CODEC_NAMES:
+        if self.name not in CODEC_NAMES:
             raise ValueError(f"unknown codec {self.name!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")

@@ -348,26 +348,41 @@ def run(
 # ---------------------------------------------------------------------------
 # Scenario files: one "key = value" per line, receivers repeatable.
 
-_SCENARIO_KEYS = {
-    "base_rate": float,
-    "max_rate": float,
-    "decay": float,
-    "tsd": float,
-    "groups_per_tsi": int,
-    "payload": int,
-    "group_count": int,
-    "bottleneck_rate": float,
-    "queue_capacity": int,
-    "iid_loss": float,
-    "burst_loss": float,
-    "burst_length": float,
-    "duration": float,
-    "seed": int,
+def finite_float(text: str) -> float:
+    """``float(text)``, refusing infinities and NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
+# Each scenario key sets one dataclass field and converts its value to the
+# type of that field's default; keys left out keep the dataclass defaults.
+_CONVERTERS = {float: finite_float, int: int}
+
+SCENARIO_KEYS = {
+    key: (cls, name, _CONVERTERS[type(getattr(cls, name))])
+    for key, cls, name in (
+        ("base_rate", ChannelConfig, "base_rate"),
+        ("max_rate", ChannelConfig, "max_cumulative_rate"),
+        ("decay", ChannelConfig, "decay_ratio"),
+        ("tsd", ChannelConfig, "tsd"),
+        ("groups_per_tsi", ChannelConfig, "groups_per_tsi"),
+        ("payload", ChannelConfig, "packet_payload"),
+        ("group_count", ChannelConfig, "group_count"),
+        ("bottleneck_rate", Scenario, "bottleneck_rate"),
+        ("queue_capacity", Scenario, "queue_capacity"),
+        ("iid_loss", Scenario, "iid_loss"),
+        ("duration", Scenario, "duration"),
+        ("seed", Scenario, "seed"),
+        ("burst_loss", GilbertLoss, "rate"),
+        ("burst_length", GilbertLoss, "mean_burst"),
+    )
 }
 
 
 def parse_scenario(text: str) -> Scenario:
-    values: dict[str, object] = {}
+    kwargs: dict[type, dict[str, object]] = {ChannelConfig: {}, Scenario: {}, GilbertLoss: {}}
     receivers: list[ReceiverSpec] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -377,38 +392,22 @@ def parse_scenario(text: str) -> Scenario:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "receiver":
-            fields = [f.strip() for f in value.split(",")]
-            if len(fields) not in (1, 2):
-                raise ValueError(f"line {lineno}: receiver takes 'rate[, start]'")
-            rate = float(fields[0])
-            start = float(fields[1]) if len(fields) == 2 else 0.0
-            receivers.append(ReceiverSpec(rate, start))
-        elif key in _SCENARIO_KEYS:
-            values[key] = _SCENARIO_KEYS[key](value)
-        else:
+        if key != "receiver" and key not in SCENARIO_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-    channel = ChannelConfig(
-        base_rate=values.get("base_rate", 64_000.0),
-        max_cumulative_rate=values.get("max_rate", 4_000_000.0),
-        decay_ratio=values.get("decay", 0.7),
-        tsd=values.get("tsd", 4.0),
-        groups_per_tsi=values.get("groups_per_tsi", 1),
-        packet_payload=values.get("payload", 1448),
-        group_count=values.get("group_count", 12),
-    )
-    burst = None
-    if values.get("burst_loss", 0.0):
-        burst = GilbertLoss(values["burst_loss"], values.get("burst_length", 8.0))
+        try:
+            if key == "receiver":  # rate[, start]
+                receivers.append(ReceiverSpec(*map(finite_float, value.split(",", 1))))
+            else:
+                cls, name, convert = SCENARIO_KEYS[key]
+                kwargs[cls][name] = convert(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
+    burst = kwargs[GilbertLoss]
     return Scenario(
-        channel=channel,
-        bottleneck_rate=values.get("bottleneck_rate", 4_000_000.0),
-        queue_capacity=values.get("queue_capacity", 25),
-        iid_loss=values.get("iid_loss", 0.0),
-        burst=burst,
+        channel=ChannelConfig(**kwargs[ChannelConfig]),
+        burst=GilbertLoss(**burst) if burst.get("rate") else None,
         receivers=tuple(receivers),
-        duration=values.get("duration", 60.0),
-        seed=values.get("seed", 1),
+        **kwargs[Scenario],
     )
 
 

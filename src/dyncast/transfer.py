@@ -160,13 +160,9 @@ class CarouselSession:
         *,
         levels: int | None = None,
         session_id: int = 1,
-        start_time: float = 0.0,
-        buffer_time: float | None = None,
     ):
         if not data:
             raise ValueError("nothing to send")
-        if start_time < 0:
-            raise ValueError("start_time cannot be negative")
         cfg = channel if channel is not None else ChannelConfig()
         if cfg.packet_payload > wire.MAX_PAYLOAD:
             raise ValueError(f"packet_payload {cfg.packet_payload} > {wire.MAX_PAYLOAD}, "
@@ -178,17 +174,14 @@ class CarouselSession:
         self.spec = spec
         self.file_length = len(data)
         self.session_id = _checked_session_id(session_id)
-        self.start_time = start_time
         ss = spec.symbol_size
         self.symbols = fec.encode(spec, [data[i * ss : (i + 1) * ss] for i in range(spec.k)])
         self.block_count = spec.n
-        if buffer_time is None:
-            # One level-1 symbol per buffer at the rate everyone has.
-            buffer_time = infer_buffer_time(ss, cfg.base_rate)
-        self.buffer_time = buffer_time
+        # One level-1 symbol per buffer at the rate everyone has.
+        self.buffer_time = infer_buffer_time(ss, cfg.base_rate)
         if levels is None:
             # As many levels as the mean full subscription drains per buffer.
-            levels = infer_buffer_length(buffer_time, cfg.mean_top_rate) // ss
+            levels = infer_buffer_length(self.buffer_time, cfg.mean_top_rate) // ss
         self.levels = max(1, min(self.block_count, levels))
         self.plan = carousel.build_plan(self.block_count, self.levels)
         self.buffer_length = self.levels * ss
@@ -203,7 +196,7 @@ class CarouselSession:
         tsd, session_id = self.cfg.tsd, self.session_id
         buffer_id = 0
         while max_buffers is None or buffer_id < max_buffers:
-            t0 = self.start_time + buffer_id * self.buffer_time
+            t0 = buffer_id * self.buffer_time
             payload = self.buffer_payload(buffer_id)
             buffer_length = len(payload)
             request = SequenceRequest(payload, self.buffer_time, buffer_id=buffer_id)
@@ -386,20 +379,22 @@ def send_file(
 
     Line 1 is the header ``receive_file`` needs: the FEC Object
     Transmission Information (codec, n, symbol size, seed; k follows from
-    the file length), the levels, the session id and the file's SHA-256.
+    the file length), levels, session id, file SHA-256 and packet payload.
     ``buffers`` defaults to one full carousel period, which always carries
     every symbol at least once.
     """
     data = Path(path).read_bytes()
     session = CarouselSession(data, channel, codec, levels=levels, session_id=session_id)
     spec = session.spec
+    values = dict(codec=spec.name, n=spec.n, symbol_size=spec.symbol_size, fec_seed=spec.seed,
+                  levels=session.levels, file_length=session.file_length,
+                  session_id=session.session_id, sha256=_sha256_hex(data),
+                  payload=session.cfg.packet_payload)
+    header = " ".join(f"{name}={values[name]}" for name, _ in _HEADER_FIELDS)
     count = buffers if buffers is not None else session.block_count
     with open(out_path, "w") as fh:
         try:
-            fh.write(f"# codec={spec.name} n={spec.n} symbol_size={spec.symbol_size} "
-                     f"fec_seed={spec.seed} levels={session.levels} "
-                     f"file_length={session.file_length} session_id={session.session_id} "
-                     f"sha256={_sha256_hex(data)}\n")
+            fh.write(f"# {header}\n")
             for t, group, datagram in session.emissions(max_buffers=count):
                 fh.write(f"{round(t * 1e6)} {group} {datagram.hex()}\n")
         except BaseException:
@@ -415,14 +410,20 @@ def _sha256_field(value: str) -> str:
     return value
 
 
-# The header fields in the order ``send_file`` writes them.
+def _payload_field(value: str) -> int:
+    if not 1 <= int(value) <= wire.MAX_PAYLOAD:
+        raise ValueError("payload out of range")
+    return int(value)
+
+
+# The header fields and their parsers, in the order ``send_file`` writes them.
 _HEADER_FIELDS = (("codec", str), ("n", int), ("symbol_size", int), ("fec_seed", int),
                   ("levels", int), ("file_length", int), ("session_id", int),
-                  ("sha256", _sha256_field))
+                  ("sha256", _sha256_field), ("payload", _payload_field))
 
 
-def _read_header(line: str) -> tuple[SymbolReceiver, str]:
-    """The receiver and the file digest a trace header describes.
+def _read_header(line: str) -> tuple[SymbolReceiver, str, int]:
+    """The receiver, the file digest and the packet payload a trace header describes.
 
     Raises ValueError naming the first field that is missing or invalid.
     """
@@ -443,7 +444,7 @@ def _read_header(line: str) -> tuple[SymbolReceiver, str]:
                              session_id=meta["session_id"])
     except ValueError as exc:
         raise ValueError(f"trace header: {exc}") from None
-    return app, meta["sha256"]
+    return app, meta["sha256"], meta["payload"]
 
 
 def receive_file(trace_path) -> tuple[bytes, TransferMetrics, TransferCounters]:
@@ -459,7 +460,7 @@ def receive_file(trace_path) -> tuple[bytes, TransferMetrics, TransferCounters]:
     received = link_bytes = 0
     last_t = 0.0
     with open(trace_path) as fh:
-        app, digest = _read_header(fh.readline())
+        app, digest, payload = _read_header(fh.readline())
         for number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -486,6 +487,8 @@ def receive_file(trace_path) -> tuple[bytes, TransferMetrics, TransferCounters]:
         link_bytes=link_bytes,
         elapsed=elapsed,
         network_time=elapsed,
+        packet_length=wire.HEADER_SIZE + payload,
+        applicative_data=payload,
     )
     if not app.done:
         raise TransferTimeoutError("trace ended before the decode closed", counters)

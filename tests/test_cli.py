@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from dyncast import transfer, wire
-from dyncast.cli import main
+from dyncast import netsim, transfer, wire
+from dyncast.channel import ChannelConfig
+from dyncast.cli import _channel_from_args, build_parser, main
 
 CHANNEL_FLAGS = [
     "--base-rate", "62500", "--max-rate", "4e6", "--decay", "0.5",
@@ -41,6 +42,49 @@ def test_send_then_recv_round_trip(tmp_path, capsys):
     assert out.read_bytes() == data
     names = [ln.split()[0] for ln in stdout.strip().splitlines()]
     assert names == ["time", "gput", "tput", "loss", "dup", "sym", "head", "net", "comp"]
+
+
+def test_recv_head_follows_the_payload(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(random.Random(9).randbytes(60_000))
+    trace = tmp_path / "emitted.trace"
+    assert main(["send", "--file", str(src), "--out", str(trace),
+                 "--payload", "512", "--symbol-size", "512"]) == 0
+    assert trace.read_text().split("\n", 1)[0].endswith(" payload=512")
+    assert main(["recv", "--trace", str(trace), "--out", str(tmp_path / "out.bin")]) == 0
+    assert "head 6.25\n" in capsys.readouterr().out  # 32 header bytes per 512
+
+
+def test_send_channel_flags_are_the_channel_scenario_keys(capsys):
+    # Each ChannelConfig field has one scenario key, and each key one send flag.
+    keys = {key: name for key, (cls, name, _) in netsim.SCENARIO_KEYS.items()
+            if cls is ChannelConfig}
+    assert sorted(keys.values()) == sorted(f.name for f in dataclasses.fields(ChannelConfig))
+    with pytest.raises(SystemExit):
+        main(["send", "--help"])
+    flags = {t.rstrip(",") for t in capsys.readouterr().out.split() if t.startswith("--")}
+    assert flags - {"--help", "--file", "--out", "--buffers", "--session-id", "--codec",
+                    "--symbol-size", "--fec-n", "--fec-seed", "--levels"} == {
+        "--" + key.replace("_", "-") for key in keys}
+
+    send = ["send", "--file", "in.bin", "--out", "t.trace"]
+    assert _channel_from_args(build_parser().parse_args(send)) == ChannelConfig()
+    flagged = build_parser().parse_args(
+        [*send, *CHANNEL_FLAGS, "--groups-per-tsi", "2", "--payload", "1000"])
+    channel = ChannelConfig(62500.0, 4e6, 0.5, 1.0, 2, 1000, 7)
+    assert _channel_from_args(flagged) == channel
+    assert netsim.parse_scenario("base_rate = 62500\nmax_rate = 4e6\ndecay = 0.5\ntsd = 1\n"
+                                 "group_count = 7\ngroups_per_tsi = 2\npayload = 1000\n"
+                                 ).channel == channel
+
+
+@pytest.mark.parametrize("flag", ["--max-rate=inf", "--decay=nan", "--payload=1.5"])
+def test_send_rejects_unconvertible_channel_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main(["send", "--file", "in.bin", "--out", str(tmp_path / "t.trace"), flag])
+    assert exit_.value.code == 2
+    assert flag.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "t.trace").exists()
 
 
 def test_send_honours_levels_and_session_id(tmp_path, capsys):
@@ -176,7 +220,7 @@ def sent_trace(tmp_path_factory):
 
 
 HEADER_FIELDS = ("codec", "n", "symbol_size", "fec_seed", "levels", "file_length",
-                 "session_id", "sha256")
+                 "session_id", "sha256", "payload")
 
 
 def recv_header(edit):
@@ -244,6 +288,9 @@ BAD_INPUTS = [
     pytest.param(recv_header(set_field("session_id", 2**32 + 1)), "session_id",
                  id="header-session_id-past-32-bits"),
     pytest.param(recv_header(set_field("sha256", "abc")), "sha256=abc", id="header-sha256=abc"),
+    pytest.param(recv_header(set_field("payload", 1449)), "payload=1449",
+                 id="header-payload-above-datagram"),
+    pytest.param(recv_header(set_field("payload", 0)), "payload=0", id="header-payload=0"),
     pytest.param(lambda tmp_path, trace: ["plan", "--blocks", "3", "--levels", "5"],
                  "5 levels > 3 blocks", id="plan-more-levels-than-blocks"),
     pytest.param(lambda tmp_path, trace: ["plan", "--blocks", "3", "--levels", "1", "--starts", "0"],
@@ -284,6 +331,8 @@ BAD_INPUTS = [
                  id="sim-scenario-unknown-key"),
     pytest.param(sim_scenario("receiver = 1e6\ndecay = 1.5\n"), "decay_ratio",
                  id="sim-scenario-invalid-ladder"),
+    pytest.param(sim_scenario("receiver = 1e6\nduration = inf\n"), "line 2: duration",
+                 id="sim-scenario-infinite-duration"),
     pytest.param(metrics_file('{"k": 1}'), "counters.json", id="metrics-missing-fields"),
     pytest.param(metrics_file("[1, 2]"), "counters.json", id="metrics-not-an-object"),
     pytest.param(metrics_file("{not json"), "counters.json", id="metrics-not-json"),

@@ -606,6 +606,8 @@ def test_parse_scenario_defaults_and_no_burst():
     assert s.burst is None
     assert s.queue_capacity == 25
     assert s.channel.tsd == 4.0
+    assert s == Scenario(receivers=(ReceiverSpec(1000.0),))
+    assert parse_scenario("receiver = 1000\nburst_loss = 0\nburst_length = 3\n") == s
 
 
 @pytest.mark.parametrize(
@@ -614,6 +616,11 @@ def test_parse_scenario_defaults_and_no_burst():
         "mtu = 9000\n",  # unknown key
         "base_rate 62500\n",  # missing '='
         "receiver = 1, 2, 3\n",  # too many fields
+        "duration = inf\n",
+        "receiver = 1e6, inf\n",
+        "receiver = nan\n",
+        "bottleneck_rate = nan\n",
+        "seed = x\n",
     ],
 )
 def test_parse_scenario_rejects(text):
