@@ -54,7 +54,6 @@ from .fec import (
     SymbolDecoder,
     decode,
     encode,
-    epsilon_overhead,
 )
 from .wire import HEADER_SIZE, MalformedPacketError, PacketHeader, pack_packet, parse_packet
 from .reassembly import IntegrityError, Reassembler, ReassemblyBuffer, serial_newer

@@ -21,7 +21,11 @@ Three codecs share one interface:
   inactive core, about a third of the missing sources at k = 5525, goes
   through dense elimination.  The rank phase renumbers its mask bits
   for this: inactive columns lowest, then peeled ones in peel order,
-  then the sources received by the k-th symbol.
+  then the sources received by the k-th symbol.  The payload solve
+  eliminates the core Gauss-Jordan, eight columns per table of pivot
+  combinations (the method of four Russians, ``_solve_core``); a core
+  column with no pivot, or a leftover core row with a nonzero payload,
+  fails the decode rather than return wrong bytes.
 
 Symbol data is treated as big integers for XOR work.  GF(256) work
 (the ``mds`` encode and solve) goes through one multiply-accumulate
@@ -35,6 +39,7 @@ symbols.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -206,18 +211,39 @@ def _support_layout(k: int, n: int, seed: int) -> tuple[tuple[int, ...], ...]:
     missing block with overwhelming probability; row-first draws with
     the same mean degree leave a tail of never-covered blocks and the
     elimination stalls far beyond k.
+
+    Each column's rows are ``rng.sample(range(rows), per_col)``.  Above
+    ``sample``'s set-size threshold that call redraws ``getrandbits``
+    until the row is in range and not yet picked; the loop below makes
+    the same draws without the call.  Rows fill in column order, so
+    every support is already sorted.
     """
     rows = n - k
     per_col = max(1, min(_COL_REPAIRS, rows - 1)) if rows else 0
     rng = random.Random(seed ^ 0x5DEECE66D)
     supports: list[list[int]] = [[] for _ in range(rows)]
-    for col in range(k):
-        for row in rng.sample(range(rows), per_col):
-            supports[row].append(col)
+    setsize = 21  # random.sample's threshold between its two branches
+    if per_col > 5:
+        setsize += 4 ** math.ceil(math.log(per_col * 3, 4))
+    if rows <= setsize:
+        for col in range(k):
+            for row in rng.sample(range(rows), per_col):
+                supports[row].append(col)
+    else:
+        getrandbits = rng.getrandbits
+        bits = rows.bit_length()
+        for col in range(k):
+            picked: list[int] = []
+            for _ in range(per_col):
+                row = getrandbits(bits)
+                while row >= rows or row in picked:
+                    row = getrandbits(bits)
+                picked.append(row)
+                supports[row].append(col)
     for row in range(rows):
         if not supports[row]:
             supports[row].append(row % k)
-    return tuple(tuple(sorted(s)) for s in supports)
+    return tuple(map(tuple, supports))
 
 
 def repair_support(spec: CodecSpec, index: int) -> tuple[int, ...]:
@@ -337,6 +363,74 @@ def _peel(rows, columns) -> tuple[list[tuple[int, int]], list[int]]:
                 resolve(c)
     inactive += [c for c in rows_of if c not in resolved]
     return peeled, inactive
+
+
+_GROUP = 8  # pivot columns cleared per lookup table in _solve_core
+
+
+def _solve_core(masks: list[int], payloads: list[int], width: int) -> list[int]:
+    """Solve a dense GF(2) system: the payload of each of ``width`` columns.
+
+    Row r says that the XOR of the columns set in ``masks[r]`` equals
+    ``payloads[r]``; both lists are consumed.  Gauss-Jordan elimination
+    with the method of four Russians (Bard, 2006; Albrecht, Bard and
+    Hart's M4RI, 2010): the columns go in groups of ``_GROUP``.  For each
+    group the rows without a pivot yet give one pivot per column, reduced
+    against each other so each holds exactly one of the group's columns;
+    the 2**_GROUP XOR combinations of those pivots are tabulated once,
+    and every other row clears all of the group's columns with one table
+    lookup, one mask and one payload XOR.  Afterwards each pivot row is
+    its column alone, so its payload is the column's value.
+
+    Raises DecodeFailureError when a column finds no pivot (the rows do
+    not determine it) or when a row left without a pivot, which is then
+    the XOR of pivot rows, has a nonzero payload (the rows contradict
+    each other).
+    """
+    free = list(range(len(masks)))  # rows without a pivot
+    done: list[int] = []  # pivot rows, in column order
+    for base in range(0, width, _GROUP):
+        span = min(_GROUP, width - base)
+        window = (1 << span) - 1
+        group: list[int] = []
+        for j in range(span):
+            for pos, r in enumerate(free):
+                bits = masks[r] >> base & window
+                for g, p in enumerate(group):
+                    if bits >> g & 1:
+                        bits ^= masks[p] >> base & window
+                if bits >> j & 1:
+                    break
+            else:
+                raise DecodeFailureError("repairs received before the close leave a source undetermined")
+            del free[pos]
+            mask, payload = masks[r], payloads[r]
+            for g, p in enumerate(group):
+                if mask >> (base + g) & 1:
+                    mask ^= masks[p]
+                    payload ^= payloads[p]
+            for p in group:
+                if masks[p] >> (base + j) & 1:
+                    masks[p] ^= mask
+                    payloads[p] ^= payload
+            masks[r], payloads[r] = mask, payload
+            group.append(r)
+        table_masks = [0]
+        table_payloads = [0]
+        for p in group:
+            mask, payload = masks[p], payloads[p]
+            table_masks += [m ^ mask for m in table_masks]
+            table_payloads += [t ^ payload for t in table_payloads]
+        for rows in (free, done):
+            for r in rows:
+                i = masks[r] >> base & window
+                if i:
+                    masks[r] ^= table_masks[i]
+                    payloads[r] ^= table_payloads[i]
+        done += group
+    if any(payloads[r] for r in free):
+        raise DecodeFailureError("repairs received before the close contradict each other")
+    return [payloads[r] for r in done]
 
 
 class SymbolDecoder:
@@ -522,13 +616,13 @@ class SymbolDecoder:
         orders the rest.  Each peeled column is written as a payload plus
         a mask over the inactive columns, one XOR per row entry; the rows
         peeling did not use are reduced the same way, leaving a dense core
-        over the inactive columns alone.  The core, lightest rows first,
-        is eliminated top-bit with its payloads and back-substituted, and
+        over the inactive columns alone.  ``_solve_core`` solves the core
+        by Gauss-Jordan elimination, eight columns per lookup table, and
         the peeled columns are then resolved forward from their own sparse
-        rows.  A core row that eliminates to an empty mask is implied by
-        the others, so its payload must eliminate to zero: these checks
-        together verify every repair received before the close against
-        the solution.
+        rows.  The core rows left without a pivot are implied by the
+        others, so their payloads must eliminate to zero, and every core
+        column must find a pivot: these checks together verify every
+        repair received before the close against the solution.
         """
         spec = self.spec
         k = spec.k
@@ -564,31 +658,15 @@ class SymbolDecoder:
         for c, r in peeled:
             terms[c] = reduced(r, c)
         used = {r for _, r in peeled}
-        core = [reduced(r) for r in range(len(rows)) if r not in used]
-        core.sort(key=lambda row: row[0].bit_count())
-        pivots: dict[int, tuple[int, int]] = {}
-        for mask, const in core:
-            while mask:
-                top = mask.bit_length() - 1
-                pivot = pivots.get(top)
-                if pivot is None:
-                    pivots[top] = (mask, const)
-                    break
-                mask ^= pivot[0]
-                const ^= pivot[1]
-            else:
-                if const:
-                    raise DecodeFailureError("repairs received before the close contradict each other")
-        solved = []
-        for col in range(len(inactive)):
-            mask, const = pivots[col]
-            rest = mask ^ (1 << col)
-            while rest:
-                low = rest & -rest
-                const ^= solved[low.bit_length() - 1]
-                rest ^= low
-            solved.append(const)
-        values.update(zip(inactive, solved))
+        masks = []
+        payloads = []
+        for r in range(len(rows)):
+            if r not in used:
+                mask, const = reduced(r)
+                masks.append(mask)
+                payloads.append(const)
+        terms.clear()  # the peeled payloads are no longer needed
+        values.update(zip(inactive, _solve_core(masks, payloads, len(inactive))))
         for c, r in peeled:
             const = consts[r]
             for i in rows[r]:
@@ -625,20 +703,3 @@ def decode(spec: CodecSpec, received) -> list[bytes]:
     if not dec.complete:
         raise NeedMoreSymbols(dec.distinct)
     return dec.blocks()
-
-
-def epsilon_overhead(spec: CodecSpec, received_indices) -> float:
-    """Reception overhead in percent for a symbol arrival order.
-
-    Feeds the index trace to a decoder and reports 100 * epsilon / k
-    measured at the first decodable prefix.  Every symbol carries the
-    same all-zero payload: zero symbols are always consistent, so only
-    the decodability structure decides where the decode closes.
-    """
-    dec = SymbolDecoder(spec)
-    zeros = bytes(spec.symbol_size)
-    for index in received_indices:
-        dec.add(index, zeros)
-        if dec.complete:
-            return 100.0 * dec.epsilon / spec.k
-    raise NotDecodedError("trace never reaches a decodable set")

@@ -290,7 +290,14 @@ class SymbolReceiver:
         return self.decoder.epsilon if self.done else max(self.decoder.distinct - self.spec.k, 0)
 
     def file(self) -> bytes:
-        return b"".join(self.decoder.blocks())[: self.file_length]
+        # One join of exactly file_length bytes: the whole blocks and the
+        # used head of the last one, never the padded file and a copy.
+        blocks = self.decoder.blocks()
+        whole, tail = divmod(self.file_length, self.spec.symbol_size)
+        parts = blocks[:whole]
+        if tail:
+            parts.append(blocks[whole][:tail])
+        return b"".join(parts)
 
 
 @dataclass

@@ -1,9 +1,11 @@
 import copy
+import functools
 import itertools
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyncast.fec import (
@@ -19,9 +21,10 @@ from dyncast.fec import (
     _gf_combine,
     _interpolation_coeffs,
     _peel,
+    _solve_core,
+    _support_layout,
     decode,
     encode,
-    epsilon_overhead,
     repair_support,
 )
 
@@ -29,6 +32,23 @@ from dyncast.fec import (
 def blocks_of(spec, seed=0):
     rng = random.Random(seed)
     return [rng.randbytes(spec.symbol_size) for _ in range(spec.k)]
+
+
+def epsilon_overhead(spec, received_indices):
+    """Reception overhead in percent for a symbol arrival order.
+
+    Feeds the index trace to a decoder and reports 100 * epsilon / k
+    measured at the first decodable prefix.  Every symbol carries the
+    same all-zero payload: zero symbols are always consistent, so only
+    the decodability structure decides where the decode closes.
+    """
+    dec = SymbolDecoder(spec)
+    zeros = bytes(spec.symbol_size)
+    for index in received_indices:
+        dec.add(index, zeros)
+        if dec.complete:
+            return 100.0 * dec.epsilon / spec.k
+    raise NotDecodedError("trace never reaches a decodable set")
 
 
 def test_null_codec_is_identity():
@@ -535,3 +555,147 @@ def test_peel_partitions_the_columns_in_a_solvable_order(system):
         assert set(rows[r]) - {c} <= known
         known.add(c)
     assert _peel(copy.deepcopy(rows), list(columns)) == (peeled, inactive)
+
+
+def ref_support_layout(k, n, seed):
+    """The repair supports as drawn by one ``random.sample`` per column."""
+    rows = n - k
+    per_col = max(1, min(16, rows - 1)) if rows else 0
+    rng = random.Random(seed ^ 0x5DEECE66D)
+    supports = [[] for _ in range(rows)]
+    for col in range(k):
+        for row in rng.sample(range(rows), per_col):
+            supports[row].append(col)
+    for row in range(rows):
+        if not supports[row]:
+            supports[row].append(row % k)
+    return tuple(tuple(sorted(s)) for s in supports)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 120),
+    rows=st.one_of(st.integers(0, 40), st.integers(41, 3000)),
+    seed=st.integers(0, 2**31),
+)
+@example(k=7, rows=85, seed=1)
+@example(k=7, rows=86, seed=1)
+@example(k=9, rows=256, seed=3)  # a power of two: getrandbits(9), not 8
+def test_support_layout_matches_sample_reference(k, rows, seed):
+    # Up to 85 rows random.sample shuffles a pool (up to 21 when it picks
+    # at most 5); beyond, it redraws into a set, which _support_layout
+    # inlines.  The examples sit on the threshold and on a power of two.
+    assert _support_layout(k, k + rows, seed) == ref_support_layout(k, k + rows, seed)
+
+
+def test_support_layout_matches_sample_reference_at_bench_size():
+    assert _support_layout(5525, 11050, 3) == ref_support_layout(5525, 11050, 3)
+
+
+def ref_solve_core(core, width):
+    """Top-bit elimination of (mask, payload) rows, lightest first, then
+    back-substitution; the values of columns 0 .. width - 1."""
+    pivots = {}
+    for mask, const in sorted(core, key=lambda row: row[0].bit_count()):
+        while mask:
+            top = mask.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = (mask, const)
+                break
+            mask ^= pivot[0]
+            const ^= pivot[1]
+        else:
+            if const:
+                raise DecodeFailureError("repairs received before the close contradict each other")
+    solved = []
+    for col in range(width):
+        if col not in pivots:
+            raise DecodeFailureError("no pivot")
+        mask, const = pivots[col]
+        rest = mask ^ (1 << col)
+        while rest:
+            low = rest & -rest
+            const ^= solved[low.bit_length() - 1]
+            rest ^= low
+        solved.append(const)
+    return solved
+
+
+def random_core(rng, width, extra, sparse, skip=None):
+    """Rows (mask, payload) over ``width`` columns that encode random values.
+
+    A basis of full rank (short of column ``skip`` when given), mixed by
+    row additions, comes first, then ``extra`` rows dependent on it.
+    Returns the rows and the values.
+    """
+    values = [rng.getrandbits(64) for _ in range(width)]
+    masks = []
+    for col in range(width):
+        if col != skip:
+            above = rng.getrandbits(width)
+            if sparse:
+                above &= rng.getrandbits(width)
+            masks.append(1 << col | above & ~((2 << col) - 1))
+    for _ in range(2 * len(masks)):
+        a, b = rng.randrange(len(masks)), rng.randrange(len(masks))
+        if a != b:
+            masks[a] ^= masks[b]
+    basis = list(masks)
+    for _ in range(extra):
+        masks.append(functools.reduce(operator.xor, (m for m in basis if rng.random() < 0.5), 0))
+
+    def payload(mask):
+        return functools.reduce(operator.xor, (v for col, v in enumerate(values) if mask >> col & 1), 0)
+
+    return [(m, payload(m)) for m in masks], values
+
+
+core_cases = dict(
+    width=st.integers(0, 40),
+    extra=st.integers(0, 6),
+    sparse=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+
+
+def solve_core(core, width):
+    return _solve_core([m for m, _ in core], [p for _, p in core], width)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(**core_cases)
+def test_solve_core_matches_reference(width, extra, sparse, seed):
+    rng = random.Random(seed)
+    core, values = random_core(rng, width, extra, sparse)
+    rng.shuffle(core)
+    assert solve_core(core, width) == ref_solve_core(core, width) == values
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(**core_cases)
+def test_solve_core_fails_on_a_corrupt_dependent_row(width, extra, sparse, seed):
+    rng = random.Random(seed)
+    extra = max(extra, 1)
+    core, _ = random_core(rng, width, extra, sparse)
+    r = len(core) - 1 - rng.randrange(extra)
+    mask, payload = core[r]
+    core[r] = (mask, payload ^ 1 << rng.randrange(64))
+    rng.shuffle(core)
+    with pytest.raises(DecodeFailureError):
+        ref_solve_core(core, width)
+    with pytest.raises(DecodeFailureError):
+        solve_core(core, width)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(**core_cases)
+def test_solve_core_fails_on_a_rank_deficient_core(width, extra, sparse, seed):
+    rng = random.Random(seed)
+    width = max(width, 1)
+    core, _ = random_core(rng, width, extra, sparse, skip=rng.randrange(width))
+    rng.shuffle(core)
+    with pytest.raises(DecodeFailureError):
+        ref_solve_core(core, width)
+    with pytest.raises(DecodeFailureError):
+        solve_core(core, width)

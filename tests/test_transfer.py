@@ -338,6 +338,20 @@ def test_null_codec_one_period_completes():
     assert rx.file() == data
 
 
+@pytest.mark.parametrize("codec", ["null", "mds", "sparse_parity"])
+@pytest.mark.parametrize("length", [3 * 64, 3 * 64 + 1, 63])
+def test_file_is_the_input_at_every_tail_length(codec, length):
+    # Whole blocks only, one byte into a fourth block, and less than one.
+    data = random.Random(length).randbytes(length)
+    sess = CarouselSession(data, SMALL_CFG, spec_for_file(codec, length, 64, seed=4), levels=1)
+    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=length)
+    for t, _, datagram in sess.emissions(max_buffers=8 * sess.block_count):
+        if rx.on_packet(t, datagram):
+            break
+    assert rx.done
+    assert rx.file() == data
+
+
 def test_duplicates_counted_against_missed_block():
     data, sess = null_session()
     B = sess.block_count
