@@ -33,10 +33,6 @@ BASE_GROUP = 0
 _GRID_EPS = 1e-9
 
 
-class QuiescentGroupError(Exception):
-    """A rate was requested for a group outside its active lifetime."""
-
-
 @dataclass(frozen=True)
 class ChannelConfig:
     """Static description of one sender's group ladder.
@@ -93,12 +89,6 @@ class TileId(NamedTuple):
     interval: int
 
 
-class GroupEvent(NamedTuple):
-    time: float
-    group: int
-    kind: str  # "start" or "quiescent"
-
-
 @dataclass(frozen=True)
 class TileBudget:
     """Packet budget of one (group, sub slot) cell, possibly clipped."""
@@ -128,14 +118,6 @@ def group_quiescence_time(cfg: ChannelConfig, group: int) -> float:
     return group * cfg.sub_tsi
 
 
-def active_groups(cfg: ChannelConfig, t: float) -> list[int]:
-    """Groups alive at instant ``t``, base first then oldest to youngest."""
-    if t < 0:
-        raise ValueError("model time starts at 0")
-    idx = interval_index(cfg, t)
-    return [BASE_GROUP] + list(range(idx + 1, idx + cfg.group_count))
-
-
 def _age_slots(cfg: ChannelConfig, group: int, t: float) -> float:
     return t / cfg.sub_tsi - (group - cfg.group_count + 1)
 
@@ -145,32 +127,6 @@ def _cum_at(cfg: ChannelConfig, group: int, t: float) -> float:
     if group == BASE_GROUP:
         return cfg.base_rate
     return cfg.max_cumulative_rate * cfg.decay_ratio ** _age_slots(cfg, group, t)
-
-
-def cumulative_rate(cfg: ChannelConfig, group: int, t: float) -> float:
-    """Cumulative rate of ``group`` at ``t``: its own rate plus every rate below it."""
-    if group == BASE_GROUP:
-        return cfg.base_rate
-    if group < 0:
-        raise QuiescentGroupError(f"group {group} does not exist")
-    age = _age_slots(cfg, group, t)
-    if age < -_GRID_EPS:
-        raise QuiescentGroupError(f"group {group} has not started at t={t}")
-    if age >= cfg.group_count - 1 - _GRID_EPS:
-        raise QuiescentGroupError(f"group {group} is quiescent at t={t}")
-    return cfg.max_cumulative_rate * cfg.decay_ratio ** age
-
-
-def group_rate(cfg: ChannelConfig, group: int, t: float) -> float:
-    """Own rate of ``group`` at ``t`` (cumulative minus next lower neighbour)."""
-    if group == BASE_GROUP:
-        return cfg.base_rate
-    cum = cumulative_rate(cfg, group, t)
-    idx = interval_index(cfg, t)
-    oldest = idx + 1
-    if group > oldest:
-        return cum - _cum_at(cfg, group - 1, t)
-    return cum - cfg.base_rate
 
 
 def cumulative_rate_integral(cfg: ChannelConfig, group: int, t0: float, t1: float) -> float:
@@ -251,23 +207,3 @@ def tiles_in_window(cfg: ChannelConfig, t_start: float, t_end: float) -> list[Ti
             )
         i += 1
     return tiles
-
-
-def quiescence_events(cfg: ChannelConfig, t_start: float, t_end: float) -> list[GroupEvent]:
-    """Group starts and quiescences at sub-slot boundaries inside [t_start, t_end).
-
-    The base group never appears.  At a boundary the quiescence is
-    reported before the start.
-    """
-    if t_end <= t_start:
-        return []
-    s = cfg.sub_tsi
-    events: list[GroupEvent] = []
-    i = math.ceil(t_start / s - _GRID_EPS)
-    while i * s < t_end - _GRID_EPS:
-        t = i * s
-        if i >= 1:
-            events.append(GroupEvent(t, i, "quiescent"))
-        events.append(GroupEvent(t, i + cfg.group_count - 1, "start"))
-        i += 1
-    return events

@@ -34,7 +34,7 @@ def _add_codec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--codec", choices=fec.CODEC_NAMES, default="sparse_parity")
     p.add_argument("--symbol-size", type=int, default=1448)
     p.add_argument("--fec-n", type=int, default=None, help="total symbols (default 2k)")
-    p.add_argument("--fec-seed", type=int, default=0)
+    p.add_argument("--fec-seed", type=int, default=fec.CodecSpec.seed)
     p.add_argument("--levels", type=int, default=None,
                    help="carousel levels per buffer (default: fill the mean top rate)")
 

@@ -8,24 +8,24 @@ Three codecs share one interface:
   the file (zero reception overhead, k and n capped at 255).
 * ``sparse_parity`` XORs pseudo-random subsets of the source blocks,
   balanced so every block feeds about a dozen repairs.  Its decoder
-  works in two phases.  While symbols arrive it tracks the exact GF(2)
-  rank on index masks alone, so the decode closes at the first
-  full-rank prefix a few symbols past k without touching a payload.
-  The first request for the blocks then solves once for the missing
-  sources (maximum-likelihood decoding in the sense of RFC 5170) and
-  checks every repair received before the close against the solution.
-  Both phases order their work by peeling with inactivation (RFC 6330
+  eliminates once, ordered by peeling with inactivation (RFC 6330
   section 5.4; Shokrollahi, "Raptor Codes", 2006), ``_peel``: a repair
   with one unknown source left solves it, and when none has, the
-  lightest repair's other unknowns are set aside as inactive.  Only the
-  inactive core, about a third of the missing sources at k = 5525, goes
-  through dense elimination.  The rank phase renumbers its mask bits
-  for this: inactive columns lowest, then peeled ones in peel order,
-  then the sources received by the k-th symbol.  The payload solve
-  eliminates the core Gauss-Jordan, eight columns per table of pivot
-  combinations (the method of four Russians, ``_solve_core``); a core
-  column with no pivot, or a leftover core row with a nonzero payload,
-  fails the decode rather than return wrong bytes.
+  lightest repair's other unknowns are set aside as inactive.  The k-th
+  distinct symbol peels the repairs received so far, once: every
+  missing source becomes a payload plus a mask over the inactive
+  columns, which are about a third of the missing sources at k = 5525.
+  The repairs peeling did not use, and every symbol after the k-th,
+  are rows of a dense core over the inactive columns alone.  The exact
+  GF(2) rank of everything received is tracked on the core masks, so
+  the decode closes at the first full-rank prefix a few symbols past k.
+  The first request for the blocks eliminates the core Gauss-Jordan,
+  eight columns per table of pivot combinations (the method of four
+  Russians, ``_solve_core``), and resolves the peeled sources forward
+  (maximum-likelihood decoding in the sense of RFC 5170).  A leftover
+  core row with a nonzero payload, which means the symbols received
+  before the close contradict each other, fails the decode rather than
+  return wrong bytes.
 
 Symbol data is treated as big integers for XOR work.  GF(256) work
 (the ``mds`` encode and solve) goes through one multiply-accumulate
@@ -38,7 +38,6 @@ symbols.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -437,19 +436,19 @@ class SymbolDecoder:
     """Incremental decoder fed one symbol at a time.
 
     For ``sparse_parity`` the rank cannot reach k before k distinct
-    symbols, so nothing is reduced until then.  The k-th symbol peels
-    the repairs so far (``_first_batch``) and renumbers the mask bits:
-    inactive columns lowest, then peeled columns in peel order, then the
-    received sources.  ``_bit`` maps a source index to its bit and
-    ``_unknown`` holds the bits still missing.  Each peeled column gets
-    its pivot directly, its own bit plus inactive bits; the repairs
-    peeling left over, and every repair after the k-th symbol, are
-    projected off the received sources and reduced top-bit against the
-    pivots, one mask per pivot bit.  A source that lands on a pivot's
-    bit takes that pivot back out for re-reduction.  Sources plus
-    pivots is then the exact GF(2) rank of everything received, which
-    no bit order changes, and the decode closes when it reaches k.  No
-    payload is touched until ``blocks()`` solves (see ``_solve_sparse``).
+    symbols, so nothing is reduced until then.  The k-th symbol
+    (``_first_batch``) XORs the sources received so far out of every
+    repair and peels the rest once: each peeled column becomes a *term*,
+    a mask over the inactive columns plus a payload, and each repair
+    peeling did not use becomes a *core row* over the inactive columns
+    alone.  Every symbol after it adds one core row: a repair reduced
+    through the terms, or a source as its column's term XOR its value.
+    Each peeled column is fixed by its own row once the inactive columns
+    are, so the rank of everything received is the sources received by
+    the k-th symbol, plus the peeled columns, plus the rank of the core.
+    The core masks are reduced top-bit into one pivot per bit, and the
+    decode closes when every inactive column has its pivot.
+    ``blocks()`` then solves the stored core rows (see ``_solve_sparse``).
     """
 
     def __init__(self, spec: CodecSpec):
@@ -459,12 +458,20 @@ class SymbolDecoder:
         self._blocks: list[bytes] | None = None
         self._sources = 0
         if spec.name == "sparse_parity":
-            # Set at the k-th distinct symbol (``_first_batch``): the mask
-            # bit of each source column, the bits still missing, and pivot
-            # bit -> repair mask whose top bit is the pivot.
-            self._bit: list[int] = []
-            self._unknown = 0
-            self._pivots: dict[int, int] = {}
+            self._clear_solve_state()
+
+    def _clear_solve_state(self) -> None:
+        # The sparse solve state, set at the k-th distinct symbol: the
+        # sources received by then as integers, the peeled columns' terms
+        # and (column, repair) pairs in peel order, the inactive columns,
+        # the core rows, and pivot bit -> core mask whose top bit it is.
+        self._values: dict[int, int] = {}
+        self._terms: dict[int, tuple[int, int]] = {}
+        self._peeled: list[tuple[int, int]] = []
+        self._inactive: list[int] = []
+        self._masks: list[int] = []
+        self._payloads: list[int] = []
+        self._pivots: dict[int, int] = {}
 
     # -- feeding ---------------------------------------------------------
 
@@ -497,82 +504,75 @@ class SymbolDecoder:
         if distinct == k:
             self._first_batch()
         elif index < k:
-            bit = self._bit[index]
-            self._unknown ^= 1 << bit
-            self._insert(self._pivots.pop(bit, 0))
+            mask, payload = self._terms[index]
+            self._add_row(mask, payload ^ int.from_bytes(self._received[index], "big"))
         else:
-            self._insert(self._support_mask(index))
+            self._add_row(*self._reduced(index))
 
     def _first_batch(self) -> None:
-        """Peel the first k symbols and renumber the mask bits.
+        """Peel the repairs of the first k symbols into terms and core rows.
 
-        Each peeled row, reduced by the pivots of its earlier peeled
-        columns, is its own column's pivot: its own bit plus inactive
-        bits.  The rows peeling did not use reduce the same way to
-        inactive bits alone, and only they go through ``_insert``,
-        lightest first.
+        The peel sees each repair's sources not yet received.  The terms
+        follow in peel order, since a peeled row's other columns are
+        inactive or peeled earlier.
         """
         k = self.spec.k
         received = self._received
-        repairs = [
-            [i for i in repair_support(self.spec, j) if i not in received]
-            for j in received if j >= k
-        ]
-        missing = [i for i in range(k) if i not in received]
-        peeled, inactive = _peel(repairs, missing)
-        order = inactive + [c for c, _ in peeled] + [i for i in received if i < k]
-        bit = self._bit = [0] * k
-        for b, i in enumerate(order):
-            bit[i] = b
-        self._unknown = (1 << len(missing)) - 1
-        pivots = self._pivots
+        values = self._values = {i: int.from_bytes(data, "big")
+                                 for i, data in received.items() if i < k}
+        repairs = [j for j in received if j >= k]
+        peeled, inactive = _peel(
+            [[i for i in repair_support(self.spec, j) if i not in values] for j in repairs],
+            [i for i in range(k) if i not in values],
+        )
+        self._inactive = inactive
+        terms = self._terms = {i: (1 << b, 0) for b, i in enumerate(inactive)}
+        self._peeled = [(c, repairs[r]) for c, r in peeled]
+        for c, j in self._peeled:
+            terms[c] = self._reduced(j, c)
+        used = {j for _, j in self._peeled}
+        for j in repairs:
+            if j not in used:
+                self._add_row(*self._reduced(j))
 
-        def reduced(row: list[int]) -> int:
-            # An earlier peeled column's pivot clears its bit and brings
-            # in its inactive part; the row's own column and the inactive
-            # ones have no pivot yet, so they add their own bits.
-            mask = 0
-            for i in row:
-                b = bit[i]
-                mask ^= pivots.get(b, 0) ^ 1 << b
-            return mask
+    def _reduced(self, index: int, own: int | None = None) -> tuple[int, int]:
+        """Repair ``index`` as (mask over the inactive columns, payload).
 
-        for c, r in peeled:
-            pivots[bit[c]] = reduced(repairs[r])
-        used = {r for _, r in peeled}
-        core = [reduced(row) for r, row in enumerate(repairs) if r not in used]
-        core.sort(key=int.bit_count)
-        for mask in core:
-            self._insert(mask)
-
-    def _support_mask(self, index: int) -> int:
-        bit = self._bit
+        Every source of the repair but ``own`` moves to the payload side:
+        a source received by the k-th symbol as its value, any other as
+        its term.
+        """
+        values, terms = self._values, self._terms
         mask = 0
+        const = int.from_bytes(self._received[index], "big")
         for i in repair_support(self.spec, index):
-            mask |= 1 << bit[i]
-        return mask
+            value = values.get(i)
+            if value is not None:
+                const ^= value
+            elif i != own:
+                m, p = terms[i]
+                mask ^= m
+                const ^= p
+        return mask, const
 
-    def _insert(self, mask: int) -> None:
-        """Reduce one repair mask top-bit; a nonzero remainder is a new pivot."""
-        unknown = self._unknown
+    def _add_row(self, mask: int, payload: int) -> None:
+        """Store one core row; what is left of its mask after top-bit
+        reduction, if anything, is a new pivot."""
+        self._masks.append(mask)
+        self._payloads.append(payload)
         pivots = self._pivots
-        mask &= unknown
         while mask:
             top = mask.bit_length() - 1
-            pivot = pivots.get(top)  # pivots sit on unknown bits only
-            if pivot is not None:
-                mask ^= pivot
-            elif unknown >> top & 1:
-                pivots[top] = mask & unknown
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = mask
                 return
-            else:
-                # A pivot met on the way predates this source: project again.
-                mask &= unknown
+            mask ^= pivot
 
     def _closed(self) -> bool:
         spec = self.spec
         if spec.name == "sparse_parity":
-            return self._sources + len(self._pivots) == spec.k
+            return len(self._received) >= spec.k and len(self._pivots) == len(self._inactive)
         if spec.name == "mds":
             return len(self._received) >= spec.k
         return self._sources == spec.k
@@ -610,70 +610,26 @@ class SymbolDecoder:
         return self._solve_mds()
 
     def _solve_sparse(self) -> list[bytes]:
-        """One payload solve over the symbols received before the close.
+        """Solve the core rows stored up to the close, then the peeled columns.
 
-        The received sources are XORed out of each repair, and ``_peel``
-        orders the rest.  Each peeled column is written as a payload plus
-        a mask over the inactive columns, one XOR per row entry; the rows
-        peeling did not use are reduced the same way, leaving a dense core
-        over the inactive columns alone.  ``_solve_core`` solves the core
-        by Gauss-Jordan elimination, eight columns per lookup table, and
-        the peeled columns are then resolved forward from their own sparse
-        rows.  The core rows left without a pivot are implied by the
-        others, so their payloads must eliminate to zero, and every core
-        column must find a pivot: these checks together verify every
-        repair received before the close against the solution.
+        ``_solve_core`` eliminates the core Gauss-Jordan, eight columns
+        per lookup table, for the inactive columns' values; each peeled
+        column then follows forward from its own repair, whose other
+        columns are all known by then.  The core rows left without a
+        pivot are implied by the others, so their payloads must eliminate
+        to zero: this checks every repair and every late source received
+        before the close against the solution.
         """
         spec = self.spec
-        k = spec.k
-        received = list(itertools.islice(self._received.items(), self._done_at))
-        values = {i: int.from_bytes(data, "big") for i, data in received if i < k}
-        rows = []
-        consts = []
-        for index, data in received:
-            if index >= k:
-                row = []
-                const = int.from_bytes(data, "big")
-                for i in repair_support(spec, index):
-                    value = values.get(i)
-                    if value is None:
-                        row.append(i)
-                    else:
-                        const ^= value
-                rows.append(row)
-                consts.append(const)
-        peeled, inactive = _peel(rows, [i for i in range(k) if i not in values])
-        # Column -> (mask over the inactive columns, payload) it equals.
-        terms = {i: (1 << b, 0) for b, i in enumerate(inactive)}
-
-        def reduced(r: int, own: int | None = None) -> tuple[int, int]:
-            mask, const = 0, consts[r]
-            for i in rows[r]:
-                if i != own:
-                    m, p = terms[i]
-                    mask ^= m
-                    const ^= p
-            return mask, const
-
-        for c, r in peeled:
-            terms[c] = reduced(r, c)
-        used = {r for _, r in peeled}
-        masks = []
-        payloads = []
-        for r in range(len(rows)):
-            if r not in used:
-                mask, const = reduced(r)
-                masks.append(mask)
-                payloads.append(const)
-        terms.clear()  # the peeled payloads are no longer needed
-        values.update(zip(inactive, _solve_core(masks, payloads, len(inactive))))
-        for c, r in peeled:
-            const = consts[r]
-            for i in rows[r]:
-                if i != c:
-                    const ^= values[i]
-            values[c] = const
-        return [values[i].to_bytes(spec.symbol_size, "big") for i in range(k)]
+        values = self._values
+        self._terms = {}  # the peeled payloads are no longer needed
+        values.update(zip(self._inactive,
+                          _solve_core(self._masks, self._payloads, len(self._inactive))))
+        for c, j in self._peeled:
+            values[c] = self._reduced(j, c)[1]
+        blocks = [values[i].to_bytes(spec.symbol_size, "big") for i in range(spec.k)]
+        self._clear_solve_state()
+        return blocks
 
     def _solve_mds(self) -> list[bytes]:
         spec = self.spec

@@ -115,7 +115,7 @@ def partial_metrics(c: TransferCounters) -> dict[str, float]:
 
 
 def spec_for_file(name: str, file_length: int, symbol_size: int, *,
-                  n: int | None = None, seed: int = 0) -> fec.CodecSpec:
+                  n: int | None = None, seed: int = fec.CodecSpec.seed) -> fec.CodecSpec:
     """Codec dimensions for a file: k from its size, n defaulting to 2k."""
     if file_length <= 0:
         raise ValueError("empty file")
@@ -155,33 +155,31 @@ class CarouselSession:
     def __init__(
         self,
         data: bytes,
-        channel: ChannelConfig | None = None,
-        codec: fec.CodecSpec | None = None,
+        channel: ChannelConfig,
+        codec: fec.CodecSpec,
         *,
         levels: int | None = None,
         session_id: int = 1,
     ):
         if not data:
             raise ValueError("nothing to send")
-        cfg = channel if channel is not None else ChannelConfig()
-        if cfg.packet_payload > wire.MAX_PAYLOAD:
-            raise ValueError(f"packet_payload {cfg.packet_payload} > {wire.MAX_PAYLOAD}, "
+        if channel.packet_payload > wire.MAX_PAYLOAD:
+            raise ValueError(f"packet_payload {channel.packet_payload} > {wire.MAX_PAYLOAD}, "
                              "the most one datagram carries")
-        spec = codec if codec is not None else spec_for_file("sparse_parity", len(data), 1448)
-        if spec.k != math.ceil(len(data) / spec.symbol_size):
+        if codec.k != math.ceil(len(data) / codec.symbol_size):
             raise ValueError("codec k does not match the file and symbol size")
-        self.cfg = cfg
-        self.spec = spec
+        self.cfg = channel
+        self.spec = codec
         self.file_length = len(data)
         self.session_id = _checked_session_id(session_id)
-        ss = spec.symbol_size
-        self.symbols = fec.encode(spec, [data[i * ss : (i + 1) * ss] for i in range(spec.k)])
-        self.block_count = spec.n
+        ss = codec.symbol_size
+        self.symbols = fec.encode(codec, [data[i * ss : (i + 1) * ss] for i in range(codec.k)])
+        self.block_count = codec.n
         # One level-1 symbol per buffer at the rate everyone has.
-        self.buffer_time = infer_buffer_time(ss, cfg.base_rate)
+        self.buffer_time = infer_buffer_time(ss, channel.base_rate)
         if levels is None:
             # As many levels as the mean full subscription drains per buffer.
-            levels = infer_buffer_length(self.buffer_time, cfg.mean_top_rate) // ss
+            levels = infer_buffer_length(self.buffer_time, channel.mean_top_rate) // ss
         self.levels = max(1, min(self.block_count, levels))
         self.plan = carousel.build_plan(self.block_count, self.levels)
         self.buffer_length = self.levels * ss
@@ -376,8 +374,8 @@ def send_file(
     path,
     out_path,
     *,
-    channel: ChannelConfig | None = None,
-    codec: fec.CodecSpec | None = None,
+    channel: ChannelConfig,
+    codec: fec.CodecSpec,
     levels: int | None = None,
     session_id: int = 1,
     buffers: int | None = None,

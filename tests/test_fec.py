@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dyncast import fec
 from dyncast.fec import (
     _GF_EXP,
     _GF_LOG,
@@ -530,6 +531,67 @@ def test_corrupt_redundant_repair_fails_a_peeled_decode():
     assert check.complete and dec.epsilon > 0
     with pytest.raises(DecodeFailureError):
         dec.blocks()
+
+
+def test_corrupt_late_source_fails_the_decode():
+    # The first symbol after the k-th is a source, and a repair arriving
+    # after it also determines that source, so one flipped bit in the
+    # source contradicts the close set.
+    spec = CodecSpec("sparse_parity", 30, 60, 4, seed=7)
+    symbols = encode(spec, blocks_of(spec, seed=8))
+    order = random.Random(2).sample(range(spec.n), spec.n)
+    late = order[spec.k]
+    data = {i: symbols[i].data for i in order}
+    data[late] = bytes([data[late][0] ^ 0x10]) + data[late][1:]
+    dec = SymbolDecoder(spec)
+    for i in order:
+        dec.add(i, data[i])
+        if dec.complete:
+            break
+    close = order[: dec.distinct]
+    check = SymbolDecoder(spec)
+    for i in close:
+        if i != late:
+            check.add(i, symbols[i].data)
+    assert late < spec.k and check.complete
+    assert any(late in repair_support(spec, j) for j in close[spec.k + 1 :] if j >= spec.k)
+    ref = ReferenceSparseDecoder(spec)
+    with pytest.raises(DecodeFailureError):
+        for i in close:
+            ref.add(i, data[i])
+    with pytest.raises(DecodeFailureError):
+        dec.blocks()
+
+
+def test_one_peel_per_sparse_decode(monkeypatch):
+    # A hundred repairs lead, so the k-th distinct symbol peels them, and
+    # both sources and repairs arrive after it before the close.
+    spec = CodecSpec("sparse_parity", 200, 400, 4, seed=11)
+    rng = random.Random(15)
+    repairs = rng.sample(range(spec.k, spec.n), spec.n - spec.k)
+    rest = list(range(spec.k)) + repairs[100:]
+    order = repairs[:100] + rng.sample(rest, len(rest))
+    blocks = blocks_of(spec, seed=13)
+    symbols = encode(spec, blocks)
+    calls = []
+
+    def counted_peel(rows, columns):
+        calls.append(len(columns))
+        return _peel(rows, columns)
+
+    monkeypatch.setattr(fec, "_peel", counted_peel)
+    dec = SymbolDecoder(spec)
+    for i in order:
+        dec.add(i, symbols[i].data)
+        if dec.complete:
+            break
+    after = order[spec.k : dec.distinct]
+    assert min(after) < spec.k <= max(after)
+    ref = ReferenceSparseDecoder(spec)
+    for i in order[: dec.distinct]:
+        ref.add(i, symbols[i].data)
+    assert ref.complete and dec.blocks() == ref.blocks() == blocks
+    assert len(calls) == 1
 
 
 def sparse_systems():

@@ -6,9 +6,13 @@ run.
 """
 
 import importlib
+import inspect
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_probe_resolves(monkeypatch):
@@ -17,3 +21,23 @@ def test_every_probe_resolves(monkeypatch):
     assert instrument.PROBES
     for _name, module, path in instrument.PROBES:
         instrument.resolve(module, path)
+
+
+def test_importing_the_package_loads_every_probed_module(monkeypatch):
+    # perfbench times `import dyncast` as a part of its own; a module the
+    # probes patch that loaded only later would move its import cost into
+    # an untimed gap.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    instrument = importlib.import_module("instrument")
+    probed = set()
+    for _name, module, path in instrument.PROBES:
+        owner, _ = instrument.resolve(module, path)
+        probed.add(module)
+        probed.add(owner.__name__ if inspect.ismodule(owner) else owner.__module__)
+    code = ("import sys\n"
+            "sys.path[0] = sys.argv[1]\n"
+            "import dyncast\n"
+            "print(' '.join(sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    assert probed <= set(out.split())

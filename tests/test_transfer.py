@@ -269,7 +269,7 @@ def test_session_rejects_mismatched_codec():
     with pytest.raises(ValueError):
         CarouselSession(b"x" * 1000, CFG, CodecSpec("sparse_parity", 5, 10, 64))
     with pytest.raises(ValueError):
-        CarouselSession(b"", CFG)
+        CarouselSession(b"", CFG, CodecSpec("sparse_parity", 1, 2, 64))
 
 
 # ---------------------------------------------------------------------------
