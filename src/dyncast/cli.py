@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -134,8 +135,9 @@ def _read_counters(path) -> transfer.TransferCounters:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if (not isinstance(payload, dict) or payload.keys() != set(_COUNTER_FIELDS)
-            or not all(type(v) in (int, float) for v in payload.values())):
-        raise ValueError(f"{path}: not a JSON object of the numbers {', '.join(_COUNTER_FIELDS)}")
+            or not all(type(v) in (int, float) and 0 <= v < math.inf for v in payload.values())):
+        raise ValueError(f"{path}: not a JSON object of the finite, non-negative numbers "
+                         f"{', '.join(_COUNTER_FIELDS)}")
     return transfer.TransferCounters(**payload)
 
 

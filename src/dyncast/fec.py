@@ -2,12 +2,13 @@
 
 Three codecs share one interface:
 
-* ``null`` sends the k source blocks unprotected (n == k).
+* ``null`` sends the k source blocks unprotected (n == k): RFC 5445's
+  Compact No-Code scheme, decoded as ``mds`` with no repairs.
 * ``mds`` evaluates the degree-(k-1) polynomial through the source
   blocks at extra points of GF(256), so any k distinct symbols rebuild
   the file (zero reception overhead, k and n capped at 255).
 * ``sparse_parity`` XORs pseudo-random subsets of the source blocks,
-  balanced so every block feeds about a dozen repairs.  Its decoder
+  balanced so every block feeds 16 repairs.  Its decoder
   eliminates once, ordered by peeling with inactivation (RFC 6330
   section 5.4; Shokrollahi, "Raptor Codes", 2006), ``_peel``: a repair
   with one unknown source left solves it, and when none has, the
@@ -205,11 +206,11 @@ _COL_REPAIRS = 16  # repair rows each source block feeds (capped by row count)
 def _support_layout(k: int, n: int, seed: int) -> tuple[tuple[int, ...], ...]:
     """Repair supports for one spec, drawn column-first.
 
-    Every source block lands in about a dozen distinct repair rows.  A
-    receiver holding only part of the repairs then still touches every
-    missing block with overwhelming probability; row-first draws with
-    the same mean degree leave a tail of never-covered blocks and the
-    elimination stalls far beyond k.
+    Every source block lands in ``_COL_REPAIRS`` distinct repair rows
+    (fewer when n - k <= 16).  A receiver holding only part of the
+    repairs then still touches every missing block with overwhelming
+    probability; row-first draws with the same mean degree leave a tail
+    of never-covered blocks and the elimination stalls far beyond k.
 
     Each column's rows are ``rng.sample(range(rows), per_col)``.  Above
     ``sample``'s set-size threshold that call redraws ``getrandbits``
@@ -456,7 +457,6 @@ class SymbolDecoder:
         self._received: dict[int, bytes] = {}  # in arrival order
         self._done_at: int | None = None  # distinct count when decode closed
         self._blocks: list[bytes] | None = None
-        self._sources = 0
         if spec.name == "sparse_parity":
             self._clear_solve_state()
 
@@ -488,8 +488,6 @@ class SymbolDecoder:
             return "duplicate"
         self._received[index] = bytes(data)
         if self._done_at is None:
-            if index < spec.k:
-                self._sources += 1
             if spec.name == "sparse_parity":
                 self._track_rank(index)
             if self._closed():
@@ -570,12 +568,11 @@ class SymbolDecoder:
             mask ^= pivot
 
     def _closed(self) -> bool:
-        spec = self.spec
-        if spec.name == "sparse_parity":
-            return len(self._received) >= spec.k and len(self._pivots) == len(self._inactive)
-        if spec.name == "mds":
-            return len(self._received) >= spec.k
-        return self._sources == spec.k
+        # Any k distinct symbols of the systematic MDS codes (``null`` has
+        # no others) rebuild the file; sparse ones must also reach full rank.
+        if len(self._received) < self.spec.k:
+            return False
+        return self.spec.name != "sparse_parity" or len(self._pivots) == len(self._inactive)
 
     # -- results ---------------------------------------------------------
 
@@ -602,11 +599,8 @@ class SymbolDecoder:
         return self._blocks
 
     def _solve(self) -> list[bytes]:
-        spec = self.spec
-        if spec.name == "sparse_parity":
+        if self.spec.name == "sparse_parity":
             return self._solve_sparse()
-        if spec.name == "null":
-            return [self._received[i] for i in range(spec.k)]
         return self._solve_mds()
 
     def _solve_sparse(self) -> list[bytes]:
@@ -632,6 +626,7 @@ class SymbolDecoder:
         return blocks
 
     def _solve_mds(self) -> list[bytes]:
+        """The received sources, and the missing ones interpolated (``null`` misses none)."""
         spec = self.spec
         points = sorted(self._received)[: spec.k]
         values = [self._received[x] for x in points]

@@ -178,10 +178,11 @@ class CarouselSession:
         # One level-1 symbol per buffer at the rate everyone has.
         self.buffer_time = infer_buffer_time(ss, channel.base_rate)
         if levels is None:
-            # As many levels as the mean full subscription drains per buffer.
+            # As many levels as the mean full subscription drains per buffer, in 1..n.
             levels = infer_buffer_length(self.buffer_time, channel.mean_top_rate) // ss
-        self.levels = max(1, min(self.block_count, levels))
-        self.plan = carousel.build_plan(self.block_count, self.levels)
+            levels = max(1, min(self.block_count, levels))
+        self.levels = levels
+        self.plan = carousel.build_plan(self.block_count, levels)
         self.buffer_length = self.levels * ss
 
     def buffer_payload(self, buffer_id: int) -> bytes:
@@ -228,7 +229,6 @@ class SymbolReceiver:
         self.reassembler = Reassembler()
         self.decoder = fec.SymbolDecoder(spec)
         self.received_symbols = 0
-        self.duplicate_symbols = 0
         self.foreign_packets = 0  # another session's datagrams, dropped
         self.malformed_packets = 0  # unparsable or of another buffer length, dropped
         self.conflicting_symbols = 0  # copies unlike the first one of their symbol, dropped
@@ -270,13 +270,11 @@ class SymbolReceiver:
             position = self.plan.block_for(header.buffer_id, slot + 1)
             symbol = ring_symbol(position, self.spec.k, self.spec.n)
             try:
-                status = self.decoder.add(symbol, data)
+                self.decoder.add(symbol, data)
             except fec.DecodeFailureError:
                 self.conflicting_symbols += 1
                 continue
             self.received_symbols += 1
-            if status == "duplicate":
-                self.duplicate_symbols += 1
             if self.decoder.complete:
                 self.done = True
                 self.completion_time = t
@@ -284,8 +282,33 @@ class SymbolReceiver:
         return self.done
 
     @property
+    def duplicate_symbols(self) -> int:
+        # Every symbol the decoder accepted was either new or a duplicate.
+        return self.received_symbols - self.decoder.distinct
+
+    @property
     def epsilon(self) -> int:
         return self.decoder.epsilon if self.done else max(self.decoder.distinct - self.spec.k, 0)
+
+    def counters(self, *, packets: int, missed: int, link_bytes: int, elapsed: float,
+                 payload: int) -> TransferCounters:
+        """This receiver's counts joined with the network's, as the caller saw them."""
+        return TransferCounters(
+            file_length=self.file_length,
+            k=self.spec.k,
+            epsilon=self.epsilon,
+            received_symbols=self.received_symbols,
+            received_packets=packets,
+            missed_packets=missed,
+            link_bytes=link_bytes,
+            elapsed=elapsed,
+            # Neither the simulated clock nor a trace's timestamps advance
+            # during decoding, so the download ends when the last needed
+            # symbol lands: comp = 0.
+            network_time=elapsed,
+            packet_length=wire.HEADER_SIZE + payload,
+            applicative_data=payload,
+        )
 
     def file(self) -> bytes:
         # One join of exactly file_length bytes: the whole blocks and the
@@ -304,7 +327,6 @@ class TransferOutcome:
     file: bytes | None
     metrics: TransferMetrics | None
     counters: TransferCounters
-    receiver: netsim.ReceiverState
 
 
 def simulate_transfer(
@@ -335,26 +357,14 @@ def simulate_transfer(
     outcomes = []
     for app, rres in zip(apps, result.receivers):
         state = rres.state
-        end = state.done_time if (app.done and state.done_time is not None) else result.end_time
-        elapsed = max(end - state.start_time, 0.0)
-        counters = TransferCounters(
-            file_length=len(data),
-            k=codec.k,
-            epsilon=app.epsilon,
-            received_symbols=app.received_symbols,
-            received_packets=state.received,
-            missed_packets=state.missed,
-            link_bytes=state.received_bytes,
-            elapsed=elapsed,
-            # The simulated clock cannot advance during decoding, so the
-            # download ends when the last needed symbol lands: comp = 0.
-            network_time=elapsed,
-            packet_length=wire.HEADER_SIZE + scenario.channel.packet_payload,
-            applicative_data=scenario.channel.packet_payload,
-        )
+        end = app.completion_time if app.done else result.end_time
+        counters = app.counters(packets=state.received, missed=state.missed,
+                                link_bytes=state.received_bytes,
+                                elapsed=max(end - state.start_time, 0.0),
+                                payload=scenario.channel.packet_payload)
         metrics = compute_metrics(counters) if app.done else None
         file_bytes = app.file() if app.done else None
-        outcomes.append(TransferOutcome(app.done, file_bytes, metrics, counters, state))
+        outcomes.append(TransferOutcome(app.done, file_bytes, metrics, counters))
     return outcomes, result
 
 
@@ -481,20 +491,8 @@ def receive_file(trace_path) -> tuple[bytes, TransferMetrics, TransferCounters]:
             link_bytes += len(datagram)
             if app.on_packet(last_t, datagram):
                 break
-    elapsed = app.completion_time if app.done else last_t
-    counters = TransferCounters(
-        file_length=app.file_length,
-        k=app.spec.k,
-        epsilon=app.epsilon,
-        received_symbols=app.received_symbols,
-        received_packets=received,
-        missed_packets=0,
-        link_bytes=link_bytes,
-        elapsed=elapsed,
-        network_time=elapsed,
-        packet_length=wire.HEADER_SIZE + payload,
-        applicative_data=payload,
-    )
+    counters = app.counters(packets=received, missed=0, link_bytes=link_bytes,
+                            elapsed=app.completion_time if app.done else last_t, payload=payload)
     if not app.done:
         raise TransferTimeoutError("trace ended before the decode closed", counters)
     data = app.file()

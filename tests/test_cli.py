@@ -340,6 +340,20 @@ BAD_INPUTS = [
                  id="metrics-string-count"),
     pytest.param(metrics_file(json.dumps({**COUNTERS, "extra": 1})), "counters.json",
                  id="metrics-extra-field"),
+    pytest.param(metrics_file(json.dumps({**COUNTERS, "elapsed": float("nan")})), "counters.json",
+                 id="metrics-nan-elapsed"),
+    pytest.param(metrics_file(json.dumps({**COUNTERS, "elapsed": float("inf")})), "counters.json",
+                 id="metrics-infinite-elapsed"),
+    pytest.param(metrics_file(json.dumps({**COUNTERS, "k": -3})), "counters.json",
+                 id="metrics-negative-k"),
+    pytest.param(send_small("--levels", "0"), "at least one level", id="send-levels-0"),
+    pytest.param(send_small("--levels", "-3"), "at least one level", id="send-negative-levels"),
+    pytest.param(send_small("--levels", "100000"), "100000 levels > 8 blocks",
+                 id="send-more-levels-than-blocks"),
+    pytest.param(lambda tmp_path, trace: [*sim_runs("1")(tmp_path, trace), "--levels", "0"],
+                 "at least one level", id="sim-levels-0"),
+    pytest.param(lambda tmp_path, trace: [*sim_runs("1")(tmp_path, trace), "--levels", "100000"],
+                 "100000 levels >", id="sim-more-levels-than-blocks"),
 ]
 
 

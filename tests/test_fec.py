@@ -61,6 +61,27 @@ def test_null_codec_is_identity():
     assert decode(spec, symbols) == blocks
 
 
+def test_null_closes_at_the_kth_distinct_source_past_k_255():
+    # null shares the systematic mds solve, whose interpolation is
+    # GF(256)-only: with every source present it must interpolate none.
+    spec = CodecSpec("null", 300, 300, 1)
+    blocks = blocks_of(spec, seed=8)
+    rng = random.Random(9)
+    last, *others = rng.sample(range(spec.k), spec.k)
+    feed = others + rng.choices(others, k=40)  # 40 duplicates
+    rng.shuffle(feed)
+    dec = SymbolDecoder(spec)
+    distinct = set()
+    for i in feed + [last]:
+        assert not dec.complete
+        status = dec.add(i, blocks[i])
+        assert status == ("duplicate" if i in distinct else "new")
+        distinct.add(i)
+        assert dec.complete == (len(distinct) == spec.k)
+    assert dec.epsilon == 0
+    assert dec.blocks() == blocks
+
+
 def test_mds_k2_n4_every_pair_decodes():
     spec = CodecSpec("mds", 2, 4, 1)
     symbols = encode(spec, [b"\x01", b"\x02"])

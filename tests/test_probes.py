@@ -7,6 +7,7 @@ run.
 
 import importlib
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,14 @@ def test_importing_the_package_loads_every_probed_module(monkeypatch):
     out = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, check=True).stdout
     assert probed <= set(out.split())
+
+
+def test_benchmark_mds_workload_runs_traced():
+    # The mds workload calls every probe and reads every attribute that
+    # the summary and the per-layer metrics use; a renamed field fails
+    # here before it fails a benchmark run.
+    done = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--workload", "mds",
+                           "--seed", "1", "--seconds", "1", "--trace", "1"],
+                          capture_output=True, text=True, cwd=ROOT)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
