@@ -126,7 +126,10 @@ def cmd_sim(args) -> int:
     return 1 if failed else 0
 
 
-_COUNTER_FIELDS = tuple(f.name for f in dataclasses.fields(transfer.TransferCounters))
+# The JSON types each counter takes, from its annotation ("int" or "float",
+# as strings under postponed evaluation); bool is neither.
+_COUNTER_TYPES = {f.name: {"int": (int,), "float": (int, float)}[f.type]
+                  for f in dataclasses.fields(transfer.TransferCounters)}
 
 
 def _read_counters(path) -> transfer.TransferCounters:
@@ -134,10 +137,14 @@ def _read_counters(path) -> transfer.TransferCounters:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if (not isinstance(payload, dict) or payload.keys() != set(_COUNTER_FIELDS)
-            or not all(type(v) in (int, float) and 0 <= v < math.inf for v in payload.values())):
-        raise ValueError(f"{path}: not a JSON object of the finite, non-negative numbers "
-                         f"{', '.join(_COUNTER_FIELDS)}")
+    if (not isinstance(payload, dict) or payload.keys() != _COUNTER_TYPES.keys()
+            or not all(type(v) in _COUNTER_TYPES[k] and 0 <= v < math.inf
+                       for k, v in payload.items())):
+        ints = [k for k, types in _COUNTER_TYPES.items() if float not in types]
+        floats = [k for k, types in _COUNTER_TYPES.items() if float in types]
+        raise ValueError(f"{path}: not a JSON object of the non-negative integers "
+                         f"{', '.join(ints)} and the finite, non-negative numbers "
+                         f"{', '.join(floats)}")
     return transfer.TransferCounters(**payload)
 
 

@@ -1,16 +1,17 @@
 """Deterministic discrete-event simulation of one bottleneck multicast path.
 
 Packets from a time-ordered source stream pass through a single
-drop-tail queue served at the bottleneck rate, then through an optional
-loss stage (independent losses, a two-state burst model, or both), and
-are finally delivered to every receiver subscribed to the packet's
-group at that instant.  Receivers adjust their subscription only at
-sub-slot boundaries: they join the next younger group whenever the
-average rate they would have consumed since their start, including one
-sub slot ahead at the candidate's rate, stays within their target.
-Groups are left only once quiescent, which costs nothing by then.
-Events at one instant run in a fixed order: the boundary's policy step,
-then the service completion, then the emission.
+drop-tail FIFO served at the bottleneck rate, the packet in service
+heading the queue, then through an optional loss stage (independent
+losses, a two-state burst model, or both), and are finally delivered to
+every receiver subscribed to the packet's group at that instant.
+Receivers adjust their subscription only at sub-slot boundaries: they
+join the next younger group whenever the average rate they would have
+consumed since their start, including one sub slot ahead at the
+candidate's rate, stays within their target.  Groups are left only once
+quiescent, which costs nothing by then.  Events at one instant run in a
+fixed order: the boundary's policy step, then the service completion,
+then the emission.
 
 Everything random flows from one seeded generator drawn in a fixed
 order, so equal seeds give bit-identical traces and counters.
@@ -212,8 +213,10 @@ def run(
     receiver as done; the run stops early once every receiver is done.
 
     The loop merges three pending events, taking the earliest: the next
-    sub-slot boundary, the completion of the one packet in service and
-    the one emission pulled from the source; ties go in that order.
+    sub-slot boundary, the completion of the packet in service, which
+    heads the queue, and the one emission pulled from the source; ties
+    go in that order.  ``queue_capacity`` counts the packets waiting
+    behind the one in service.
     Listener lists are cached and change only when a receiver joins or
     finishes, or when a packet's group, sub-slot index or passed start
     thresholds select another list.
@@ -253,9 +256,8 @@ def run(
     s = cfg.sub_tsi
     n_boundaries = math.floor(duration / s + _EPS) + 1
     policy_i, t_policy = 0, 0.0
-    in_service: tuple[int, bytes] | None = None
     t_service = math.inf
-    queue: deque[tuple[int, bytes]] = deque()  # waiting behind the one in service
+    queue: deque[tuple[int, bytes]] = deque()  # queue[0] is in service
     t_emit, emit_group, emit_packet = pull_emission()
 
     pending = list(enumerate(rxs))  # the receivers not done, in index order
@@ -301,7 +303,7 @@ def run(
             policy_i += 1
             t_policy = policy_i * s if policy_i < n_boundaries else math.inf
         elif t == t_service:
-            group, packet = in_service  # type: ignore[misc]
+            group, packet = queue.popleft()
             size = len(packet)
             if lose_packet():
                 link.channel_lost += 1
@@ -321,25 +323,20 @@ def run(
                         pending = [(j, rx) for j, rx in pending if not rx.done]
                         base_lists.clear()
                         dynamic_lists.clear()
-            if queue:
-                in_service = queue.popleft()
-                t_service = t + len(in_service[1]) * 8.0 / rate
-            else:
-                in_service, t_service = None, math.inf
+            t_service = t + len(queue[0][1]) * 8.0 / rate if queue else math.inf
         else:
             link.offered += 1
             link.offered_bytes += len(emit_packet)
-            if in_service is None:
-                in_service = (emit_group, emit_packet)
-                t_service = t + len(emit_packet) * 8.0 / rate
-            elif len(queue) < scenario.queue_capacity:
+            if len(queue) <= scenario.queue_capacity:
+                if not queue:
+                    t_service = t + len(emit_packet) * 8.0 / rate
                 queue.append((emit_group, emit_packet))
             else:
                 link.queue_dropped += 1
                 for _, state in listeners(emit_group, t):
                     state.missed += 1
             t_emit, emit_group, emit_packet = pull_emission()
-        assert link.in_flight == len(queue) + (in_service is not None)
+        assert link.in_flight == len(queue)
         if rxs and not pending:
             break
     return SimResult(results, link, end_time)

@@ -125,14 +125,13 @@ class Reassembler:
             return MALFORMED, None
         flushed: ReassemblyBuffer | None = None
         status = STORED
-        if self.current is None:
-            self.current = ReassemblyBuffer(header.buffer_id, header.buffer_length)
-        elif header.buffer_id != self.current.buffer_id:
+        if self.current is not None and header.buffer_id != self.current.buffer_id:
             if not serial_newer(header.buffer_id, self.current.buffer_id):
                 self.counters.stale += 1
                 return STALE, None
             flushed = self.flush()
             status = FLUSHED_PREVIOUS
+        if self.current is None:
             self.current = ReassemblyBuffer(header.buffer_id, header.buffer_length)
         try:
             stored = self.current.insert(header.offset, payload)

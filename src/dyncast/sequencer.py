@@ -46,10 +46,6 @@ class SequenceRequest:
         if self.buffer_time <= 0:
             raise ValueError("buffer_time must be positive")
 
-    @property
-    def length(self) -> int:
-        return len(self.data)
-
 
 class SequencedPacket(NamedTuple):
     pdu_index: int  # j: position of the PDU in the buffer
@@ -90,15 +86,13 @@ def sequence(request: SequenceRequest, cfg: ChannelConfig, t_start: float) -> li
     consecutive buffers can tile time back to back (edge tiles then carry
     pro-rated budgets).
     """
-    if not request.data:
-        raise EmptyBufferError("refusing to sequence an empty buffer")
     tiles = tiles_in_window(cfg, t_start, t_start + request.buffer_time)
     ranked = tile_rank_order(tiles)
     if sum(tb.packet_count for tb in ranked) == 0:
         raise NoCapacityError("window budget is zero packets")
 
     pdu_size = cfg.packet_payload
-    total_pdus = math.ceil(request.length / pdu_size)
+    total_pdus = math.ceil(len(request.data) / pdu_size)
 
     emitted: list[tuple[float, int, int, int]] = []  # (send_time, group, j, tiebreak)
     next_j = 0

@@ -174,16 +174,14 @@ class CarouselSession:
         self.session_id = _checked_session_id(session_id)
         ss = codec.symbol_size
         self.symbols = fec.encode(codec, [data[i * ss : (i + 1) * ss] for i in range(codec.k)])
-        self.block_count = codec.n
         # One level-1 symbol per buffer at the rate everyone has.
         self.buffer_time = infer_buffer_time(ss, channel.base_rate)
         if levels is None:
             # As many levels as the mean full subscription drains per buffer, in 1..n.
             levels = infer_buffer_length(self.buffer_time, channel.mean_top_rate) // ss
-            levels = max(1, min(self.block_count, levels))
+            levels = max(1, min(codec.n, levels))
         self.levels = levels
-        self.plan = carousel.build_plan(self.block_count, levels)
-        self.buffer_length = self.levels * ss
+        self.plan = carousel.build_plan(codec.n, levels)
 
     def buffer_payload(self, buffer_id: int) -> bytes:
         indices = carousel.blocks_for_buffer(self.plan, buffer_id, self.levels)
@@ -197,11 +195,10 @@ class CarouselSession:
         while max_buffers is None or buffer_id < max_buffers:
             t0 = buffer_id * self.buffer_time
             payload = self.buffer_payload(buffer_id)
-            buffer_length = len(payload)
             request = SequenceRequest(payload, self.buffer_time, buffer_id=buffer_id)
             for _, group, seq, send_time, offset, pdu in sequence(request, self.cfg, t0):
                 header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0), seq,
-                                           buffer_id, offset, buffer_length, len(pdu))
+                                           buffer_id, offset, len(payload), len(pdu))
                 yield send_time, group, wire.pack_packet(header, pdu)
             buffer_id += 1
 
@@ -209,21 +206,12 @@ class CarouselSession:
 class SymbolReceiver:
     """Receiver application: datagrams in, decoded file out."""
 
-    def __init__(
-        self,
-        spec: fec.CodecSpec,
-        plan: carousel.CarouselPlan,
-        levels: int,
-        *,
-        file_length: int,
-        session_id: int = 1,
-    ):
-        if not 1 <= levels <= plan.level_count:
-            raise carousel.LevelOutOfRangeError(f"levels must be 1..{plan.level_count}")
+    def __init__(self, spec: fec.CodecSpec, plan: carousel.CarouselPlan, *,
+                 file_length: int, session_id: int = 1):
         self.spec = spec
         self.plan = plan
-        self.levels = levels
-        self.buffer_length = levels * spec.symbol_size
+        # Every buffer of the session holds exactly one symbol per level.
+        self.buffer_length = plan.level_count * spec.symbol_size
         self.file_length = file_length
         self.session_id = _checked_session_id(session_id)
         self.reassembler = Reassembler()
@@ -244,7 +232,6 @@ class SymbolReceiver:
             header, payload = wire.parse_packet(datagram)
         except wire.MalformedPacketError:
             header = None
-        # Every buffer of the session holds exactly one symbol per level.
         if header is None or header.buffer_length != self.buffer_length:
             self.malformed_packets += 1
             return False
@@ -342,11 +329,8 @@ def simulate_transfer(
     if not scenario.receivers:
         raise ValueError("scenario has no receivers")
     session = CarouselSession(data, scenario.channel, codec, levels=levels, session_id=session_id)
-    apps = [
-        SymbolReceiver(codec, session.plan, session.levels,
-                       file_length=len(data), session_id=session_id)
-        for _ in scenario.receivers
-    ]
+    apps = [SymbolReceiver(codec, session.plan, file_length=len(data), session_id=session_id)
+            for _ in scenario.receivers]
 
     def on_delivery(i: int, t: float, group: int, packet: bytes) -> bool:
         return apps[i].on_packet(t, packet)
@@ -406,7 +390,7 @@ def send_file(
                   session_id=session.session_id, sha256=_sha256_hex(data),
                   payload=session.cfg.packet_payload)
     header = " ".join(f"{name}={values[name]}" for name, _ in _HEADER_FIELDS)
-    count = buffers if buffers is not None else session.block_count
+    count = buffers if buffers is not None else spec.n
     with open(out_path, "w") as fh:
         try:
             fh.write(f"# {header}\n")
@@ -455,7 +439,7 @@ def _read_header(line: str) -> tuple[SymbolReceiver, str, int]:
         spec = spec_for_file(meta["codec"], meta["file_length"], meta["symbol_size"],
                              n=meta["n"], seed=meta["fec_seed"])
         plan = carousel.build_plan(spec.n, meta["levels"])
-        app = SymbolReceiver(spec, plan, meta["levels"], file_length=meta["file_length"],
+        app = SymbolReceiver(spec, plan, file_length=meta["file_length"],
                              session_id=meta["session_id"])
     except ValueError as exc:
         raise ValueError(f"trace header: {exc}") from None

@@ -4,7 +4,9 @@ import dataclasses
 import json
 import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,18 @@ def test_plan_prints_offsets_and_profile(capsys):
     lines = out.splitlines()
     assert lines[1].startswith("levels 1: 10.0 buffers")
     assert len(lines) == 4
+
+
+def test_python_m_dyncast_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "dyncast", "plan", "--blocks", "10",
+                           "--levels", "3", "--starts", "4"],
+                          cwd=src, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == ("level offsets: 0 5 2\n"
+                           "levels 1: 10.0 buffers to all 10 blocks\n"
+                           "levels 2: 5.0 buffers to all 10 blocks\n"
+                           "levels 3: 5.0 buffers to all 10 blocks\n")
 
 
 def test_send_then_recv_round_trip(tmp_path, capsys):
@@ -333,6 +347,25 @@ BAD_INPUTS = [
                  id="sim-scenario-invalid-ladder"),
     pytest.param(sim_scenario("receiver = 1e6\nduration = inf\n"), "line 2: duration",
                  id="sim-scenario-infinite-duration"),
+    pytest.param(sim_scenario("receiver = 0\n"), "line 1: receiver: target_rate must be positive",
+                 id="sim-scenario-zero-receiver-rate"),
+    pytest.param(sim_scenario("receiver = 1e6, -1\n"),
+                 "line 1: receiver: start_time cannot be negative",
+                 id="sim-scenario-negative-receiver-start"),
+    pytest.param(sim_scenario("receiver = 1e6\nburst_loss = 1\n"),
+                 "burst loss rate must be in (0, 1)", id="sim-scenario-burst_loss=1"),
+    pytest.param(sim_scenario("receiver = 1e6\nburst_loss = 0.1\nburst_length = 0.5\n"),
+                 "mean burst length must be >= 1", id="sim-scenario-burst_length-below-1"),
+    pytest.param(sim_scenario("receiver = 1e6\nbottleneck_rate = 0\n"),
+                 "bottleneck_rate must be positive", id="sim-scenario-bottleneck_rate=0"),
+    pytest.param(sim_scenario("receiver = 1e6\nqueue_capacity = 0\n"),
+                 "queue_capacity must be >= 1", id="sim-scenario-queue_capacity=0"),
+    pytest.param(sim_scenario("receiver = 1e6\niid_loss = 1\n"), "iid_loss must be in [0, 1)",
+                 id="sim-scenario-iid_loss=1"),
+    pytest.param(sim_scenario("receiver = 1e6\nduration = 0\n"), "duration must be positive",
+                 id="sim-scenario-duration=0"),
+    pytest.param(sim_scenario("receiver = 1e6\nbase_rate = 0\n"), "base_rate must be positive",
+                 id="sim-scenario-base_rate=0"),
     pytest.param(metrics_file('{"k": 1}'), "counters.json", id="metrics-missing-fields"),
     pytest.param(metrics_file("[1, 2]"), "counters.json", id="metrics-not-an-object"),
     pytest.param(metrics_file("{not json"), "counters.json", id="metrics-not-json"),
@@ -346,6 +379,10 @@ BAD_INPUTS = [
                  id="metrics-infinite-elapsed"),
     pytest.param(metrics_file(json.dumps({**COUNTERS, "k": -3})), "counters.json",
                  id="metrics-negative-k"),
+    pytest.param(metrics_file(json.dumps({**COUNTERS, "k": 2.5, "epsilon": 0})),
+                 "non-negative integers", id="metrics-fractional-k"),
+    pytest.param(metrics_file(json.dumps({**COUNTERS, "epsilon": 0.5})), "non-negative integers",
+                 id="metrics-fractional-epsilon"),
     pytest.param(send_small("--levels", "0"), "at least one level", id="send-levels-0"),
     pytest.param(send_small("--levels", "-3"), "at least one level", id="send-negative-levels"),
     pytest.param(send_small("--levels", "100000"), "100000 levels > 8 blocks",
@@ -454,6 +491,26 @@ def test_sim_exits_1_on_a_mismatched_file(tmp_path, capsys, monkeypatch):
                "--out-dir", str(tmp_path / "simout")])
     assert rc == 1
     assert "(MISMATCH)" in capsys.readouterr().out
+
+
+def test_sim_reports_timed_out_receivers(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(random.Random(13).randbytes(200_000))
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("base_rate = 62500\nmax_rate = 4e6\ndecay = 0.5\ntsd = 1\n"
+                        "group_count = 7\nduration = 1\nreceiver = 100000\n")
+    out_dir = tmp_path / "simout"
+    rc = main(["sim", "--file", str(src), "--scenario", str(scenario), "--runs", "2",
+               "--out-dir", str(out_dir)])
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert rc == 1
+    assert len(blocks) == 3 and blocks[2] == ""  # one block per run, no report
+    for run, block in enumerate(blocks[:2]):
+        title, *lines = block.splitlines()
+        assert title == f"# run{run}_rx0: timed out after 1.0s; partial metrics:"
+        assert [line.split()[0] for line in lines] == ["time", "tput", "loss", "head"]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "run0_rx0_counters.json", "run1_rx0_counters.json"]
 
 
 def test_metrics_single_and_report(tmp_path, capsys):

@@ -145,6 +145,14 @@ def test_parse_rejects_pdu_outside_buffer():
         wire.parse_packet(datagram)
 
 
+def test_parse_rejects_payload_above_maximum():
+    # Header and payload agree on the length, which one datagram never carries.
+    size = wire.MAX_PAYLOAD + 1
+    h = wire.PacketHeader(0, 1, 0, 0, 0, offset=0, buffer_length=2 * size, payload_len=size)
+    with pytest.raises(wire.MalformedPacketError, match="larger than the maximum"):
+        wire.parse_packet(wire.pack_header(h) + bytes(size))
+
+
 # ---------------------------------------------------------------------------
 # ring layout
 
@@ -284,13 +292,13 @@ def null_session(block_count=40):
 
 def test_emission_headers():
     data, sess = null_session()
-    assert sess.levels == 1 and sess.block_count == 40
+    assert sess.levels == 1 and sess.spec.n == 40
     stream = []
     for t, group, datagram in sess.emissions(max_buffers=3):
         header, payload = wire.parse_packet(datagram)
         assert header.session_id == sess.session_id
         assert header.tsi == int(t / SMALL_CFG.tsd)
-        assert header.buffer_length == sess.buffer_length == 64
+        assert header.buffer_length == sess.levels * sess.spec.symbol_size == 64
         assert header.offset + len(payload) <= header.buffer_length
         stream.append((header.buffer_id, t))
     ids = [b for b, _ in stream]
@@ -325,17 +333,38 @@ def test_emission_stream_is_pinned():
 
 def test_null_codec_one_period_completes():
     data, sess = null_session()
-    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(data))
+    rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     done_at = None
-    for t, _, datagram in sess.emissions(max_buffers=sess.block_count):
+    for t, _, datagram in sess.emissions(max_buffers=sess.spec.n):
         if rx.on_packet(t, datagram):
             done_at = t
             break
     assert rx.done and done_at is not None
-    assert rx.received_symbols == sess.block_count  # every block exactly once
+    assert rx.received_symbols == sess.spec.n  # every block exactly once
     assert rx.duplicate_symbols == 0
     assert rx.epsilon == 0
     assert rx.file() == data
+
+
+def test_on_packet_after_close_changes_nothing():
+    data, sess = null_session()
+    rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
+    stream = sess.emissions(max_buffers=2 * sess.spec.n)
+    for t, _, datagram in stream:
+        if rx.on_packet(t, datagram):
+            break
+
+    def state():
+        return (rx.received_symbols, rx.foreign_packets, rx.malformed_packets,
+                rx.conflicting_symbols, rx.completion_time, rx.decoder.distinct,
+                dataclasses.asdict(rx.reassembler.counters))
+
+    before = state()
+    # The rest of the second lap, then a datagram that does not parse.
+    for t, _, datagram in stream:
+        assert rx.on_packet(t, datagram) is True
+    assert rx.on_packet(t, b"junk") is True
+    assert state() == before
 
 
 @pytest.mark.parametrize("codec", ["null", "mds", "sparse_parity"])
@@ -344,8 +373,8 @@ def test_file_is_the_input_at_every_tail_length(codec, length):
     # Whole blocks only, one byte into a fourth block, and less than one.
     data = random.Random(length).randbytes(length)
     sess = CarouselSession(data, SMALL_CFG, spec_for_file(codec, length, 64, seed=4), levels=1)
-    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=length)
-    for t, _, datagram in sess.emissions(max_buffers=8 * sess.block_count):
+    rx = SymbolReceiver(sess.spec, sess.plan, file_length=length)
+    for t, _, datagram in sess.emissions(max_buffers=8 * sess.spec.n):
         if rx.on_packet(t, datagram):
             break
     assert rx.done
@@ -354,8 +383,8 @@ def test_file_is_the_input_at_every_tail_length(codec, length):
 
 def test_duplicates_counted_against_missed_block():
     data, sess = null_session()
-    B = sess.block_count
-    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(data))
+    B = sess.spec.n
+    rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     for t, _, datagram in sess.emissions(max_buffers=B + 10):
         header, _ = wire.parse_packet(datagram)
         if header.buffer_id == 3:  # lose one buffer in the first lap
@@ -375,14 +404,14 @@ def test_duplicates_counted_against_missed_block():
 def test_wrong_buffer_length_dropped_and_counted():
     # Parses, but a buffer of 8 bytes cannot hold the 64-byte symbol of its level.
     data, sess = null_session()
-    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(data))
+    rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     h = wire.PacketHeader(0, sess.session_id, 0, 0, 0, offset=0, buffer_length=8, payload_len=8)
     assert rx.on_packet(0.0, wire.pack_packet(h, b"8bytes!!")) is False
     assert rx.malformed_packets == 1
     assert rx.reassembler.counters.malformed == 0
     assert rx.reassembler.current is None
     assert rx.received_symbols == 0
-    for t, _, datagram in sess.emissions(max_buffers=sess.block_count):
+    for t, _, datagram in sess.emissions(max_buffers=sess.spec.n):
         if rx.on_packet(t, datagram):
             break
     assert rx.file() == data
@@ -403,7 +432,7 @@ def repacked(datagram, *, flip=False, **fields):
 def test_conflicting_later_lap_copy_dropped_and_counted():
     # Buffer 40 is the second lap of buffer 0: the same symbol, here with other bytes.
     data, sess = null_session()
-    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(data))
+    rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     for datagram in buffer_datagrams(sess, 0):
         rx.on_packet(0.0, datagram)
     before = dataclasses.asdict(rx.reassembler.counters)
@@ -413,7 +442,7 @@ def test_conflicting_later_lap_copy_dropped_and_counted():
     assert rx.received_symbols == 1 and rx.duplicate_symbols == 0
     after = dataclasses.asdict(rx.reassembler.counters)
     assert after["malformed"] == before["malformed"] and after["duplicate"] == before["duplicate"]
-    for t, _, datagram in sess.emissions(max_buffers=2 * sess.block_count):
+    for t, _, datagram in sess.emissions(max_buffers=2 * sess.spec.n):
         if wire.parse_packet(datagram)[0].buffer_id > 40 and rx.on_packet(t, datagram):
             break
     assert rx.file() == data
@@ -421,7 +450,7 @@ def test_conflicting_later_lap_copy_dropped_and_counted():
 
 def test_foreign_session_dropped_and_counted():
     data, sess = null_session()
-    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(data))
+    rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     for datagram in buffer_datagrams(sess, 0):
         assert rx.on_packet(0.0, repacked(datagram, session_id=77)) is False
     assert rx.received_symbols == 0
@@ -431,7 +460,7 @@ def test_foreign_session_dropped_and_counted():
 
 def test_conflicting_copy_in_the_open_buffer_counted_as_malformed():
     data, sess = null_session()
-    rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(data))
+    rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     (datagram,) = buffer_datagrams(sess, 0)
     assert rx.on_packet(0.0, datagram) is False
     assert rx.on_packet(0.0, repacked(datagram, flip=True)) is False
@@ -445,7 +474,7 @@ def test_session_id_outside_32_bits_rejected(session_id):
     with pytest.raises(ValueError, match="session_id"):
         CarouselSession(data, SMALL_CFG, sess.spec, levels=1, session_id=session_id)
     with pytest.raises(ValueError, match="session_id"):
-        SymbolReceiver(sess.spec, sess.plan, 1, file_length=len(data), session_id=session_id)
+        SymbolReceiver(sess.spec, sess.plan, file_length=len(data), session_id=session_id)
     top = CarouselSession(data, SMALL_CFG, sess.spec, levels=1, session_id=2**32 - 1)
     _, _, datagram = next(top.emissions())
     assert wire.parse_packet(datagram)[0].session_id == 2**32 - 1
@@ -462,8 +491,8 @@ FUZZ_SESSIONS = {
 
 def fuzz_datagrams(sess):
     """Lists of datagram groups: raw bytes, forged headers, real and mutated datagrams."""
-    real = [d for _, _, d in sess.emissions(max_buffers=2 * sess.block_count)]
-    right = sess.buffer_length
+    real = [d for _, _, d in sess.emissions(max_buffers=2 * sess.spec.n)]
+    right = sess.levels * sess.spec.symbol_size
 
     def forge(session_id, buffer_id, offset, buffer_length, payload_len, payload):
         if payload_len is None:
@@ -481,7 +510,7 @@ def fuzz_datagrams(sess):
     forged = st.builds(
         forge,
         st.sampled_from([sess.session_id, 1, 0, 2**32 - 1]),
-        st.integers(0, 2 * sess.block_count) | st.just(2**32 - 1),
+        st.integers(0, 2 * sess.spec.n) | st.just(2**32 - 1),
         st.integers(0, right + 64),
         st.sampled_from([right, right - 1, right + 64, 8, 0]),
         st.none() | st.integers(0, 100),
@@ -501,7 +530,7 @@ def test_on_packet_never_raises(codec):
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(fuzz_datagrams(sess))
     def feed(groups):
-        rx = SymbolReceiver(sess.spec, sess.plan, sess.levels, file_length=len(FUZZ_DATA),
+        rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(FUZZ_DATA),
                             session_id=sess.session_id)
         for datagram in itertools.chain.from_iterable(groups):
             assert type(rx.on_packet(0.0, datagram)) is bool
