@@ -68,7 +68,7 @@ def cmd_send(args) -> int:
         buffers=args.buffers,
     )
     print(f"sequenced {size} bytes as k={spec.k} n={spec.n} symbols, "
-          f"{session.levels} levels per buffer, trace at {args.out}")
+          f"{session.plan.level_count} levels per buffer, trace at {args.out}")
     return 0
 
 

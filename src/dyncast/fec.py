@@ -35,6 +35,13 @@ planes once (x^b times the operand, one ``bytes.translate`` each), and
 every product is then two XORs of nibble sums of those planes.  That
 keeps the whole module dependency free and fast enough for file-sized
 symbols.
+
+No byte of the file is held twice without need.  ``encode`` keeps a
+full-length source block that cannot change, ``bytes`` or a flat
+read-only view of ``bytes``, as the source symbol's data itself, so a
+sender that cuts its blocks as views of the file holds the file once;
+anything writable is copied.  The decoder's blocks are the received
+sources themselves, and only the missing ones are new ``bytes``.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 CODEC_NAMES = ("null", "mds", "sparse_parity")
 
@@ -97,9 +105,16 @@ class CodecSpec:
 
 @dataclass(frozen=True)
 class FecSymbol:
+    """One encoded symbol.
+
+    ``data`` is ``bytes``, or for a full-length source the caller's own
+    read-only view of ``bytes`` (see ``encode``): either way it is
+    ``symbol_size`` bytes that cannot change.
+    """
+
     index: int
     kind: str  # "source" or "repair"
-    data: bytes
+    data: bytes | memoryview
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +170,8 @@ def _gf_combine(rows, operands, size: int) -> list[bytes]:
     operands are the outer loop, which keeps one accumulator per row and
     no more than one operand's planes alive.  With fewer than
     ``_PLANE_MIN_ROWS`` rows each product is one direct translate.
+    An operand may be a view: it is copied to ``bytes`` where it is
+    translated, one operand at a time.
     """
     if len(rows) < _PLANE_MIN_ROWS:
         out = []
@@ -162,12 +179,13 @@ def _gf_combine(rows, operands, size: int) -> list[bytes]:
             acc = 0
             for v, c in zip(operands, coeffs):
                 if c:
-                    acc ^= int.from_bytes(v.translate(_scale_table(c)), "big")
+                    acc ^= int.from_bytes(bytes(v).translate(_scale_table(c)), "big")
             out.append(acc.to_bytes(size, "big"))
         return out
     tables = _PLANE_TABLES
     acc = [0] * len(rows)
     for v, col in zip(operands, zip(*rows)):
+        v = bytes(v)  # a view has no translate; bytes stay as they are
         lo = [0, int.from_bytes(v, "big")]
         hi = [0, int.from_bytes(v.translate(tables[4]), "big")]
         for b in (1, 2, 3):
@@ -183,7 +201,16 @@ def _gf_combine(rows, operands, size: int) -> list[bytes]:
 # Codec internals.
 
 
-def _padded_blocks(spec: CodecSpec, blocks) -> list[bytes]:
+def _frozen(block) -> bool:
+    """``bytes``, or a flat view of ``bytes``: data nobody can change.  A
+    read-only view of a bytearray still changes with the bytearray."""
+    if isinstance(block, memoryview):
+        return (isinstance(block.obj, bytes) and block.c_contiguous
+                and block.format == "B" and block.ndim == 1)
+    return isinstance(block, bytes)
+
+
+def _padded_blocks(spec: CodecSpec, blocks) -> list[bytes | memoryview]:
     blocks = list(blocks)
     if len(blocks) != spec.k:
         raise BadSymbolSizeError(f"expected {spec.k} blocks, got {len(blocks)}")
@@ -194,8 +221,8 @@ def _padded_blocks(spec: CodecSpec, blocks) -> list[bytes]:
         if len(block) < spec.symbol_size:
             if i != spec.k - 1:
                 raise BadSymbolSizeError("only the last block may be short")
-            block = block + b"\x00" * (spec.symbol_size - len(block))
-        out.append(bytes(block))
+            block = bytes(block).ljust(spec.symbol_size, b"\x00")
+        out.append(block if _frozen(block) else bytes(block))
     return out
 
 
@@ -284,7 +311,13 @@ def _interpolation_coeffs(points, targets) -> list[list[int]]:
 
 
 def encode(spec: CodecSpec, blocks) -> list[FecSymbol]:
-    """Produce the n symbols for k source blocks (systematic: sources first)."""
+    """Produce the n symbols for k source blocks (systematic: sources first).
+
+    A block may be any bytes-like object.  A full-length block of
+    ``bytes``, or a flat read-only view of ``bytes``, becomes its source
+    symbol's data as it is; any other block is copied, so changing the
+    input afterwards changes no symbol.
+    """
     src = _padded_blocks(spec, blocks)
     symbols = [FecSymbol(i, "source", src[i]) for i in range(spec.k)]
     if spec.name == "null":
@@ -613,6 +646,10 @@ class SymbolDecoder:
         pivot are implied by the others, so their payloads must eliminate
         to zero: this checks every repair and every late source received
         before the close against the solution.
+
+        So each source received before the close equals its solved value,
+        and its block is the received ``bytes`` object itself; only the
+        missing sources are turned back into bytes.
         """
         spec = self.spec
         values = self._values
@@ -621,7 +658,10 @@ class SymbolDecoder:
                           _solve_core(self._masks, self._payloads, len(self._inactive))))
         for c, j in self._peeled:
             values[c] = self._reduced(j, c)[1]
-        blocks = [values[i].to_bytes(spec.symbol_size, "big") for i in range(spec.k)]
+        # A source received after the close was checked against nothing.
+        held = dict(islice(self._received.items(), self._done_at))
+        blocks = [held[i] if i in held else values[i].to_bytes(spec.symbol_size, "big")
+                  for i in range(spec.k)]
         self._clear_solve_state()
         return blocks
 

@@ -173,18 +173,20 @@ class CarouselSession:
         self.file_length = len(data)
         self.session_id = _checked_session_id(session_id)
         ss = codec.symbol_size
-        self.symbols = fec.encode(codec, [data[i * ss : (i + 1) * ss] for i in range(codec.k)])
+        # Views, not slices: the source symbols of a bytes file share its
+        # memory (fec.encode copies anything writable).
+        view = memoryview(data)
+        self.symbols = fec.encode(codec, [view[i * ss : (i + 1) * ss] for i in range(codec.k)])
         # One level-1 symbol per buffer at the rate everyone has.
         self.buffer_time = infer_buffer_time(ss, channel.base_rate)
         if levels is None:
             # As many levels as the mean full subscription drains per buffer, in 1..n.
             levels = infer_buffer_length(self.buffer_time, channel.mean_top_rate) // ss
             levels = max(1, min(codec.n, levels))
-        self.levels = levels
         self.plan = carousel.build_plan(codec.n, levels)
 
     def buffer_payload(self, buffer_id: int) -> bytes:
-        indices = carousel.blocks_for_buffer(self.plan, buffer_id, self.levels)
+        indices = carousel.blocks_for_buffer(self.plan, buffer_id, self.plan.level_count)
         spec = self.spec
         return b"".join(self.symbols[ring_symbol(b, spec.k, spec.n)].data for b in indices)
 
@@ -386,7 +388,7 @@ def send_file(
     session = CarouselSession(data, channel, codec, levels=levels, session_id=session_id)
     spec = session.spec
     values = dict(codec=spec.name, n=spec.n, symbol_size=spec.symbol_size, fec_seed=spec.seed,
-                  levels=session.levels, file_length=session.file_length,
+                  levels=session.plan.level_count, file_length=session.file_length,
                   session_id=session.session_id, sha256=_sha256_hex(data),
                   payload=session.cfg.packet_payload)
     header = " ".join(f"{name}={values[name]}" for name, _ in _HEADER_FIELDS)

@@ -298,6 +298,45 @@ def test_block_padding_rules():
         encode(spec, [b"aaaa", b"bbbb"])  # wrong block count
 
 
+@pytest.mark.parametrize("name", fec.CODEC_NAMES)
+def test_encode_copies_writable_blocks(name):
+    # A bytearray, a writable view and a read-only view of a bytearray can
+    # all change after encode returns; no symbol may change with them.
+    spec = CodecSpec(name, 12, 12 if name == "null" else 24, 16, seed=4)
+    blocks = blocks_of(spec, seed=6)
+    want = [s.data for s in encode(spec, blocks)]
+    arrays = [bytearray(b) for b in blocks]
+    inputs = (arrays[:4] + [memoryview(a) for a in arrays[4:8]]
+              + [memoryview(a).toreadonly() for a in arrays[8:]])
+    symbols = encode(spec, inputs)
+    for a in arrays:
+        a[:] = bytes(x ^ 0xFF for x in a)
+    assert [s.data for s in symbols] == want
+    assert all(type(s.data) is bytes for s in symbols)
+    assert decode(spec, symbols) == blocks
+
+
+@pytest.mark.parametrize("name,repairs", [("null", 0), ("sparse_parity", 12),
+                                          ("mds", _PLANE_MIN_ROWS - 1),
+                                          ("mds", 2 * _PLANE_MIN_ROWS)])
+def test_encode_keeps_read_only_views_of_bytes(name, repairs):
+    # The sources are the caller's views, and every symbol is what bytes
+    # blocks give; mds runs _gf_combine below and above _PLANE_MIN_ROWS.
+    spec = CodecSpec(name, 12, 12 + repairs, 16, seed=4)
+    blocks = blocks_of(spec, seed=6)
+    data = b"".join(blocks)[:-5]  # a short last block is padded
+    blocks[-1] = blocks[-1][:-5] + bytes(5)
+    view = memoryview(data)
+    symbols = encode(spec, [view[i * 16 : (i + 1) * 16] for i in range(spec.k)])
+    assert [s.data for s in symbols] == [s.data for s in encode(spec, blocks)]
+    assert all(s.data.obj is data for s in symbols[: spec.k - 1])
+    assert type(symbols[spec.k - 1].data) is bytes
+    if name == "mds":
+        coeffs = [_ref_lagrange_coeffs(range(spec.k), r) for r in range(spec.k, spec.n)]
+        assert [s.data for s in symbols[spec.k :]] == _ref_combine(coeffs, blocks, 16)
+    assert decode(spec, symbols) == blocks
+
+
 # ---------------------------------------------------------------------------
 # References: the earlier straightforward forms of the MDS coefficients, of
 # the GF(256) multiply-accumulate and of the sparse decoder, kept to pin the
@@ -613,6 +652,41 @@ def test_one_peel_per_sparse_decode(monkeypatch):
         ref.add(i, symbols[i].data)
     assert ref.complete and dec.blocks() == ref.blocks() == blocks
     assert len(calls) == 1
+
+
+def test_sparse_blocks_are_the_received_sources():
+    # Sources arrive both before and after the k-th symbol.  The solved
+    # blocks are the objects received before the close, and no copy fed
+    # after it, conflicting or not, changes them.
+    spec = CodecSpec("sparse_parity", 200, 400, 4, seed=11)
+    rng = random.Random(15)
+    repairs = rng.sample(range(spec.k, spec.n), spec.n - spec.k)
+    rest = list(range(spec.k)) + repairs[100:]
+    order = repairs[:100] + rng.sample(rest, len(rest))
+    blocks = blocks_of(spec, seed=13)
+    symbols = encode(spec, blocks)
+    dec = SymbolDecoder(spec)
+    for i in order:
+        dec.add(i, symbols[i].data)
+        if dec.complete:
+            break
+    close = order[: dec.distinct]
+    sources = [i for i in close if i < spec.k]
+    assert min(close[: spec.k]) < spec.k and min(close[spec.k :]) < spec.k
+    # A source missing at the close comes in corrupt before the solve.
+    missing = next(i for i in range(spec.k) if i not in close)
+    assert dec.add(missing, bytes(4)) == "new" and blocks[missing] != bytes(4)
+    ref = ReferenceSparseDecoder(spec)
+    for i in close:
+        ref.add(i, symbols[i].data)
+    solved = dec.blocks()
+    assert solved == ref.blocks() == blocks
+    assert all(solved[i] is symbols[i].data for i in sources)
+    held = sources[0]
+    with pytest.raises(DecodeFailureError):
+        dec.add(held, bytes(x ^ 1 for x in blocks[held]))
+    assert dec.add(held, bytes(blocks[held])) == "duplicate"
+    assert dec.blocks() is solved and solved == blocks
 
 
 def sparse_systems():

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -292,13 +293,13 @@ def null_session(block_count=40):
 
 def test_emission_headers():
     data, sess = null_session()
-    assert sess.levels == 1 and sess.spec.n == 40
+    assert sess.plan.level_count == 1 and sess.spec.n == 40
     stream = []
     for t, group, datagram in sess.emissions(max_buffers=3):
         header, payload = wire.parse_packet(datagram)
         assert header.session_id == sess.session_id
         assert header.tsi == int(t / SMALL_CFG.tsd)
-        assert header.buffer_length == sess.levels * sess.spec.symbol_size == 64
+        assert header.buffer_length == sess.plan.level_count * sess.spec.symbol_size == 64
         assert header.offset + len(payload) <= header.buffer_length
         stream.append((header.buffer_id, t))
     ids = [b for b, _ in stream]
@@ -492,7 +493,7 @@ FUZZ_SESSIONS = {
 def fuzz_datagrams(sess):
     """Lists of datagram groups: raw bytes, forged headers, real and mutated datagrams."""
     real = [d for _, _, d in sess.emissions(max_buffers=2 * sess.spec.n)]
-    right = sess.levels * sess.spec.symbol_size
+    right = sess.plan.level_count * sess.spec.symbol_size
 
     def forge(session_id, buffer_id, offset, buffer_length, payload_len, payload):
         if payload_len is None:
@@ -588,6 +589,40 @@ def test_simulated_transfer_timeout_leaves_partial_state():
     assert not out.done
     assert out.file is None and out.metrics is None
     assert out.counters.received_packets > 0
+
+
+def test_one_transfer_holds_the_file_few_times():
+    # Criterion 8's channel, one receiver at the mean top rate, no loss.
+    # The session's sources are views of the file and the decoder's blocks
+    # are the sources it received, so the peak traced allocation stays
+    # near four times the file: sparse payloads as ints, the repairs, the
+    # received symbols and the decoded file.
+    cfg = ChannelConfig(128000.0, 4e6, 0.7, 2.0, 2, 1448, 10)
+    data = random.Random(0xD8).randbytes(1_000_000)
+    spec = spec_for_file("sparse_parity", len(data), 1448, seed=3)
+    scen = Scenario(channel=cfg, bottleneck_rate=8e6, receivers=(ReceiverSpec(cfg.mean_top_rate),),
+                    duration=600.0, seed=8)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        (out,), _ = simulate_transfer(data, scen, spec)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert out.done and out.file == data
+    assert peak <= 5.0 * len(data), f"peak {peak / len(data):.2f} bytes per file byte"
+
+
+def test_session_sources_are_views_of_the_file():
+    data = random.Random(7).randbytes(64 * 40 - 9)
+    sess = CarouselSession(data, SMALL_CFG, spec_for_file("sparse_parity", len(data), 64))
+    sources = [s.data for s in sess.symbols[: sess.spec.k]]
+    assert all(v.obj is data for v in sources[:-1])
+    assert b"".join(sources)[: len(data)] == data
 
 
 def test_no_receivers_rejected():
