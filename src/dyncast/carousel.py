@@ -14,14 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class TooManyLevelsError(ValueError):
-    """More levels requested than blocks available."""
-
-
-class LevelOutOfRangeError(ValueError):
-    """A level index outside the plan was used."""
-
-
 @dataclass(frozen=True)
 class CarouselPlan:
     block_count: int
@@ -34,7 +26,7 @@ class CarouselPlan:
     def block_for(self, buffer_index: int, level: int) -> int:
         """Block carried at 1-based ``level`` of buffer ``buffer_index``."""
         if not 1 <= level <= self.level_count:
-            raise LevelOutOfRangeError(f"level {level} not in 1..{self.level_count}")
+            raise ValueError(f"level {level} not in 1..{self.level_count}")
         return (buffer_index + self.level_offsets[level - 1]) % self.block_count
 
 
@@ -62,7 +54,7 @@ def build_plan(block_count: int, level_count: int) -> CarouselPlan:
     if level_count < 1:
         raise ValueError("need at least one level")
     if level_count > block_count:
-        raise TooManyLevelsError(f"{level_count} levels > {block_count} blocks")
+        raise ValueError(f"{level_count} levels > {block_count} blocks")
     offsets = [0]
     for _ in range(level_count - 1):
         start, length = _longest_gap(block_count, offsets)
@@ -70,11 +62,15 @@ def build_plan(block_count: int, level_count: int) -> CarouselPlan:
     return CarouselPlan(block_count, tuple(offsets))
 
 
-def blocks_for_buffer(plan: CarouselPlan, buffer_index: int, levels: int) -> list[int]:
-    """Blocks carried by one buffer on the first ``levels`` levels, level 1 first."""
+def blocks_for_buffer(plan: CarouselPlan, buffer_index: int) -> list[int]:
+    """Blocks carried by one buffer on every level of the plan, level 1 first."""
+    return [(buffer_index + offset) % plan.block_count for offset in plan.level_offsets]
+
+
+def _check_levels(plan: CarouselPlan, levels: int) -> None:
+    # With no level at all a walk over the buffers would never end.
     if not 1 <= levels <= plan.level_count:
-        raise LevelOutOfRangeError(f"levels {levels} not in 1..{plan.level_count}")
-    return [plan.block_for(buffer_index, lv) for lv in range(1, levels + 1)]
+        raise ValueError(f"levels {levels} not in 1..{plan.level_count}")
 
 
 def completion_time(
@@ -87,7 +83,9 @@ def completion_time(
 
     ``needed`` defaults to the full ring; pass ``k + epsilon`` when the
     ring carries FEC symbols and only that many distinct ones matter.
+    Level 1 walks the whole ring, so ``block_count`` buffers always do.
     """
+    _check_levels(plan, levels)
     target = plan.block_count if needed is None else needed
     if not 0 < target <= plan.block_count:
         raise ValueError("needed must be in 1..block_count")
@@ -99,8 +97,6 @@ def completion_time(
             seen.add(plan.block_for(b, level))
         buffers += 1
         b += 1
-        if buffers > 2 * plan.block_count:  # defensive; level 1 alone finishes in B
-            raise RuntimeError("carousel failed to complete")
     return buffers
 
 
@@ -113,6 +109,7 @@ def first_duplicate(
     ``blocks_seen`` counts distinct blocks delivered strictly before the
     first duplicate; ``blocks_missing`` is what the ring still owes.
     """
+    _check_levels(plan, levels)
     seen: set[int] = set()
     b = start_buffer
     while True:

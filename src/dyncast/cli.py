@@ -223,7 +223,7 @@ def main(argv=None) -> int:
         for name, value in exc.partial.items():
             print(f"{name} {value:.6g}", file=sys.stderr)
         return 1
-    except (fec.DecodeFailureError, transfer.DigestMismatchError) as exc:
+    except fec.DecodeFailureError as exc:
         print(f"{args.command}: decode failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -28,6 +28,11 @@ Three codecs share one interface:
   before the close contradict each other, fails the decode rather than
   return wrong bytes.
 
+The close is final for every codec: after it ``SymbolDecoder.add``
+raises ValueError and stores nothing, so the decoder holds exactly the
+symbols that closed the decode, and ``blocks()`` and ``epsilon`` read
+those alone.
+
 Symbol data is treated as big integers for XOR work.  GF(256) work
 (the ``mds`` encode and solve) goes through one multiply-accumulate
 kernel, ``_gf_combine``: each operand is translated into its 8 bit
@@ -50,33 +55,12 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 CODEC_NAMES = ("null", "mds", "sparse_parity")
 
 
-class FecError(Exception):
-    pass
-
-
-class BadSymbolSizeError(FecError):
-    """Encode input does not cut into k blocks of the symbol size."""
-
-
-class NeedMoreSymbols(FecError):
-    """Decode was attempted before enough symbols arrived."""
-
-    def __init__(self, have: int):
-        super().__init__(f"decode needs more symbols (have {have} distinct)")
-        self.have = have
-
-
-class DecodeFailureError(FecError):
+class DecodeFailureError(Exception):
     """Received symbols are mutually inconsistent or corrupt."""
-
-
-class NotDecodedError(FecError):
-    """A result was requested before the decode succeeded."""
 
 
 @dataclass(frozen=True)
@@ -213,14 +197,14 @@ def _frozen(block) -> bool:
 def _padded_blocks(spec: CodecSpec, blocks) -> list[bytes | memoryview]:
     blocks = list(blocks)
     if len(blocks) != spec.k:
-        raise BadSymbolSizeError(f"expected {spec.k} blocks, got {len(blocks)}")
+        raise ValueError(f"expected {spec.k} blocks, got {len(blocks)}")
     out = []
     for i, block in enumerate(blocks):
         if len(block) > spec.symbol_size:
-            raise BadSymbolSizeError(f"block {i} longer than symbol_size")
+            raise ValueError(f"block {i} longer than symbol_size")
         if len(block) < spec.symbol_size:
             if i != spec.k - 1:
-                raise BadSymbolSizeError("only the last block may be short")
+                raise ValueError("only the last block may be short")
             block = bytes(block).ljust(spec.symbol_size, b"\x00")
         out.append(block if _frozen(block) else bytes(block))
     return out
@@ -483,12 +467,15 @@ class SymbolDecoder:
     The core masks are reduced top-bit into one pivot per bit, and the
     decode closes when every inactive column has its pivot.
     ``blocks()`` then solves the stored core rows (see ``_solve_sparse``).
+
+    The close is final: ``add`` refuses every symbol after it, so
+    ``_received`` is exactly the set that closed the decode.
     """
 
     def __init__(self, spec: CodecSpec):
         self.spec = spec
         self._received: dict[int, bytes] = {}  # in arrival order
-        self._done_at: int | None = None  # distinct count when decode closed
+        self.complete = False  # True from the symbol that closes the decode on
         self._blocks: list[bytes] | None = None
         if spec.name == "sparse_parity":
             self._clear_solve_state()
@@ -509,8 +496,13 @@ class SymbolDecoder:
     # -- feeding ---------------------------------------------------------
 
     def add(self, index: int, data: bytes) -> str:
-        """Feed one symbol; returns "new" or "duplicate"."""
+        """Feed one symbol; returns "new" or "duplicate".
+
+        Raises ValueError once the decode has closed.
+        """
         spec = self.spec
+        if self.complete:
+            raise ValueError("the decode has closed; it takes no more symbols")
         if not 0 <= index < spec.n:
             raise ValueError(f"symbol index {index} outside 0..{spec.n - 1}")
         if len(data) != spec.symbol_size:
@@ -520,11 +512,9 @@ class SymbolDecoder:
                 raise DecodeFailureError(f"symbol {index} received twice with different data")
             return "duplicate"
         self._received[index] = bytes(data)
-        if self._done_at is None:
-            if spec.name == "sparse_parity":
-                self._track_rank(index)
-            if self._closed():
-                self._done_at = len(self._received)
+        if spec.name == "sparse_parity":
+            self._track_rank(index)
+        self.complete = self._closed()
         return "new"
 
     def _track_rank(self, index: int) -> None:
@@ -614,19 +604,15 @@ class SymbolDecoder:
         return len(self._received)
 
     @property
-    def complete(self) -> bool:
-        return self._done_at is not None
-
-    @property
     def epsilon(self) -> int:
         """Distinct symbols beyond k consumed before the decode closed."""
-        if self._done_at is None:
-            raise NotDecodedError("decode has not succeeded")
-        return self._done_at - self.spec.k
+        if not self.complete:
+            raise ValueError("decode has not succeeded")
+        return self.distinct - self.spec.k
 
     def blocks(self) -> list[bytes]:
-        if self._done_at is None:
-            raise NeedMoreSymbols(self.distinct)
+        if not self.complete:
+            raise ValueError(f"decode needs more symbols (have {self.distinct} distinct)")
         if self._blocks is None:
             self._blocks = self._solve()
         return self._blocks
@@ -637,19 +623,19 @@ class SymbolDecoder:
         return self._solve_mds()
 
     def _solve_sparse(self) -> list[bytes]:
-        """Solve the core rows stored up to the close, then the peeled columns.
+        """Solve the core rows, then the peeled columns.
 
         ``_solve_core`` eliminates the core Gauss-Jordan, eight columns
         per lookup table, for the inactive columns' values; each peeled
         column then follows forward from its own repair, whose other
         columns are all known by then.  The core rows left without a
         pivot are implied by the others, so their payloads must eliminate
-        to zero: this checks every repair and every late source received
-        before the close against the solution.
+        to zero: this checks every repair and every late source against
+        the solution.
 
-        So each source received before the close equals its solved value,
-        and its block is the received ``bytes`` object itself; only the
-        missing sources are turned back into bytes.
+        So each received source equals its solved value, and its block is
+        the received ``bytes`` object itself; only the missing sources are
+        turned back into bytes.
         """
         spec = self.spec
         values = self._values
@@ -658,9 +644,8 @@ class SymbolDecoder:
                           _solve_core(self._masks, self._payloads, len(self._inactive))))
         for c, j in self._peeled:
             values[c] = self._reduced(j, c)[1]
-        # A source received after the close was checked against nothing.
-        held = dict(islice(self._received.items(), self._done_at))
-        blocks = [held[i] if i in held else values[i].to_bytes(spec.symbol_size, "big")
+        received = self._received
+        blocks = [received[i] if i in received else values[i].to_bytes(spec.symbol_size, "big")
                   for i in range(spec.k)]
         self._clear_solve_state()
         return blocks
@@ -668,7 +653,7 @@ class SymbolDecoder:
     def _solve_mds(self) -> list[bytes]:
         """The received sources, and the missing ones interpolated (``null`` misses none)."""
         spec = self.spec
-        points = sorted(self._received)[: spec.k]
+        points = sorted(self._received)
         values = [self._received[x] for x in points]
         out: list[bytes | None] = [None] * spec.k
         for x, v in zip(points, values):
@@ -685,12 +670,13 @@ class SymbolDecoder:
 def decode(spec: CodecSpec, received) -> list[bytes]:
     """Rebuild the k source blocks from an iterable of FecSymbols.
 
-    Raises NeedMoreSymbols when the set cannot close the decode and
-    DecodeFailureError when symbols contradict each other.
+    Feeding stops at the close.  Raises ValueError when the set cannot
+    close the decode and DecodeFailureError when symbols received before
+    the close contradict each other.
     """
     dec = SymbolDecoder(spec)
     for sym in received:
         dec.add(sym.index, sym.data)
-    if not dec.complete:
-        raise NeedMoreSymbols(dec.distinct)
+        if dec.complete:
+            break
     return dec.blocks()

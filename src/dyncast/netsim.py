@@ -418,7 +418,7 @@ def format_trace_line(time: float, group: int, packet: bytes, event: str) -> str
     try:
         header, _ = wire.parse_packet(packet)
         buffer_id, offset = header.buffer_id, header.offset
-    except wire.MalformedPacketError:
+    except ValueError:
         pass
     return f"{round(time * 1e6)} {group} {buffer_id} {offset} {len(packet)} {event}"
 

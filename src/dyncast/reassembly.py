@@ -23,10 +23,6 @@ MALFORMED = "malformed"
 FLUSHED_PREVIOUS = "flushed_previous"
 
 
-class IntegrityError(ValueError):
-    """Two packets delivered different bytes for the same buffer range."""
-
-
 def serial_newer(a: int, b: int) -> bool:
     """True when buffer id ``a`` is newer than ``b`` (RFC 1982 style)."""
     return a != b and (a - b) % _SERIAL_MOD < _SERIAL_HALF
@@ -48,7 +44,8 @@ class ReassemblyBuffer:
     def insert(self, offset: int, data: bytes) -> str:
         """Store one PDU, verifying the bytes it shares with earlier ones.
 
-        A rejected PDU (ValueError, IntegrityError) leaves the buffer as it was.
+        A PDU outside the buffer, or with bytes unlike those already held
+        for its range, raises ValueError and leaves the buffer as it was.
         """
         end = offset + len(data)
         if offset < 0 or end > self.expected_length:
@@ -57,16 +54,14 @@ class ReassemblyBuffer:
         seen = self.mask & span
         if seen == span:
             if self.data[offset:end] != data:
-                raise IntegrityError(f"buffer {self.buffer_id}: conflicting bytes at {offset}..{end}")
+                raise ValueError(f"buffer {self.buffer_id}: conflicting bytes at {offset}..{end}")
             return DUPLICATE
         if seen:
             # A partial overlap: only traces and fuzzed input send one.
             seen >>= offset
             for i, byte in enumerate(data):
                 if seen >> i & 1 and self.data[offset + i] != byte:
-                    raise IntegrityError(
-                        f"buffer {self.buffer_id}: conflicting byte at {offset + i}"
-                    )
+                    raise ValueError(f"buffer {self.buffer_id}: conflicting byte at {offset + i}")
         self.data[offset:end] = data
         self.mask |= span
         return STORED
@@ -135,7 +130,7 @@ class Reassembler:
             self.current = ReassemblyBuffer(header.buffer_id, header.buffer_length)
         try:
             stored = self.current.insert(header.offset, payload)
-        except ValueError:  # outside the buffer, or an IntegrityError
+        except ValueError:  # outside the buffer, or conflicting bytes
             self.counters.malformed += 1
             return MALFORMED, flushed
         if stored == DUPLICATE:

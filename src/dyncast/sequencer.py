@@ -22,27 +22,14 @@ from typing import NamedTuple
 from .channel import ChannelConfig, TileBudget, tiles_in_window
 
 
-class EmptyBufferError(ValueError):
-    """The buffer to sequence holds no data."""
-
-
-class NoCapacityError(ValueError):
-    """The scheduling window has a zero packet budget."""
-
-
-class InvalidRateError(Exception):
-    """A rate used to size buffers must be positive."""
-
-
 @dataclass(frozen=True)
 class SequenceRequest:
     data: bytes
     buffer_time: float
-    buffer_id: int = 0
 
     def __post_init__(self) -> None:
         if not self.data:
-            raise EmptyBufferError("buffer holds no data")
+            raise ValueError("buffer holds no data")
         if self.buffer_time <= 0:
             raise ValueError("buffer_time must be positive")
 
@@ -59,15 +46,21 @@ class SequencedPacket(NamedTuple):
 def infer_buffer_time(first_level_bytes: int, min_rate: float) -> float:
     """Seconds needed to push the first-level bytes at the minimal rate."""
     if min_rate <= 0:
-        raise InvalidRateError("minimal rate must be positive")
+        raise ValueError("minimal rate must be positive")
     if first_level_bytes < 0:
         raise ValueError("byte count cannot be negative")
-    return first_level_bytes * 8.0 / min_rate
+    seconds = first_level_bytes * 8.0 / min_rate
+    if not math.isfinite(seconds):
+        raise ValueError(f"minimal rate {min_rate:g} bits/s gives no finite buffer time")
+    return seconds
 
 
 def infer_buffer_length(buffer_time: float, max_rate: float) -> int:
     """Bytes that fit in ``buffer_time`` at the maximal rate (floored)."""
-    return math.floor(buffer_time * max_rate / 8.0)
+    length = buffer_time * max_rate / 8.0
+    if not math.isfinite(length):
+        raise ValueError(f"{buffer_time:g} s at {max_rate:g} bits/s gives no finite buffer length")
+    return math.floor(length)
 
 
 def tile_rank_order(tiles: list[TileBudget]) -> list[TileBudget]:
@@ -89,7 +82,7 @@ def sequence(request: SequenceRequest, cfg: ChannelConfig, t_start: float) -> li
     tiles = tiles_in_window(cfg, t_start, t_start + request.buffer_time)
     ranked = tile_rank_order(tiles)
     if sum(tb.packet_count for tb in ranked) == 0:
-        raise NoCapacityError("window budget is zero packets")
+        raise ValueError("window budget is zero packets")
 
     pdu_size = cfg.packet_payload
     total_pdus = math.ceil(len(request.data) / pdu_size)

@@ -25,18 +25,6 @@ from .sequencer import SequenceRequest, infer_buffer_length, infer_buffer_time, 
 METRIC_NAMES = ("time", "gput", "tput", "loss", "dup", "sym", "head", "net", "comp")
 
 
-class MetricUndefinedError(ValueError):
-    """A metric's denominator is zero for these counters."""
-
-
-class NeedMoreRunsError(ValueError):
-    """Confidence intervals need at least two runs."""
-
-
-class DigestMismatchError(Exception):
-    """The decoded file differs from the SHA-256 in the trace header."""
-
-
 class TransferTimeoutError(Exception):
     """Decode did not close before the input ended."""
 
@@ -81,13 +69,13 @@ class TransferCounters:
 
 def _ratio(num: float, den: float, what: str) -> float:
     if den == 0:
-        raise MetricUndefinedError(f"{what} undefined: zero denominator")
+        raise ValueError(f"{what} undefined: zero denominator")
     return num / den
 
 
 def compute_metrics(c: TransferCounters) -> TransferMetrics:
     if c.elapsed <= 0:
-        raise MetricUndefinedError("time undefined: nothing elapsed")
+        raise ValueError("time undefined: nothing elapsed")
     needed = c.k + c.epsilon
     return TransferMetrics(
         time=c.elapsed,
@@ -186,7 +174,7 @@ class CarouselSession:
         self.plan = carousel.build_plan(codec.n, levels)
 
     def buffer_payload(self, buffer_id: int) -> bytes:
-        indices = carousel.blocks_for_buffer(self.plan, buffer_id, self.plan.level_count)
+        indices = carousel.blocks_for_buffer(self.plan, buffer_id)
         spec = self.spec
         return b"".join(self.symbols[ring_symbol(b, spec.k, spec.n)].data for b in indices)
 
@@ -197,7 +185,7 @@ class CarouselSession:
         while max_buffers is None or buffer_id < max_buffers:
             t0 = buffer_id * self.buffer_time
             payload = self.buffer_payload(buffer_id)
-            request = SequenceRequest(payload, self.buffer_time, buffer_id=buffer_id)
+            request = SequenceRequest(payload, self.buffer_time)
             for _, group, seq, send_time, offset, pdu in sequence(request, self.cfg, t0):
                 header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0), seq,
                                            buffer_id, offset, len(payload), len(pdu))
@@ -222,17 +210,16 @@ class SymbolReceiver:
         self.foreign_packets = 0  # another session's datagrams, dropped
         self.malformed_packets = 0  # unparsable or of another buffer length, dropped
         self.conflicting_symbols = 0  # copies unlike the first one of their symbol, dropped
-        self.done = False
         self.completion_time: float | None = None
         self._slots_done: set[int] = set()
 
     def on_packet(self, t: float, datagram: bytes) -> bool:
         """Feed one datagram; True once the decoder has closed."""
-        if self.done:
+        if self.decoder.complete:
             return True
         try:
             header, payload = wire.parse_packet(datagram)
-        except wire.MalformedPacketError:
+        except ValueError:
             header = None
         if header is None or header.buffer_length != self.buffer_length:
             self.malformed_packets += 1
@@ -265,10 +252,13 @@ class SymbolReceiver:
                 continue
             self.received_symbols += 1
             if self.decoder.complete:
-                self.done = True
                 self.completion_time = t
-                break
-        return self.done
+                return True
+        return False
+
+    @property
+    def done(self) -> bool:
+        return self.decoder.complete
 
     @property
     def duplicate_symbols(self) -> int:
@@ -277,7 +267,8 @@ class SymbolReceiver:
 
     @property
     def epsilon(self) -> int:
-        return self.decoder.epsilon if self.done else max(self.decoder.distinct - self.spec.k, 0)
+        # Distinct symbols beyond k so far: the decoder's epsilon once it closes.
+        return max(self.decoder.distinct - self.spec.k, 0)
 
     def counters(self, *, packets: int, missed: int, link_bytes: int, elapsed: float,
                  payload: int) -> TransferCounters:
@@ -324,14 +315,13 @@ def simulate_transfer(
     codec: fec.CodecSpec,
     *,
     levels: int | None = None,
-    session_id: int = 1,
     collect_traces: bool = False,
 ) -> tuple[list[TransferOutcome], netsim.SimResult]:
     """Run one carousel transfer through the simulator, one outcome per receiver."""
     if not scenario.receivers:
         raise ValueError("scenario has no receivers")
-    session = CarouselSession(data, scenario.channel, codec, levels=levels, session_id=session_id)
-    apps = [SymbolReceiver(codec, session.plan, file_length=len(data), session_id=session_id)
+    session = CarouselSession(data, scenario.channel, codec, levels=levels)
+    apps = [SymbolReceiver(codec, session.plan, file_length=len(data))
             for _ in scenario.receivers]
 
     def on_delivery(i: int, t: float, group: int, packet: bytes) -> bool:
@@ -456,7 +446,9 @@ def receive_file(trace_path) -> tuple[bytes, TransferMetrics, TransferCounters]:
     malformed record line, naming the file and line.  An unterminated
     malformed last line is a trace cut short: it ends the input, and an
     undecoded file then raises TransferTimeoutError like any other cut.  A
-    decoded file unlike the header's digest raises DigestMismatchError.
+    decoded file unlike the header's digest raises fec.DecodeFailureError.
+    The replay stops at the close, which is final: the records after it
+    are not read, so nothing they hold can change the decoded bytes.
     """
     received = link_bytes = 0
     last_t = 0.0
@@ -483,8 +475,8 @@ def receive_file(trace_path) -> tuple[bytes, TransferMetrics, TransferCounters]:
         raise TransferTimeoutError("trace ended before the decode closed", counters)
     data = app.file()
     if _sha256_hex(data) != digest:
-        raise DigestMismatchError(f"the {len(data)} decoded bytes do not match "
-                                  f"the trace header's sha256")
+        raise fec.DecodeFailureError(f"the {len(data)} decoded bytes do not match "
+                                     f"the trace header's sha256")
     return data, compute_metrics(counters), counters
 
 
@@ -545,7 +537,7 @@ def report(runs) -> dict[str, tuple[float, float]]:
     """Per-metric (mean, 95% confidence half-width) over repeated runs."""
     runs = list(runs)
     if len(runs) < 2:
-        raise NeedMoreRunsError("confidence intervals need at least 2 runs")
+        raise ValueError("confidence intervals need at least 2 runs")
     quantile = _t_quantile(0.975, len(runs) - 1)
     out: dict[str, tuple[float, float]] = {}
     for name in METRIC_NAMES:

@@ -22,10 +22,6 @@ PROTOCOL_VERSION = 1
 MAX_PAYLOAD = 1448
 
 
-class MalformedPacketError(Exception):
-    """The datagram does not parse as a protocol packet."""
-
-
 class PacketHeader(NamedTuple):
     group: int
     session_id: int
@@ -65,20 +61,20 @@ def pack_packet(h: PacketHeader, payload: bytes) -> bytes:
 
 
 def parse_packet(datagram: bytes) -> tuple[PacketHeader, bytes]:
-    """Split a datagram into (header, payload), validating the framing."""
+    """Split a datagram into (header, payload); ValueError if the framing is bad."""
     if len(datagram) < HEADER_SIZE:
-        raise MalformedPacketError("datagram shorter than the header")
+        raise ValueError("datagram shorter than the header")
     (version, flags, group, session_id, tsi, seq,
      buffer_id, offset, buffer_length, payload_len, reserved) = _HEADER.unpack_from(datagram)
     if version != PROTOCOL_VERSION:
-        raise MalformedPacketError(f"unknown protocol version {version}")
+        raise ValueError(f"unknown protocol version {version}")
     payload = datagram[HEADER_SIZE:]
     if len(payload) != payload_len:
-        raise MalformedPacketError("payload length does not match the header")
+        raise ValueError("payload length does not match the header")
     if payload_len > MAX_PAYLOAD:
-        raise MalformedPacketError("payload larger than the maximum")
+        raise ValueError("payload larger than the maximum")
     if offset + payload_len > buffer_length:
-        raise MalformedPacketError("PDU extends past the end of its buffer")
+        raise ValueError("PDU extends past the end of its buffer")
     header = PacketHeader(group, session_id, tsi, seq, buffer_id, offset, buffer_length,
                           payload_len, version, flags, reserved)
     return header, payload

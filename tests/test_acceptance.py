@@ -188,7 +188,7 @@ def test_criterion_3_end_to_end_prefix_delivery():
             tiles = tiles_in_window(cfg, float(b), float(b + 1))
             capacity = sum(tb.packet_count for tb in tiles)
             data = rng.randbytes(capacity * cfg.packet_payload)
-            request = SequenceRequest(data, buffer_time=1.0, buffer_id=b)
+            request = SequenceRequest(data, buffer_time=1.0)
             for pkt in sequence(request, cfg, float(b)):
                 header = wire.PacketHeader(
                     group=pkt.group,

@@ -3,8 +3,6 @@ import random
 import pytest
 
 from dyncast.carousel import (
-    LevelOutOfRangeError,
-    TooManyLevelsError,
     blocks_for_buffer,
     build_plan,
     completion_time,
@@ -57,7 +55,7 @@ def test_hand_executed_b8():
 
 def test_single_level_is_identity():
     plan = build_plan(7, 1)
-    assert [blocks_for_buffer(plan, b, 1) for b in range(7)] == [[b] for b in range(7)]
+    assert [blocks_for_buffer(plan, b) for b in range(7)] == [[b] for b in range(7)]
 
 
 def test_plan_matches_oracle_b12_n4():
@@ -66,7 +64,7 @@ def test_plan_matches_oracle_b12_n4():
     for b in range(12):
         for lv in range(1, 5):
             expect = [(b + x) % 12 for x in oracle_offsets(12, 4)[:lv]]
-            assert blocks_for_buffer(plan, b, lv) == expect
+            assert blocks_for_buffer(plan, b)[:lv] == expect
 
 
 def test_plan_matches_oracle_randomized():
@@ -86,17 +84,23 @@ def test_offsets_distinct_and_first_zero():
 
 def test_blocks_for_buffer_examples():
     plan = build_plan(10, 3)
-    assert blocks_for_buffer(plan, 0, 3) == [0, 5, 2]
-    assert blocks_for_buffer(plan, 7, 1) == [7]
-    assert blocks_for_buffer(plan, 13, 1) == [3]  # wraps around the ring
+    assert blocks_for_buffer(plan, 0) == [0, 5, 2]
+    assert blocks_for_buffer(plan, 7)[:1] == [7]
+    assert blocks_for_buffer(plan, 13) == [3, 8, 5]  # wraps around the ring
 
 
 def test_levels_beyond_plan_rejected():
     plan = build_plan(10, 3)
-    with pytest.raises(LevelOutOfRangeError):
-        blocks_for_buffer(plan, 0, 4)
-    with pytest.raises(TooManyLevelsError):
+    with pytest.raises(ValueError, match=r"level 4 not in 1\.\.3"):
+        plan.block_for(0, 4)
+    with pytest.raises(ValueError, match=r"5 levels > 4 blocks"):
         build_plan(4, 5)
+    # A walk over no level, or over levels the plan lacks, is refused
+    # before it starts: with none it would never end.
+    for walk in (completion_time, first_duplicate):
+        for levels in (0, 4):
+            with pytest.raises(ValueError, match=rf"levels {levels} not in 1\.\.3"):
+                walk(plan, levels)
     with pytest.raises(ValueError):
         build_plan(0, 0)
 

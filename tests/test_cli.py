@@ -366,6 +366,18 @@ BAD_INPUTS = [
                  id="sim-scenario-duration=0"),
     pytest.param(sim_scenario("receiver = 1e6\nbase_rate = 0\n"), "base_rate must be positive",
                  id="sim-scenario-base_rate=0"),
+    # A base rate so small that the buffer time (5e-324) or the buffer
+    # length at the top rate (1e-300) overflows to infinity.
+    pytest.param(sim_scenario("receiver = 1e6\nbase_rate = 5e-324\n"), "no finite buffer time",
+                 id="sim-scenario-base_rate=5e-324"),
+    pytest.param(sim_scenario("receiver = 1e6\nbase_rate = 1e-300\n"), "no finite buffer length",
+                 id="sim-scenario-base_rate=1e-300"),
+    pytest.param(send_small("--base-rate", "5e-324"), "no finite buffer time",
+                 id="send-base-rate=5e-324"),
+    pytest.param(send_small("--base-rate", "1e-300"), "no finite buffer length",
+                 id="send-base-rate=1e-300"),
+    pytest.param(send_small("--levels", "1", "--base-rate", "5e-324"), "no finite buffer time",
+                 id="send-levels-1-base-rate=5e-324"),
     pytest.param(metrics_file('{"k": 1}'), "counters.json", id="metrics-missing-fields"),
     pytest.param(metrics_file("[1, 2]"), "counters.json", id="metrics-not-an-object"),
     pytest.param(metrics_file("{not json"), "counters.json", id="metrics-not-json"),

@@ -12,11 +12,8 @@ from dyncast import fec
 from dyncast.fec import (
     _GF_EXP,
     _GF_LOG,
-    BadSymbolSizeError,
     CodecSpec,
     DecodeFailureError,
-    NeedMoreSymbols,
-    NotDecodedError,
     SymbolDecoder,
     _PLANE_MIN_ROWS,
     _gf_combine,
@@ -49,7 +46,7 @@ def epsilon_overhead(spec, received_indices):
         dec.add(index, zeros)
         if dec.complete:
             return 100.0 * dec.epsilon / spec.k
-    raise NotDecodedError("trace never reaches a decodable set")
+    raise ValueError("trace never reaches a decodable set")
 
 
 def test_null_codec_is_identity():
@@ -236,14 +233,14 @@ def test_duplicates_and_conflicts():
 def test_insufficient_symbols_raise():
     spec = CodecSpec("mds", 4, 8, 4)
     symbols = encode(spec, blocks_of(spec))
-    with pytest.raises(NeedMoreSymbols):
+    with pytest.raises(ValueError, match=r"decode needs more symbols \(have 3 distinct\)"):
         decode(spec, symbols[:3])
     dec = SymbolDecoder(spec)
     dec.add(0, symbols[0].data)
     assert not dec.complete
-    with pytest.raises(NeedMoreSymbols):
+    with pytest.raises(ValueError, match=r"decode needs more symbols \(have 1 distinct\)"):
         dec.blocks()
-    with pytest.raises(NotDecodedError):
+    with pytest.raises(ValueError, match="decode has not succeeded"):
         _ = dec.epsilon
 
 
@@ -267,7 +264,7 @@ def test_sparse_rank_deficit_then_closure():
 
 def test_epsilon_overhead_never_decodable():
     spec = CodecSpec("sparse_parity", 10, 20, 4, seed=1)
-    with pytest.raises(NotDecodedError):
+    with pytest.raises(ValueError, match="trace never reaches a decodable set"):
         epsilon_overhead(spec, [0, 1, 2])
 
 
@@ -290,12 +287,12 @@ def test_block_padding_rules():
     spec = CodecSpec("mds", 3, 6, 4)
     symbols = encode(spec, [b"aaaa", b"bbbb", b"cc"])  # short tail is padded
     assert symbols[2].data == b"cc\x00\x00"
-    with pytest.raises(BadSymbolSizeError):
-        encode(spec, [b"aaaa", b"bb", b"cccc"])  # short block not last
-    with pytest.raises(BadSymbolSizeError):
-        encode(spec, [b"aaaa", b"bbbb", b"ccccc"])  # overlong block
-    with pytest.raises(BadSymbolSizeError):
-        encode(spec, [b"aaaa", b"bbbb"])  # wrong block count
+    with pytest.raises(ValueError, match="only the last block may be short"):
+        encode(spec, [b"aaaa", b"bb", b"cccc"])
+    with pytest.raises(ValueError, match="block 2 longer than symbol_size"):
+        encode(spec, [b"aaaa", b"bbbb", b"ccccc"])
+    with pytest.raises(ValueError, match="expected 3 blocks, got 2"):
+        encode(spec, [b"aaaa", b"bbbb"])
 
 
 @pytest.mark.parametrize("name", fec.CODEC_NAMES)
@@ -489,7 +486,14 @@ def assert_same_as_reference(spec, order, blocks):
     ref = ReferenceSparseDecoder(spec)
     dec = SymbolDecoder(spec)
     for index in order:
-        assert dec.add(index, symbols[index].data) == ref.add(index, symbols[index].data)
+        data = symbols[index].data
+        if dec.complete:
+            # The close is final: the decoder refuses what the reference still takes.
+            with pytest.raises(ValueError, match="the decode has closed"):
+                dec.add(index, data)
+            ref.add(index, data)
+            continue
+        assert dec.add(index, data) == ref.add(index, data)
         assert dec.complete == ref.complete
     if ref.complete:
         assert dec.epsilon == ref.epsilon
@@ -656,8 +660,8 @@ def test_one_peel_per_sparse_decode(monkeypatch):
 
 def test_sparse_blocks_are_the_received_sources():
     # Sources arrive both before and after the k-th symbol.  The solved
-    # blocks are the objects received before the close, and no copy fed
-    # after it, conflicting or not, changes them.
+    # blocks are the objects received before the close, and the decoder
+    # refuses every symbol fed after it, new, conflicting or a duplicate.
     spec = CodecSpec("sparse_parity", 200, 400, 4, seed=11)
     rng = random.Random(15)
     repairs = rng.sample(range(spec.k, spec.n), spec.n - spec.k)
@@ -675,7 +679,9 @@ def test_sparse_blocks_are_the_received_sources():
     assert min(close[: spec.k]) < spec.k and min(close[spec.k :]) < spec.k
     # A source missing at the close comes in corrupt before the solve.
     missing = next(i for i in range(spec.k) if i not in close)
-    assert dec.add(missing, bytes(4)) == "new" and blocks[missing] != bytes(4)
+    assert blocks[missing] != bytes(4)
+    with pytest.raises(ValueError, match="the decode has closed"):
+        dec.add(missing, bytes(4))
     ref = ReferenceSparseDecoder(spec)
     for i in close:
         ref.add(i, symbols[i].data)
@@ -683,10 +689,51 @@ def test_sparse_blocks_are_the_received_sources():
     assert solved == ref.blocks() == blocks
     assert all(solved[i] is symbols[i].data for i in sources)
     held = sources[0]
-    with pytest.raises(DecodeFailureError):
-        dec.add(held, bytes(x ^ 1 for x in blocks[held]))
-    assert dec.add(held, bytes(blocks[held])) == "duplicate"
+    for data in (bytes(x ^ 1 for x in blocks[held]), bytes(blocks[held])):
+        with pytest.raises(ValueError, match="the decode has closed"):
+            dec.add(held, data)
+    assert dec.distinct == len(close)
     assert dec.blocks() is solved and solved == blocks
+
+
+def test_mds_refuses_a_corrupt_source_after_the_close():
+    # Repairs 3 and 2 close a k=2 decode.  A corrupt source 0 fed after
+    # the close, before the first blocks() call, must not reach the solve.
+    spec = CodecSpec("mds", 2, 4, 3)
+    symbols = encode(spec, [b"abc", b"xyz"])
+    dec = SymbolDecoder(spec)
+    dec.add(3, symbols[3].data)
+    dec.add(2, symbols[2].data)
+    assert dec.complete
+    with pytest.raises(ValueError, match="the decode has closed"):
+        dec.add(0, b"\x00\x00\x00")
+    assert (dec.distinct, dec.epsilon) == (2, 0)
+    assert dec.blocks() == [b"abc", b"xyz"]
+
+
+@pytest.mark.parametrize("name", fec.CODEC_NAMES)
+def test_the_close_is_final(name):
+    spec = CodecSpec(name, 20, 20 if name == "null" else 40, 4, seed=3)
+    blocks = blocks_of(spec, seed=4)
+    symbols = encode(spec, blocks)
+    order = random.Random(5).sample(range(spec.n), spec.n)
+    dec = SymbolDecoder(spec)
+    for i in order:
+        dec.add(i, symbols[i].data)
+        if dec.complete:
+            break
+    distinct = dec.distinct
+    assert dec.complete and dec.epsilon == distinct - spec.k
+    held = order[0]
+    late = [(i, symbols[i].data) for i in order[distinct:]]  # new, and intact
+    late += [(i, bytes(4)) for i in order[distinct:]]  # new, and corrupt
+    late += [(held, symbols[held].data), (held, bytes(4))]  # a duplicate, and a conflict
+    for _ in range(2):  # before the first blocks() call, then after it
+        for i, data in late:
+            with pytest.raises(ValueError, match="the decode has closed"):
+                dec.add(i, data)
+            assert (dec.distinct, dec.epsilon) == (distinct, distinct - spec.k)
+        assert dec.blocks() == blocks
 
 
 def sparse_systems():

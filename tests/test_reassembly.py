@@ -10,7 +10,6 @@ from dyncast.reassembly import (
     MALFORMED,
     STALE,
     STORED,
-    IntegrityError,
     Reassembler,
     ReassemblyBuffer,
     serial_newer,
@@ -74,7 +73,7 @@ def test_partial_overlap_identical_bytes_merges():
 def test_overlap_mismatch_raises():
     buf = ReassemblyBuffer(1, 100)
     buf.insert(0, b"\x01" * 60)
-    with pytest.raises(IntegrityError):
+    with pytest.raises(ValueError, match="buffer 1: conflicting byte at 40"):
         buf.insert(40, b"\x02" * 30)
 
 
@@ -159,7 +158,7 @@ def test_random_overlaps_match_byte_oracle():
             conflict = any(i in stored and stored[i] != chunk[i - off] for i in positions)
             contained = all(i in stored for i in positions)
             if conflict:
-                with pytest.raises(IntegrityError):
+                with pytest.raises(ValueError, match="conflicting byte"):
                     buf.insert(off, bytes(chunk))
                 outcome = "conflict"
             else:

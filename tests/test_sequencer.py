@@ -5,9 +5,6 @@ import pytest
 
 from dyncast.channel import ChannelConfig, interval_index, tiles_in_window
 from dyncast.sequencer import (
-    EmptyBufferError,
-    InvalidRateError,
-    NoCapacityError,
     SequenceRequest,
     infer_buffer_length,
     infer_buffer_time,
@@ -216,15 +213,27 @@ def test_infer_buffer_time_examples():
     assert infer_buffer_time(8192, 65_536.0) == 1.0
     assert infer_buffer_time(0, 123.0) == 0.0
     assert infer_buffer_time(1448, 11_584.0) == 1.0
-    with pytest.raises(InvalidRateError):
+    with pytest.raises(ValueError, match="minimal rate must be positive"):
         infer_buffer_time(100, 0.0)
-    with pytest.raises(InvalidRateError):
+    with pytest.raises(ValueError, match="minimal rate must be positive"):
         infer_buffer_time(100, -5.0)
 
 
 def test_infer_buffer_length_examples():
     assert infer_buffer_length(1.0, 8_000_000.0) == 1_000_000
     assert infer_buffer_length(0.5, 4_000_000.0) == 250_000
+
+
+def test_infer_buffer_sizes_refuse_non_finite_results():
+    # A subnormal rate overflows the buffer time; a tiny one leaves it
+    # finite but overflows the length at any ordinary top rate.
+    with pytest.raises(ValueError, match="no finite buffer time"):
+        infer_buffer_time(1448, 5e-324)
+    assert math.isfinite(infer_buffer_time(1448, 1e-300))
+    with pytest.raises(ValueError, match="no finite buffer length"):
+        infer_buffer_length(infer_buffer_time(1448, 1e-300), 8_000_000.0)
+    with pytest.raises(ValueError, match="no finite buffer length"):
+        infer_buffer_length(math.inf, 1.0)
 
 
 def test_infer_round_trip_within_one_byte():
@@ -237,7 +246,7 @@ def test_infer_round_trip_within_one_byte():
 
 
 def test_empty_buffer_rejected():
-    with pytest.raises(EmptyBufferError):
+    with pytest.raises(ValueError, match="buffer holds no data"):
         SequenceRequest(b"", 1.0)
     with pytest.raises(ValueError):
         SequenceRequest(b"x", 0.0)
@@ -246,7 +255,7 @@ def test_empty_buffer_rejected():
 def test_zero_budget_window_rejected():
     cfg = ChannelConfig(base_rate=64_000.0)
     # A microscopic window carries no whole packet on any group.
-    with pytest.raises(NoCapacityError):
+    with pytest.raises(ValueError, match="window budget is zero packets"):
         sequence(SequenceRequest(b"x" * 1448, 1e-7), cfg, 0.05)
 
 

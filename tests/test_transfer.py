@@ -17,14 +17,11 @@ from hypothesis import strategies as st
 
 from dyncast import wire
 from dyncast.channel import ChannelConfig
-from dyncast.fec import CodecSpec
+from dyncast.fec import CodecSpec, DecodeFailureError
 from dyncast.netsim import ReceiverSpec, Scenario
 from dyncast.transfer import (
     METRIC_NAMES,
     CarouselSession,
-    DigestMismatchError,
-    MetricUndefinedError,
-    NeedMoreRunsError,
     SymbolReceiver,
     TransferCounters,
     TransferMetrics,
@@ -123,26 +120,27 @@ def test_pack_rejects_payload_mismatch():
         wire.pack_packet(h, b"12345")
 
 
-@pytest.mark.parametrize(
-    "mangle",
-    [
-        lambda d: d[:10],  # shorter than the header
-        lambda d: b"\x02" + d[1:],  # unknown version
-        lambda d: d + b"extra",  # payload longer than declared
-        lambda d: d[:-1],  # payload shorter than declared
-    ],
-)
+# Each way of mangling a datagram, and the message parse_packet refuses it with.
+MANGLED = {
+    (lambda d: d[:10]): "datagram shorter than the header",
+    (lambda d: b"\x02" + d[1:]): "unknown protocol version 2",
+    (lambda d: d + b"extra"): "payload length does not match the header",  # longer
+    (lambda d: d[:-1]): "payload length does not match the header",  # shorter
+}
+
+
+@pytest.mark.parametrize("mangle", list(MANGLED))
 def test_parse_rejects_malformed(mangle):
     h = wire.PacketHeader(0, 1, 0, 0, 0, 0, 8, payload_len=8)
     good = wire.pack_packet(h, b"8bytes!!")
-    with pytest.raises(wire.MalformedPacketError):
+    with pytest.raises(ValueError, match=MANGLED[mangle]):
         wire.parse_packet(mangle(good))
 
 
 def test_parse_rejects_pdu_outside_buffer():
     h = wire.PacketHeader(0, 1, 0, 0, 0, offset=8, buffer_length=10, payload_len=8)
     datagram = wire.pack_header(h) + b"8bytes!!"
-    with pytest.raises(wire.MalformedPacketError):
+    with pytest.raises(ValueError, match="PDU extends past the end of its buffer"):
         wire.parse_packet(datagram)
 
 
@@ -150,7 +148,7 @@ def test_parse_rejects_payload_above_maximum():
     # Header and payload agree on the length, which one datagram never carries.
     size = wire.MAX_PAYLOAD + 1
     h = wire.PacketHeader(0, 1, 0, 0, 0, offset=0, buffer_length=2 * size, payload_len=size)
-    with pytest.raises(wire.MalformedPacketError, match="larger than the maximum"):
+    with pytest.raises(ValueError, match="payload larger than the maximum"):
         wire.parse_packet(wire.pack_header(h) + bytes(size))
 
 
@@ -235,11 +233,11 @@ def test_head_depends_only_on_framing():
 
 
 def test_undefined_metrics_raise():
-    with pytest.raises(MetricUndefinedError):
+    with pytest.raises(ValueError, match="time undefined: nothing elapsed"):
         compute_metrics(counters(elapsed=0.0))
-    with pytest.raises(MetricUndefinedError):
+    with pytest.raises(ValueError, match="loss undefined: zero denominator"):
         compute_metrics(counters(received_packets=0, missed_packets=0))
-    with pytest.raises(MetricUndefinedError):
+    with pytest.raises(ValueError, match="comp undefined: zero denominator"):
         compute_metrics(counters(network_time=0.0))
 
 
@@ -539,14 +537,6 @@ def test_on_packet_never_raises(codec):
     feed()
 
 
-def test_simulated_transfer_honours_session_id():
-    data = random.Random(98).randbytes(20_000)
-    spec = spec_for_file("null", len(data), 1448)
-    scen = Scenario(channel=CFG, receivers=(ReceiverSpec(CFG.mean_top_rate),), duration=60.0)
-    (out,), _ = simulate_transfer(data, scen, spec, session_id=5)
-    assert out.done and out.file == data
-
-
 # ---------------------------------------------------------------------------
 # simulated end-to-end
 
@@ -680,7 +670,7 @@ def test_receive_file_checks_the_header_digest(tmp_path):
     assert f"sha256={digest}" in header.split()
     forged = tmp_path / "forged.trace"
     forged.write_text("\n".join([header.replace(digest, "0" * 64), *records]) + "\n")
-    with pytest.raises(DigestMismatchError):
+    with pytest.raises(DecodeFailureError, match="decoded bytes do not match the trace header's sha256"):
         receive_file(forged)
     # A header without sha256 is rejected.
     bare = tmp_path / "bare.trace"
@@ -802,5 +792,5 @@ def test_report_identical_runs_zero_width():
 
 
 def test_report_needs_two_runs():
-    with pytest.raises(NeedMoreRunsError):
+    with pytest.raises(ValueError, match="confidence intervals need at least 2 runs"):
         report([fake_metrics(1.0)])
