@@ -61,6 +61,8 @@ class ChannelConfig:
             raise ValueError("tsd must be positive")
         if self.groups_per_tsi < 1:
             raise ValueError("groups_per_tsi must be >= 1")
+        if self.sub_tsi == 0:
+            raise ValueError(f"tsd {self.tsd:g} / groups_per_tsi {self.groups_per_tsi} rounds to 0 s")
         if self.packet_payload < 1:
             raise ValueError("packet_payload must be >= 1 byte")
         if self.group_count < 2:
@@ -84,16 +86,11 @@ class ChannelConfig:
         return self.max_cumulative_rate * (rho - 1.0) / math.log(rho)
 
 
-class TileId(NamedTuple):
-    group: int
-    interval: int
-
-
-@dataclass(frozen=True)
-class TileBudget:
+class TileBudget(NamedTuple):
     """Packet budget of one (group, sub slot) cell, possibly clipped."""
 
-    tile: TileId
+    group: int
+    interval: int
     packet_count: int
     min_cum_rate: float
     max_cum_rate: float
@@ -202,7 +199,7 @@ def tiles_in_window(cfg: ChannelConfig, t_start: float, t_end: float) -> list[Ti
         span1 = min(t_end, (i + 1) * s)
         for group in (BASE_GROUP, *range(i + 1, i + groups)):
             tiles.append(
-                TileBudget(TileId(group, i), floored(group, span1) - floored(group, span0),
+                TileBudget(group, i, floored(group, span1) - floored(group, span0),
                            _cum_at(cfg, group, span1), _cum_at(cfg, group, span0), span0, span1)
             )
         i += 1

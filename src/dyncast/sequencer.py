@@ -16,22 +16,9 @@ group mid-tile still collects the prefix end of the tile's range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .channel import ChannelConfig, TileBudget, tiles_in_window
-
-
-@dataclass(frozen=True)
-class SequenceRequest:
-    data: bytes
-    buffer_time: float
-
-    def __post_init__(self) -> None:
-        if not self.data:
-            raise ValueError("buffer holds no data")
-        if self.buffer_time <= 0:
-            raise ValueError("buffer_time must be positive")
+from .channel import ChannelConfig, tiles_in_window
 
 
 class SequencedPacket(NamedTuple):
@@ -63,29 +50,28 @@ def infer_buffer_length(buffer_time: float, max_rate: float) -> int:
     return math.floor(length)
 
 
-def tile_rank_order(tiles: list[TileBudget]) -> list[TileBudget]:
-    """Tiles sorted by importance: minimal cumulative rate first.
-
-    Ties (same rung) are broken by earlier interval, then lower group id,
-    which keeps the order total and deterministic.
-    """
-    return sorted(tiles, key=lambda tb: (tb.min_cum_rate, tb.tile.interval, tb.tile.group))
-
-
-def sequence(request: SequenceRequest, cfg: ChannelConfig, t_start: float) -> list[SequencedPacket]:
-    """Schedule one buffer over [t_start, t_start + buffer_time).
+def sequence(data: bytes, buffer_time: float, cfg: ChannelConfig,
+             t_start: float) -> list[SequencedPacket]:
+    """Schedule the buffer ``data`` over [t_start, t_start + buffer_time).
 
     Returns packets sorted by send time.  The window is used as given so
     consecutive buffers can tile time back to back (edge tiles then carry
     pro-rated budgets).
     """
-    tiles = tiles_in_window(cfg, t_start, t_start + request.buffer_time)
-    ranked = tile_rank_order(tiles)
+    if not data:
+        raise ValueError("buffer holds no data")
+    if buffer_time <= 0:
+        raise ValueError("buffer_time must be positive")
+    # Most important tile first: minimal cumulative rate.  Ties (same rung)
+    # go to the earlier interval, then the lower group id, which keeps the
+    # order total and deterministic.
+    ranked = sorted(tiles_in_window(cfg, t_start, t_start + buffer_time),
+                    key=lambda tb: (tb.min_cum_rate, tb.interval, tb.group))
     if sum(tb.packet_count for tb in ranked) == 0:
         raise ValueError("window budget is zero packets")
 
     pdu_size = cfg.packet_payload
-    total_pdus = math.ceil(len(request.data) / pdu_size)
+    total_pdus = math.ceil(len(data) / pdu_size)
 
     emitted: list[tuple[float, int, int, int]] = []  # (send_time, group, j, tiebreak)
     next_j = 0
@@ -100,11 +86,10 @@ def sequence(request: SequenceRequest, cfg: ChannelConfig, t_start: float) -> li
         for pos in range(count):
             j = first_j + count - 1 - pos
             send_time = tb.start + (pos + 0.5) * step
-            emitted.append((send_time, tb.tile.group, j, pos))
+            emitted.append((send_time, tb.group, j, pos))
 
     emitted.sort(key=lambda e: (e[0], e[1], e[3]))
     counters: dict[int, int] = {}
-    data = request.data
     packets: list[SequencedPacket] = []
     for send_time, group, j, _ in emitted:
         seq = counters.get(group, 0)

@@ -20,9 +20,16 @@ from pathlib import Path
 from . import carousel, fec, netsim, wire
 from .channel import ChannelConfig
 from .reassembly import MALFORMED, STALE, Reassembler
-from .sequencer import SequenceRequest, infer_buffer_length, infer_buffer_time, sequence
+from .sequencer import infer_buffer_length, infer_buffer_time, sequence
 
 METRIC_NAMES = ("time", "gput", "tput", "loss", "dup", "sym", "head", "net", "comp")
+
+# Most tiles one buffer's window may hold.  A window of buffer_time seconds
+# meets at most buffer_time / sub_tsi + 2 sub slots of group_count tiles
+# each, and the sequencer builds and sorts them all, so a huge buffer time
+# or a tiny sub slot would spend unbounded time and memory before the
+# first packet.
+MAX_WINDOW_TILES = 65536
 
 
 class TransferTimeoutError(Exception):
@@ -171,6 +178,9 @@ class CarouselSession:
             # As many levels as the mean full subscription drains per buffer, in 1..n.
             levels = infer_buffer_length(self.buffer_time, channel.mean_top_rate) // ss
             levels = max(1, min(codec.n, levels))
+        if (self.buffer_time / channel.sub_tsi + 2) * channel.group_count > MAX_WINDOW_TILES:
+            raise ValueError(f"buffer time {self.buffer_time:g} s over {channel.sub_tsi:g} s "
+                             f"sub slots makes more than {MAX_WINDOW_TILES} tiles per buffer")
         self.plan = carousel.build_plan(codec.n, levels)
 
     def buffer_payload(self, buffer_id: int) -> bytes:
@@ -185,8 +195,8 @@ class CarouselSession:
         while max_buffers is None or buffer_id < max_buffers:
             t0 = buffer_id * self.buffer_time
             payload = self.buffer_payload(buffer_id)
-            request = SequenceRequest(payload, self.buffer_time)
-            for _, group, seq, send_time, offset, pdu in sequence(request, self.cfg, t0):
+            packets = sequence(payload, self.buffer_time, self.cfg, t0)
+            for _, group, seq, send_time, offset, pdu in packets:
                 header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0), seq,
                                            buffer_id, offset, len(payload), len(pdu))
                 yield send_time, group, wire.pack_packet(header, pdu)
@@ -198,6 +208,8 @@ class SymbolReceiver:
 
     def __init__(self, spec: fec.CodecSpec, plan: carousel.CarouselPlan, *,
                  file_length: int, session_id: int = 1):
+        if spec.k != math.ceil(file_length / spec.symbol_size):
+            raise ValueError("codec k does not match the file and symbol size")
         self.spec = spec
         self.plan = plan
         # Every buffer of the session holds exactly one symbol per level.

@@ -25,7 +25,6 @@ from dyncast.carousel import build_plan, completion_time, first_duplicate
 from dyncast.channel import (
     BASE_GROUP,
     ChannelConfig,
-    TileId,
     interval_index,
     tiles_in_window,
 )
@@ -37,7 +36,7 @@ from dyncast.netsim import (
     run,
 )
 from dyncast.reassembly import Reassembler
-from dyncast.sequencer import SequenceRequest, sequence
+from dyncast.sequencer import sequence
 from dyncast.transfer import (
     TransferCounters,
     compute_metrics,
@@ -84,13 +83,13 @@ def test_criterion_1_tile_interleaving():
         s = cfg.sub_tsi
         i = rng.randint(0, 400)
         tiles = tiles_in_window(cfg, i * s, (i + 1) * s)
-        assert tiles[0].tile.group == BASE_GROUP
-        dyn = [tb for tb in tiles if tb.tile.group != BASE_GROUP]
+        assert tiles[0].group == BASE_GROUP
+        dyn = [tb for tb in tiles if tb.group != BASE_GROUP]
         assert len(dyn) == cfg.group_count - 1
         for older, younger in zip(dyn, dyn[1:]):
             # adjacent groups in one sub-slot meet edge to edge: the older
             # group's ceiling rate equals the younger group's floor rate
-            assert younger.tile.group == older.tile.group + 1
+            assert younger.group == older.group + 1
             assert older.max_cum_rate == pytest.approx(younger.min_cum_rate, rel=1e-9)
             assert younger.min_cum_rate == pytest.approx(older.max_cum_rate, rel=1e-9)
             pairs += 1
@@ -128,35 +127,34 @@ def test_criterion_2_sequencer_prefix_optimality():
         # ones that never get a slot
         pdus = rng.randint(1, max(1, int(budget * 1.1)))
         length = (pdus - 1) * cfg.packet_payload + rng.randint(1, cfg.packet_payload)
-        request = SequenceRequest(bytes(length), buffer_time=buffer_time)
-        packets = sequence(request, cfg, t_start)
+        packets = sequence(bytes(length), buffer_time, cfg, t_start)
 
         ranked = sorted(
-            tiles, key=lambda tb: (tb.min_cum_rate, tb.tile.interval, tb.tile.group)
+            tiles, key=lambda tb: (tb.min_cum_rate, tb.interval, tb.group)
         )
-        expect: dict[int, TileId] = {}
-        floor_of: dict[TileId, float] = {}
+        expect: dict[int, tuple[int, int]] = {}
+        floor_of: dict[tuple[int, int], float] = {}
         j = 0
         for tb in ranked:
-            floor_of[tb.tile] = tb.min_cum_rate
+            floor_of[(tb.group, tb.interval)] = tb.min_cum_rate
             take = min(tb.packet_count, pdus - j)
             for _ in range(take):
-                expect[j] = tb.tile
+                expect[j] = (tb.group, tb.interval)
                 j += 1
         got = {
-            p.pdu_index: TileId(p.group, interval_index(cfg, p.send_time))
+            p.pdu_index: (p.group, interval_index(cfg, p.send_time))
             for p in packets
         }
         assert got == expect
 
         # below any rate threshold the delivered PDU set is an exact prefix
-        per_tile: dict[TileId, set[int]] = defaultdict(set)
+        per_tile: dict[tuple[int, int], set[int]] = defaultdict(set)
         for idx, tile in got.items():
             per_tile[tile].add(idx)
         prefix: set[int] = set()
         for _, same_rate in itertools.groupby(ranked, key=lambda tb: tb.min_cum_rate):
             for tb in same_rate:
-                prefix |= per_tile.get(tb.tile, set())
+                prefix |= per_tile.get((tb.group, tb.interval), set())
             assert prefix == set(range(len(prefix)))
 
         times = [p.send_time for p in packets]
@@ -188,8 +186,7 @@ def test_criterion_3_end_to_end_prefix_delivery():
             tiles = tiles_in_window(cfg, float(b), float(b + 1))
             capacity = sum(tb.packet_count for tb in tiles)
             data = rng.randbytes(capacity * cfg.packet_payload)
-            request = SequenceRequest(data, buffer_time=1.0)
-            for pkt in sequence(request, cfg, float(b)):
+            for pkt in sequence(data, 1.0, cfg, float(b)):
                 header = wire.PacketHeader(
                     group=pkt.group,
                     session_id=1,

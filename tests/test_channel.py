@@ -11,7 +11,6 @@ from dyncast.channel import (
     BASE_GROUP,
     ChannelConfig,
     TileBudget,
-    TileId,
     _age_slots,
     _cum_at,
     cumulative_rate_integral,
@@ -175,7 +174,7 @@ def test_adjacent_tiles_interleave_exactly():
     cfg = ChannelConfig()
     s = cfg.sub_tsi
     for i in (0, 1, 7):
-        tiles = {tb.tile.group: tb for tb in tiles_in_window(cfg, i * s, (i + 1) * s)}
+        tiles = {tb.group: tb for tb in tiles_in_window(cfg, i * s, (i + 1) * s)}
         dynamics = sorted(g for g in tiles if g != BASE_GROUP)
         for older, younger in zip(dynamics, dynamics[1:]):
             assert tiles[older].max_cum_rate == pytest.approx(
@@ -193,13 +192,13 @@ def test_one_subtsi_window_has_one_tile_per_active_group():
     )
     tiles = tiles_in_window(cfg, 0.0, cfg.sub_tsi)
     assert len(tiles) == 3
-    assert sorted(tb.tile.group for tb in tiles) == [0, 1, 2]
+    assert sorted(tb.group for tb in tiles) == [0, 1, 2]
 
 
 def test_base_tile_rates_pinned_to_base_rate():
     cfg = ChannelConfig()
     for tb in tiles_in_window(cfg, 0.0, 3 * cfg.sub_tsi):
-        if tb.tile.group == BASE_GROUP:
+        if tb.group == BASE_GROUP:
             assert tb.min_cum_rate == tb.max_cum_rate == cfg.base_rate
 
 
@@ -208,7 +207,7 @@ def test_base_budget_one_packet_per_second():
     cfg = ChannelConfig(base_rate=11_584.0)
     for i in range(5):
         tiles = tiles_in_window(cfg, float(i), float(i + 1))
-        base = [tb for tb in tiles if tb.tile.group == BASE_GROUP]
+        base = [tb for tb in tiles if tb.group == BASE_GROUP]
         assert sum(tb.packet_count for tb in base) == 1
 
 
@@ -223,7 +222,7 @@ def test_budgets_match_numeric_integral_over_100_subtsis():
     horizon = 100 * cfg.sub_tsi
     totals: dict[int, int] = {}
     for tb in tiles_in_window(cfg, 0.0, horizon):
-        totals[tb.tile.group] = totals.get(tb.tile.group, 0) + tb.packet_count
+        totals[tb.group] = totals.get(tb.group, 0) + tb.packet_count
     # every group fully contained in the horizon, plus the base group
     for group in [0, 1, 5, 20, 47, 80]:
         t0 = max(group_start_time(cfg, group), 0.0)
@@ -240,8 +239,8 @@ def test_partial_window_budgets_prorated_with_carry():
     sliced: dict[int, int] = {}
     for a, b in zip(cuts, cuts[1:]):
         for tb in tiles_in_window(cfg, a, b):
-            sliced[tb.tile.group] = sliced.get(tb.tile.group, 0) + tb.packet_count
-    whole = {tb.tile.group: tb.packet_count for tb in tiles_in_window(cfg, 0.0, s)}
+            sliced[tb.group] = sliced.get(tb.group, 0) + tb.packet_count
+    whole = {tb.group: tb.packet_count for tb in tiles_in_window(cfg, 0.0, s)}
     assert sliced == whole
 
 
@@ -297,7 +296,7 @@ def test_tile_order_within_interval_follows_group_age():
     cfg = ChannelConfig()
     tiles = tiles_in_window(cfg, 8.0, 8.0 + cfg.sub_tsi)
     by_rate = sorted(tiles, key=lambda tb: tb.min_cum_rate)
-    assert [tb.tile.group for tb in by_rate] == sorted(tb.tile.group for tb in tiles)
+    assert [tb.group for tb in by_rate] == sorted(tb.group for tb in tiles)
 
 
 def test_tiles_are_deterministic():
@@ -374,7 +373,8 @@ def ref_tiles_in_window(cfg: ChannelConfig, t_start: float, t_end: float) -> lis
             )
             tiles.append(
                 TileBudget(
-                    tile=TileId(group, i),
+                    group=group,
+                    interval=i,
                     packet_count=count,
                     min_cum_rate=ref_cum_at(cfg, group, span1),
                     max_cum_rate=ref_cum_at(cfg, group, span0),

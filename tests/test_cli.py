@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import random
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -270,6 +272,27 @@ def send_small(*flags):
                                     "--out", str(tmp_path / "t.trace"), *flags]
 
 
+def capped(argv):
+    """Mark a bad input that would exhaust memory if its refusal regressed.
+
+    The test runs it as ``python -m dyncast`` in a child process limited to
+    a 1 GiB address space and 60 s, so a regression fails the test instead
+    of taking the host's memory.
+    """
+    argv.capped = True
+    return argv
+
+
+def run_capped(args):
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "dyncast", *args], cwd=src, capture_output=True,
+                          text=True, timeout=60, preexec_fn=limit)
+    return done.returncode, done.stderr
+
+
 def recv_bad_second_record(tmp_path, trace):
     header, first, records = trace.read_text().split("\n", 2)
     edited = tmp_path / "edited.trace"
@@ -378,6 +401,21 @@ BAD_INPUTS = [
                  id="send-base-rate=1e-300"),
     pytest.param(send_small("--levels", "1", "--base-rate", "5e-324"), "no finite buffer time",
                  id="send-levels-1-base-rate=5e-324"),
+    # Finite windows of more than MAX_WINDOW_TILES tiles: a huge buffer
+    # time (1e-9, and 1e-300 with the levels given, so no buffer length is
+    # inferred) or a tiny sub slot.  Each ran for minutes or without bound.
+    pytest.param(sim_scenario("receiver = 1e6\nbase_rate = 1e-9\n"), "tiles per buffer",
+                 id="sim-scenario-base_rate=1e-9"),
+    pytest.param(sim_scenario("receiver = 1e6\ntsd = 1e-9\n"), "tiles per buffer",
+                 id="sim-scenario-tsd=1e-9"),
+    pytest.param(sim_scenario("receiver = 1e6\ntsd = 1e-300\n"), "tiles per buffer",
+                 id="sim-scenario-tsd=1e-300"),
+    pytest.param(sim_scenario("receiver = 1e6\ntsd = 5e-324\n"), "tiles per buffer",
+                 id="sim-scenario-tsd=5e-324"),
+    pytest.param(sim_scenario("receiver = 1e6\ntsd = 5e-324\ngroups_per_tsi = 2\n"),
+                 "rounds to 0 s", id="sim-scenario-sub-slot-underflow"),
+    pytest.param(capped(send_small("--levels", "1", "--base-rate", "1e-300")), "tiles per buffer",
+                 id="send-levels-1-base-rate=1e-300"),
     pytest.param(metrics_file('{"k": 1}'), "counters.json", id="metrics-missing-fields"),
     pytest.param(metrics_file("[1, 2]"), "counters.json", id="metrics-not-an-object"),
     pytest.param(metrics_file("{not json"), "counters.json", id="metrics-not-json"),
@@ -409,8 +447,11 @@ BAD_INPUTS = [
 @pytest.mark.parametrize("argv, message", BAD_INPUTS)
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, sent_trace, argv, message):
     args = argv(tmp_path, sent_trace)
-    rc = main(args)
-    err = capsys.readouterr().err
+    if getattr(argv, "capped", False):
+        rc, err = run_capped(args)
+    else:
+        rc = main(args)
+        err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith(args[0] + ":")
     assert message in err
@@ -482,7 +523,13 @@ def test_sim_writes_artifacts_and_report(tmp_path, capsys):
         counters = json.loads((out_dir / f"run{run}_rx0_counters.json").read_text())
         assert counters["file_length"] == 30_000
         assert (out_dir / f"run{run}_rx0.bin").read_bytes() == data
-        assert (out_dir / f"run{run}_rx0.trace").exists()
+        # One `time_us group buffer_id offset len deliver` line per
+        # received packet, in time order.
+        lines = (out_dir / f"run{run}_rx0.trace").read_text().splitlines()
+        assert all(re.fullmatch(r"(\d+ ){5}deliver", line) for line in lines)
+        times = [int(line.split()[0]) for line in lines]
+        assert times == sorted(times)
+        assert len(lines) == counters["received_packets"]
     assert "completed" in out and "MISMATCH" not in out
     assert "# receiver 0: mean and 95% interval over 2 runs" in out
 

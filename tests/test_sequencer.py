@@ -4,12 +4,7 @@ import random
 import pytest
 
 from dyncast.channel import ChannelConfig, interval_index, tiles_in_window
-from dyncast.sequencer import (
-    SequenceRequest,
-    infer_buffer_length,
-    infer_buffer_time,
-    sequence,
-)
+from dyncast.sequencer import infer_buffer_length, infer_buffer_time, sequence
 
 
 # ---------------------------------------------------------------------------
@@ -19,14 +14,14 @@ from dyncast.sequencer import (
 
 def oracle_assignment(cfg, data, buffer_time, t_start):
     tiles = tiles_in_window(cfg, t_start, t_start + buffer_time)
-    order = sorted(tiles, key=lambda tb: (tb.min_cum_rate, tb.tile.interval, tb.tile.group))
+    order = sorted(tiles, key=lambda tb: (tb.min_cum_rate, tb.interval, tb.group))
     total = math.ceil(len(data) / cfg.packet_payload)
     expected = {}
     j = 0
     for tb in order:
         take = min(tb.packet_count, total - j)
         if take > 0:
-            expected[tb.tile] = set(range(j, j + take))
+            expected[(tb.group, tb.interval)] = set(range(j, j + take))
         j += take
     return expected
 
@@ -59,7 +54,7 @@ def test_single_tile_sends_descending():
     # Four PDUs all fitting the base tile leave in order j = 3, 2, 1, 0.
     cfg = ChannelConfig(base_rate=11_584.0, tsd=4.0)
     data = bytes(4 * 1448)
-    pkts = sequence(SequenceRequest(data, 4.0), cfg, 0.0)
+    pkts = sequence(data, 4.0, cfg, 0.0)
     base = [p for p in pkts if p.group == 0]
     assert [p.pdu_index for p in base] == [3, 2, 1, 0]
     times = [p.send_time for p in base]
@@ -69,11 +64,11 @@ def test_single_tile_sends_descending():
 def test_pdu_zero_lands_in_lowest_min_cum_tile():
     cfg = ChannelConfig()
     data = bytes(500 * 1448)
-    pkts = sequence(SequenceRequest(data, cfg.sub_tsi), cfg, 0.0)
+    pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
     tiles = tiles_in_window(cfg, 0.0, cfg.sub_tsi)
-    lowest = min(tiles, key=lambda tb: (tb.min_cum_rate, tb.tile.interval, tb.tile.group))
+    lowest = min(tiles, key=lambda tb: (tb.min_cum_rate, tb.interval, tb.group))
     p0 = next(p for p in pkts if p.pdu_index == 0)
-    assert p0.group == lowest.tile.group
+    assert p0.group == lowest.group
 
 
 def test_assignment_matches_oracle_small_config():
@@ -86,7 +81,7 @@ def test_assignment_matches_oracle_small_config():
     )
     data = bytes(977 * 41)  # awkward size, last PDU short
     t0 = 4.0
-    pkts = sequence(SequenceRequest(data, 2 * cfg.sub_tsi), cfg, t0)
+    pkts = sequence(data, 2 * cfg.sub_tsi, cfg, t0)
     assert packets_by_tile(cfg, pkts) == oracle_assignment(cfg, data, 2 * cfg.sub_tsi, t0)
 
 
@@ -104,7 +99,7 @@ def test_assignment_matches_oracle_randomized():
             continue
         pdus = rng.randint(1, int(total_budget * 1.4) + 1)
         data = bytes(pdus * cfg.packet_payload - rng.randint(0, cfg.packet_payload - 1))
-        pkts = sequence(SequenceRequest(data, buffer_time), cfg, t0)
+        pkts = sequence(data, buffer_time, cfg, t0)
         assert packets_by_tile(cfg, pkts) == oracle_assignment(cfg, data, buffer_time, t0)
 
 
@@ -114,9 +109,9 @@ def test_prefix_property_under_rate_thresholds():
     rng = random.Random(7)
     cfg = ChannelConfig()
     data = bytes(300 * 1448)
-    pkts = sequence(SequenceRequest(data, 2 * cfg.sub_tsi), cfg, 0.0)
+    pkts = sequence(data, 2 * cfg.sub_tsi, cfg, 0.0)
     tiles = {
-        (tb.tile.group, tb.tile.interval): tb
+        (tb.group, tb.interval): tb
         for tb in tiles_in_window(cfg, 0.0, 2 * cfg.sub_tsi)
     }
     rates = sorted({tb.min_cum_rate for tb in tiles.values()})
@@ -132,7 +127,7 @@ def test_prefix_property_under_rate_thresholds():
 def test_tile_ranges_contiguous_and_ascending():
     cfg = ChannelConfig()
     data = bytes(200 * 1448)
-    pkts = sequence(SequenceRequest(data, cfg.sub_tsi), cfg, 0.0)
+    pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
     ranges = []
     for (group, interval), js in packets_by_tile(cfg, pkts).items():
         lo, hi = min(js), max(js)
@@ -140,7 +135,7 @@ def test_tile_ranges_contiguous_and_ascending():
         tb = next(
             t
             for t in tiles_in_window(cfg, 0.0, cfg.sub_tsi)
-            if t.tile.group == group and t.tile.interval == interval
+            if t.group == group and t.interval == interval
         )
         ranges.append((tb.min_cum_rate, lo, hi))
     ranges.sort()
@@ -151,7 +146,7 @@ def test_tile_ranges_contiguous_and_ascending():
 def test_intra_tile_times_increase_while_j_decreases():
     cfg = ChannelConfig()
     data = bytes(300 * 1448)
-    pkts = sequence(SequenceRequest(data, cfg.sub_tsi), cfg, 0.0)
+    pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
     per_tile = {}
     for p in pkts:
         per_tile.setdefault(p.group, []).append(p)
@@ -166,7 +161,7 @@ def test_intra_tile_times_increase_while_j_decreases():
 def test_per_group_seq_counts_chronologically():
     cfg = ChannelConfig()
     data = bytes(400 * 1448)
-    pkts = sequence(SequenceRequest(data, 3 * cfg.sub_tsi), cfg, 0.0)
+    pkts = sequence(data, 3 * cfg.sub_tsi, cfg, 0.0)
     seen: dict[int, int] = {}
     for p in pkts:  # pkts are globally time-ordered
         expect = seen.get(p.group, 0)
@@ -177,7 +172,7 @@ def test_per_group_seq_counts_chronologically():
 def test_offsets_and_payload_slices():
     cfg = ChannelConfig()
     data = bytes(random.Random(5).randbytes(90 * 1448 + 311))
-    pkts = sequence(SequenceRequest(data, cfg.sub_tsi), cfg, 0.0)
+    pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
     assert len({p.pdu_index for p in pkts}) == len(pkts)
     for p in pkts:
         assert p.offset == p.pdu_index * cfg.packet_payload
@@ -192,7 +187,7 @@ def test_oversized_buffer_drops_highest_indices():
                         max_cumulative_rate=23_168.0, decay_ratio=0.7)
     # Window budget is tiny; a huge buffer keeps only the lowest PDUs.
     data = bytes(50 * 1448)
-    pkts = sequence(SequenceRequest(data, 4.0), cfg, 0.0)
+    pkts = sequence(data, 4.0, cfg, 0.0)
     assigned = sorted(p.pdu_index for p in pkts)
     assert assigned == list(range(len(assigned)))
     assert len(assigned) < 50
@@ -201,10 +196,10 @@ def test_oversized_buffer_drops_highest_indices():
 def test_surplus_budget_left_at_highest_rates():
     cfg = ChannelConfig()
     data = bytes(30 * 1448)  # far below the window budget
-    pkts = sequence(SequenceRequest(data, cfg.sub_tsi), cfg, 0.0)
+    pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
     assert len(pkts) == 30
     used_groups = {p.group for p in pkts}
-    all_groups = {tb.tile.group for tb in tiles_in_window(cfg, 0.0, cfg.sub_tsi)}
+    all_groups = {tb.group for tb in tiles_in_window(cfg, 0.0, cfg.sub_tsi)}
     # the fastest groups stayed idle
     assert max(all_groups) not in used_groups
 
@@ -246,20 +241,21 @@ def test_infer_round_trip_within_one_byte():
 
 
 def test_empty_buffer_rejected():
+    cfg = ChannelConfig()
     with pytest.raises(ValueError, match="buffer holds no data"):
-        SequenceRequest(b"", 1.0)
+        sequence(b"", 1.0, cfg, 0.0)
     with pytest.raises(ValueError):
-        SequenceRequest(b"x", 0.0)
+        sequence(b"x", 0.0, cfg, 0.0)
 
 
 def test_zero_budget_window_rejected():
     cfg = ChannelConfig(base_rate=64_000.0)
     # A microscopic window carries no whole packet on any group.
     with pytest.raises(ValueError, match="window budget is zero packets"):
-        sequence(SequenceRequest(b"x" * 1448, 1e-7), cfg, 0.05)
+        sequence(b"x" * 1448, 1e-7, cfg, 0.05)
 
 
 def test_sequencing_is_deterministic():
     cfg = ChannelConfig()
-    req = SequenceRequest(bytes(123 * 1448 + 7), 1.5 * cfg.sub_tsi)
-    assert sequence(req, cfg, 2.0) == sequence(req, cfg, 2.0)
+    data, buffer_time = bytes(123 * 1448 + 7), 1.5 * cfg.sub_tsi
+    assert sequence(data, buffer_time, cfg, 2.0) == sequence(data, buffer_time, cfg, 2.0)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncast import wire
+from dyncast.carousel import build_plan
 from dyncast.channel import ChannelConfig
 from dyncast.fec import CodecSpec, DecodeFailureError
 from dyncast.netsim import ReceiverSpec, Scenario
@@ -477,6 +478,17 @@ def test_session_id_outside_32_bits_rejected(session_id):
     top = CarouselSession(data, SMALL_CFG, sess.spec, levels=1, session_id=2**32 - 1)
     _, _, datagram = next(top.emissions())
     assert wire.parse_packet(datagram)[0].session_id == 2**32 - 1
+
+
+@pytest.mark.parametrize("file_length", [2, 13, 0])
+def test_receiver_rejects_a_file_length_its_codec_cannot_hold(file_length):
+    # Three 4-byte symbols hold a file of 9 to 12 bytes, no more, no less.
+    spec = CodecSpec("null", 3, 3, 4)
+    plan = build_plan(3, 1)
+    for fits in (9, 12):
+        SymbolReceiver(spec, plan, file_length=fits)
+    with pytest.raises(ValueError, match="codec k does not match the file and symbol size"):
+        SymbolReceiver(spec, plan, file_length=file_length)
 
 
 # One small session per codec (k = 12, three 64-byte levels per buffer).
