@@ -75,7 +75,7 @@ def cmd_send(args) -> int:
 def cmd_recv(args) -> int:
     data, metrics, _counters = transfer.receive_file(args.trace)
     Path(args.out).write_bytes(data)
-    print(transfer.format_metrics(metrics))
+    print(transfer.format_metrics(metrics.as_dict()))
     return 0
 
 
@@ -109,13 +109,12 @@ def cmd_sim(args) -> int:
                 ok = "ok" if outcome.file == data else "MISMATCH"
                 failed |= ok != "ok"
                 print(f"# {tag}: completed in {outcome.metrics.time:.3f}s ({ok})")
-                print(transfer.format_metrics(outcome.metrics))
+                print(transfer.format_metrics(outcome.metrics.as_dict()))
                 per_receiver[i].append(outcome.metrics)
             else:
                 failed = True
                 print(f"# {tag}: timed out after {scen.duration}s; partial metrics:")
-                for name, value in transfer.partial_metrics(outcome.counters).items():
-                    print(f"{name} {value:.6g}")
+                print(transfer.format_metrics(transfer.partial_metrics(outcome.counters)))
             print()
     if args.runs >= 2:
         for i, runs in enumerate(per_receiver):
@@ -151,7 +150,7 @@ def _read_counters(path) -> transfer.TransferCounters:
 def cmd_metrics(args) -> int:
     all_metrics = [transfer.compute_metrics(_read_counters(path)) for path in args.counters]
     if len(all_metrics) == 1:
-        print(transfer.format_metrics(all_metrics[0]))
+        print(transfer.format_metrics(all_metrics[0].as_dict()))
     else:
         print(transfer.format_report(transfer.report(all_metrics)))
     return 0
@@ -220,8 +219,7 @@ def main(argv=None) -> int:
         return 141
     except transfer.TransferTimeoutError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        for name, value in exc.partial.items():
-            print(f"{name} {value:.6g}", file=sys.stderr)
+        print(transfer.format_metrics(exc.partial), file=sys.stderr)
         return 1
     except fec.DecodeFailureError as exc:
         print(f"{args.command}: decode failed: {exc}", file=sys.stderr)

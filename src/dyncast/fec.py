@@ -58,6 +58,11 @@ from functools import lru_cache
 
 CODEC_NAMES = ("null", "mds", "sparse_parity")
 
+# Most symbols a code may have.  The sparse code lays out one support per
+# repair and the carousel one slot per symbol, so n sets the memory a
+# session or a trace header asks for; the benchmark's largest n is 11050.
+MAX_N = 1 << 20
+
 
 class DecodeFailureError(Exception):
     """Received symbols are mutually inconsistent or corrupt."""
@@ -78,6 +83,8 @@ class CodecSpec:
             raise ValueError("k must be >= 1")
         if self.n < self.k:
             raise ValueError("n must be >= k")
+        if self.n > MAX_N:
+            raise ValueError(f"n={self.n} is above {MAX_N}, the most symbols a code may have")
         if self.symbol_size < 1:
             raise ValueError("symbol_size must be >= 1")
         if self.name == "null" and self.n != self.k:
@@ -89,7 +96,7 @@ class CodecSpec:
 
 @dataclass(frozen=True)
 class FecSymbol:
-    """One encoded symbol.
+    """One encoded symbol: a source when ``index < k``, else a repair.
 
     ``data`` is ``bytes``, or for a full-length source the caller's own
     read-only view of ``bytes`` (see ``encode``): either way it is
@@ -97,7 +104,6 @@ class FecSymbol:
     """
 
     index: int
-    kind: str  # "source" or "repair"
     data: bytes | memoryview
 
 
@@ -303,14 +309,14 @@ def encode(spec: CodecSpec, blocks) -> list[FecSymbol]:
     input afterwards changes no symbol.
     """
     src = _padded_blocks(spec, blocks)
-    symbols = [FecSymbol(i, "source", src[i]) for i in range(spec.k)]
+    symbols = [FecSymbol(i, src[i]) for i in range(spec.k)]
     if spec.name == "null":
         return symbols
     if spec.name == "mds":
         repairs = range(spec.k, spec.n)
         coeffs = _interpolation_coeffs(range(spec.k), repairs)
         for r, data in zip(repairs, _gf_combine(coeffs, src, spec.symbol_size)):
-            symbols.append(FecSymbol(r, "repair", data))
+            symbols.append(FecSymbol(r, data))
         return symbols
     # sparse_parity
     ints = [int.from_bytes(b, "big") for b in src]
@@ -318,7 +324,7 @@ def encode(spec: CodecSpec, blocks) -> list[FecSymbol]:
         acc = 0
         for i in repair_support(spec, r):
             acc ^= ints[i]
-        symbols.append(FecSymbol(r, "repair", acc.to_bytes(spec.symbol_size, "big")))
+        symbols.append(FecSymbol(r, acc.to_bytes(spec.symbol_size, "big")))
     return symbols
 
 

@@ -72,6 +72,16 @@ class GilbertLoss:
         return self.rate * self.p_exit / (1.0 - self.rate)
 
 
+# The most work one run may ask for.  ``run`` walks every sub-slot boundary
+# and every emitted packet up to ``duration`` unless all receivers close
+# first, so a scenario is refused where it is parsed when its duration
+# holds more boundaries than MAX_SUB_SLOTS, or more packets than
+# MAX_PACKETS at the channel's top rate (the benchmark's longest run, 1800 s
+# at 4 Mb/s in 1448-byte packets, holds 1800 boundaries and 6.2e5 packets).
+MAX_SUB_SLOTS = 1 << 20
+MAX_PACKETS = 1 << 22
+
+
 @dataclass(frozen=True)
 class Scenario:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
@@ -92,6 +102,16 @@ class Scenario:
             raise ValueError("iid_loss must be in [0, 1)")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        ch = self.channel
+        boundaries = self.duration / ch.sub_tsi
+        if boundaries > MAX_SUB_SLOTS:
+            raise ValueError(f"duration {self.duration:g} s holds {boundaries:.3g} sub slots of "
+                             f"{ch.sub_tsi:g} s, more than {MAX_SUB_SLOTS}")
+        packets = self.duration * ch.max_cumulative_rate / (8 * ch.packet_payload)
+        if packets > MAX_PACKETS:
+            raise ValueError(f"duration {self.duration:g} s holds up to {packets:.3g} packets of "
+                             f"{ch.packet_payload} bytes at {ch.max_cumulative_rate:g} bit/s, "
+                             f"more than {MAX_PACKETS}")
 
 
 @dataclass

@@ -16,12 +16,6 @@ from .wire import PacketHeader
 _SERIAL_MOD = 1 << 32
 _SERIAL_HALF = 1 << 31
 
-STORED = "stored"
-DUPLICATE = "duplicate"
-STALE = "stale"
-MALFORMED = "malformed"
-FLUSHED_PREVIOUS = "flushed_previous"
-
 
 def serial_newer(a: int, b: int) -> bool:
     """True when buffer id ``a`` is newer than ``b`` (RFC 1982 style)."""
@@ -41,11 +35,13 @@ class ReassemblyBuffer:
         self.data = bytearray(expected_length)
         self.mask = 0
 
-    def insert(self, offset: int, data: bytes) -> str:
+    def insert(self, offset: int, data: bytes) -> int:
         """Store one PDU, verifying the bytes it shares with earlier ones.
 
-        A PDU outside the buffer, or with bytes unlike those already held
-        for its range, raises ValueError and leaves the buffer as it was.
+        Returns the mask bits it set, one per byte not received before (0
+        for a duplicate).  A PDU outside the buffer, or with bytes unlike
+        those already held for its range, raises ValueError and leaves the
+        buffer as it was.
         """
         end = offset + len(data)
         if offset < 0 or end > self.expected_length:
@@ -55,7 +51,8 @@ class ReassemblyBuffer:
         if seen == span:
             if self.data[offset:end] != data:
                 raise ValueError(f"buffer {self.buffer_id}: conflicting bytes at {offset}..{end}")
-            return DUPLICATE
+            return 0
+        added = span ^ seen
         if seen:
             # A partial overlap: only traces and fuzzed input send one.
             seen >>= offset
@@ -64,7 +61,7 @@ class ReassemblyBuffer:
                     raise ValueError(f"buffer {self.buffer_id}: conflicting byte at {offset + i}")
         self.data[offset:end] = data
         self.mask |= span
-        return STORED
+        return added
 
     def contiguous_prefix(self) -> bytes:
         """Bytes available from offset 0 without a hole."""
@@ -101,43 +98,39 @@ class Counters:
 class Reassembler:
     """Feeds packets into per-buffer reassembly, one open buffer at a time.
 
-    A buffer is allocated at its header's ``buffer_length`` when it opens,
-    so callers bound that field first (SymbolReceiver admits only its own).
+    Packets come framed as ``wire.parse_packet`` checks them.  A buffer is
+    allocated at its header's ``buffer_length`` when it opens, so callers
+    bound that field first (SymbolReceiver admits only its own).
     """
 
     def __init__(self) -> None:
         self.current: ReassemblyBuffer | None = None
         self.counters = Counters()
 
-    def on_packet(self, header: PacketHeader, payload: bytes) -> tuple[str, ReassemblyBuffer | None]:
-        """Store one PDU.
+    def on_packet(self, header: PacketHeader, payload: bytes) -> int:
+        """Store one PDU; returns the bits it set in the open buffer's mask.
 
-        Returns (status, flushed) where flushed is the previous buffer
-        when this packet opened a new one.
+        A newer buffer id flushes the open buffer first.  The return is 0
+        for a duplicate, a stale buffer id, and a PDU outside its buffer or
+        unlike the bytes already held.
         """
-        if len(payload) != header.payload_len or header.offset + len(payload) > header.buffer_length:
-            self.counters.malformed += 1
-            return MALFORMED, None
-        flushed: ReassemblyBuffer | None = None
-        status = STORED
         if self.current is not None and header.buffer_id != self.current.buffer_id:
             if not serial_newer(header.buffer_id, self.current.buffer_id):
                 self.counters.stale += 1
-                return STALE, None
-            flushed = self.flush()
-            status = FLUSHED_PREVIOUS
+                return 0
+            self.flush()
         if self.current is None:
             self.current = ReassemblyBuffer(header.buffer_id, header.buffer_length)
         try:
-            stored = self.current.insert(header.offset, payload)
+            added = self.current.insert(header.offset, payload)
         except ValueError:  # outside the buffer, or conflicting bytes
             self.counters.malformed += 1
-            return MALFORMED, flushed
-        if stored == DUPLICATE:
+            return 0
+        if added:
+            self.counters.stored += 1
+        else:
             self.counters.duplicate += 1
-            return (status if flushed else DUPLICATE), flushed
-        self.counters.stored += 1
-        return status, flushed
+        return added
 
     def flush(self) -> ReassemblyBuffer | None:
         """Close and return the buffer under construction, if any."""

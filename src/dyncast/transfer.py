@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import carousel, fec, netsim, wire
 from .channel import ChannelConfig
-from .reassembly import MALFORMED, STALE, Reassembler
+from .reassembly import Reassembler
 from .sequencer import infer_buffer_length, infer_buffer_time, sequence
 
 METRIC_NAMES = ("time", "gput", "tput", "loss", "dup", "sym", "head", "net", "comp")
@@ -222,11 +222,13 @@ class SymbolReceiver:
         self.foreign_packets = 0  # another session's datagrams, dropped
         self.malformed_packets = 0  # unparsable or of another buffer length, dropped
         self.conflicting_symbols = 0  # copies unlike the first one of their symbol, dropped
-        self.completion_time: float | None = None
-        self._slots_done: set[int] = set()
 
-    def on_packet(self, t: float, datagram: bytes) -> bool:
-        """Feed one datagram; True once the decoder has closed."""
+    def on_packet(self, datagram: bytes) -> bool:
+        """Feed one datagram; True once the decoder has closed.
+
+        Each symbol slot of a buffer is fed to the decoder once, by the
+        PDU that completes it.
+        """
         if self.decoder.complete:
             return True
         try:
@@ -239,22 +241,18 @@ class SymbolReceiver:
         if header.session_id != self.session_id:
             self.foreign_packets += 1
             return False
-        status, flushed = self.reassembler.on_packet(header, payload)
-        if status in (STALE, MALFORMED):
+        added = self.reassembler.on_packet(header, payload)
+        if not added:
             return False
-        if flushed is not None:
-            self._slots_done.clear()
         buf = self.reassembler.current
         ss = self.spec.symbol_size
-        first = header.offset // ss
-        last = (header.offset + len(payload) - 1) // ss
-        for slot in range(first, last + 1):
-            if slot in self._slots_done:
-                continue
+        slot_bits = (1 << ss) - 1
+        for slot in range(header.offset // ss, (header.offset + len(payload) - 1) // ss + 1):
+            if not added >> slot * ss & slot_bits:
+                continue  # no new byte: fed when it became whole, or not whole yet
             data = buf.covered(slot * ss, (slot + 1) * ss)
             if data is None:
                 continue
-            self._slots_done.add(slot)
             position = self.plan.block_for(header.buffer_id, slot + 1)
             symbol = ring_symbol(position, self.spec.k, self.spec.n)
             try:
@@ -264,7 +262,6 @@ class SymbolReceiver:
                 continue
             self.received_symbols += 1
             if self.decoder.complete:
-                self.completion_time = t
                 return True
         return False
 
@@ -337,7 +334,7 @@ def simulate_transfer(
             for _ in scenario.receivers]
 
     def on_delivery(i: int, t: float, group: int, packet: bytes) -> bool:
-        return apps[i].on_packet(t, packet)
+        return apps[i].on_packet(packet)
 
     result = netsim.run(
         scenario, session.emissions(), on_delivery=on_delivery, collect_traces=collect_traces
@@ -345,7 +342,7 @@ def simulate_transfer(
     outcomes = []
     for app, rres in zip(apps, result.receivers):
         state = rres.state
-        end = app.completion_time if app.done else result.end_time
+        end = state.done_time if app.done else result.end_time
         counters = app.counters(packets=state.received, missed=state.missed,
                                 link_bytes=state.received_bytes,
                                 elapsed=max(end - state.start_time, 0.0),
@@ -479,10 +476,10 @@ def receive_file(trace_path) -> tuple[bytes, TransferMetrics, TransferCounters]:
                 raise ValueError(f"{trace_path}:{number}: {exc}") from None
             received += 1
             link_bytes += len(datagram)
-            if app.on_packet(last_t, datagram):
+            if app.on_packet(datagram):
                 break
     counters = app.counters(packets=received, missed=0, link_bytes=link_bytes,
-                            elapsed=app.completion_time if app.done else last_t, payload=payload)
+                            elapsed=last_t, payload=payload)
     if not app.done:
         raise TransferTimeoutError("trace ended before the decode closed", counters)
     data = app.file()
@@ -565,5 +562,6 @@ def format_report(rep: dict[str, tuple[float, float]]) -> str:
     return "\n".join(f"{name} {rep[name][0]:.6g} {rep[name][1]:.6g}" for name in METRIC_NAMES)
 
 
-def format_metrics(metrics: TransferMetrics) -> str:
-    return "\n".join(f"{name} {value:.6g}" for name, value in metrics.as_dict().items())
+def format_metrics(metrics: dict[str, float]) -> str:
+    """One `name value` line per metric, in the mapping's order."""
+    return "\n".join(f"{name} {value:.6g}" for name, value in metrics.items())

@@ -406,16 +406,32 @@ BAD_INPUTS = [
     # inferred) or a tiny sub slot.  Each ran for minutes or without bound.
     pytest.param(sim_scenario("receiver = 1e6\nbase_rate = 1e-9\n"), "tiles per buffer",
                  id="sim-scenario-base_rate=1e-9"),
-    pytest.param(sim_scenario("receiver = 1e6\ntsd = 1e-9\n"), "tiles per buffer",
+    pytest.param(sim_scenario("receiver = 1e6\ntsd = 1e-9\nduration = 1e-6\n"), "tiles per buffer",
+                 id="sim-scenario-tsd=1e-9-duration=1e-6"),
+    # Runs of more than netsim.MAX_SUB_SLOTS sub-slot boundaries or
+    # MAX_PACKETS packets, refused where the scenario is parsed: a tiny
+    # sub slot over the default 60 s, or a long duration.  A billion
+    # seconds at 1 bit/s was still running after 8 s.
+    pytest.param(sim_scenario("receiver = 1e6\ntsd = 1e-9\n"), "duration 60 s holds 6e+10 sub slots",
                  id="sim-scenario-tsd=1e-9"),
-    pytest.param(sim_scenario("receiver = 1e6\ntsd = 1e-300\n"), "tiles per buffer",
+    pytest.param(sim_scenario("receiver = 1e6\ntsd = 1e-300\n"), "sub slots of 1e-300 s",
                  id="sim-scenario-tsd=1e-300"),
-    pytest.param(sim_scenario("receiver = 1e6\ntsd = 5e-324\n"), "tiles per buffer",
+    pytest.param(sim_scenario("receiver = 1e6\ntsd = 5e-324\n"), "holds inf sub slots",
                  id="sim-scenario-tsd=5e-324"),
+    pytest.param(sim_scenario("receiver = 1e6\nduration = 1e9\nbottleneck_rate = 1\n"),
+                 "duration 1e+09 s holds 2.5e+08 sub slots", id="sim-scenario-duration=1e9"),
+    pytest.param(sim_scenario("receiver = 1e6\nduration = 1e6\n"),
+                 "duration 1e+06 s holds up to 3.45e+08 packets", id="sim-scenario-duration=1e6"),
     pytest.param(sim_scenario("receiver = 1e6\ntsd = 5e-324\ngroups_per_tsi = 2\n"),
                  "rounds to 0 s", id="sim-scenario-sub-slot-underflow"),
     pytest.param(capped(send_small("--levels", "1", "--base-rate", "1e-300")), "tiles per buffer",
                  id="send-levels-1-base-rate=1e-300"),
+    # A code of more than fec.MAX_N symbols: the sparse layout built one
+    # list per repair until it ran out of memory.
+    pytest.param(capped(send_small("--fec-n", str(2**32))), "n=4294967296 is above",
+                 id="send-fec-n=2**32"),
+    pytest.param(capped(recv_header(set_field("n", 2**32))), "n=4294967296 is above",
+                 id="header-n=2**32"),
     pytest.param(metrics_file('{"k": 1}'), "counters.json", id="metrics-missing-fields"),
     pytest.param(metrics_file("[1, 2]"), "counters.json", id="metrics-not-an-object"),
     pytest.param(metrics_file("{not json"), "counters.json", id="metrics-not-json"),

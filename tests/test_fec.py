@@ -54,7 +54,7 @@ def test_null_codec_is_identity():
     blocks = blocks_of(spec)
     symbols = encode(spec, blocks)
     assert [s.data for s in symbols] == blocks
-    assert all(s.kind == "source" for s in symbols)
+    assert [s.index for s in symbols] == list(range(spec.k))  # every symbol a source
     assert decode(spec, symbols) == blocks
 
 

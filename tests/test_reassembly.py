@@ -1,19 +1,14 @@
-"""Buffer reassembly: merging, duplicate detection, flush-on-new-id."""
+"""Buffer reassembly: merging, duplicate detection, flush-on-new-id.
+
+An insert returns the mask bits it set, so the oracles below assert the
+exact byte positions a PDU added, 0 for a duplicate.
+"""
 
 import random
 
 import pytest
 
-from dyncast.reassembly import (
-    DUPLICATE,
-    FLUSHED_PREVIOUS,
-    MALFORMED,
-    STALE,
-    STORED,
-    Reassembler,
-    ReassemblyBuffer,
-    serial_newer,
-)
+from dyncast.reassembly import Reassembler, ReassemblyBuffer, serial_newer
 from dyncast.wire import PacketHeader
 
 
@@ -30,14 +25,24 @@ def hdr(buffer_id, offset, payload_len, buffer_length, seq=0):
     )
 
 
+def bits(start, end):
+    """The mask bits of byte positions [start, end)."""
+    return ((1 << (end - start)) - 1) << start
+
+
+def positions(mask):
+    """The byte positions whose bits are set in ``mask``."""
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
 # ---------------------------------------------------------------------------
 # ReassemblyBuffer
 
 
 def test_adjacent_parts_merge():
     buf = ReassemblyBuffer(1, 2896)
-    assert buf.insert(0, b"a" * 1448) == STORED
-    assert buf.insert(1448, b"b" * 1448) == STORED
+    assert buf.insert(0, b"a" * 1448) == bits(0, 1448)
+    assert buf.insert(1448, b"b" * 1448) == bits(1448, 2896)
     assert buf.covered(1000, 2000) == b"a" * 448 + b"b" * 552  # across the seam
     assert buf.is_complete
     assert buf.contiguous_prefix() == b"a" * 1448 + b"b" * 1448
@@ -55,9 +60,9 @@ def test_hole_then_fill():
 
 def test_contained_duplicate():
     buf = ReassemblyBuffer(1, 100)
-    assert buf.insert(10, b"x" * 50) == STORED
-    assert buf.insert(10, b"x" * 50) == DUPLICATE
-    assert buf.insert(20, b"x" * 10) == DUPLICATE  # strict sub-range
+    assert buf.insert(10, b"x" * 50) == bits(10, 60)
+    assert buf.insert(10, b"x" * 50) == 0
+    assert buf.insert(20, b"x" * 10) == 0  # strict sub-range
     assert buf.received_bytes == 50
 
 
@@ -65,7 +70,7 @@ def test_partial_overlap_identical_bytes_merges():
     data = bytes(range(200)) * 2
     buf = ReassemblyBuffer(1, 400)
     buf.insert(0, data[:250])
-    assert buf.insert(200, data[200:]) == STORED
+    assert buf.insert(200, data[200:]) == bits(250, 400)  # only the bytes past the overlap
     assert buf.received_bytes == 400
     assert buf.contiguous_prefix() == data
 
@@ -87,7 +92,7 @@ def test_insert_outside_buffer_rejected():
 
 def test_empty_payload_is_noop():
     buf = ReassemblyBuffer(1, 100)
-    assert buf.insert(0, b"") == DUPLICATE
+    assert buf.insert(0, b"") == 0
     assert buf.received_bytes == 0
     assert buf.covered(0, 1) is None
 
@@ -126,7 +131,7 @@ def test_random_replay_matches_interval_oracle():
         for off, chunk in pieces:
             rc = buf.insert(off, chunk)
             rng_set = set(range(off, off + len(chunk)))
-            assert rc == (STORED if (rng_set - seen) else DUPLICATE)
+            assert positions(rc) == rng_set - seen
             seen |= rng_set
             assert buf.received_bytes == len(seen)
         assert buf.is_complete
@@ -154,17 +159,18 @@ def test_random_overlaps_match_byte_oracle():
             chunk = bytearray(original[off:end])
             if rng.random() < 0.3:  # one flipped byte
                 chunk[rng.randrange(len(chunk))] ^= 1 << rng.randrange(8)
-            positions = range(off, end)
-            conflict = any(i in stored and stored[i] != chunk[i - off] for i in positions)
-            contained = all(i in stored for i in positions)
+            span = range(off, end)
+            conflict = any(i in stored and stored[i] != chunk[i - off] for i in span)
+            contained = all(i in stored for i in span)
             if conflict:
                 with pytest.raises(ValueError, match="conflicting byte"):
                     buf.insert(off, bytes(chunk))
                 outcome = "conflict"
             else:
-                outcome = buf.insert(off, bytes(chunk))
-                assert outcome == (DUPLICATE if contained else STORED)
-                stored.update(zip(positions, chunk))
+                added = buf.insert(off, bytes(chunk))
+                assert added == sum(1 << i for i in span if i not in stored)
+                outcome = "added" if added else "duplicate"
+                stored.update(zip(span, chunk))
             kinds.add((contained, outcome))
             # The buffer holds exactly the oracle's bytes, also after a rejection.
             assert buf.received_bytes == len(stored)
@@ -180,7 +186,7 @@ def test_random_overlaps_match_byte_oracle():
                 prefix += 1
             assert buf.contiguous_prefix() == bytes(stored[i] for i in range(prefix))
             assert buf.is_complete == (len(stored) == length)
-    assert {(True, "conflict"), (False, "conflict"), (True, DUPLICATE), (False, STORED)} <= kinds
+    assert {(True, "conflict"), (False, "conflict"), (True, "duplicate"), (False, "added")} <= kinds
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +215,11 @@ def test_serial_newer(a, b, newer):
 
 def test_new_buffer_flushes_previous():
     r = Reassembler()
-    assert r.on_packet(hdr(10, 0, 5, 20), b"aaaaa")[0] == STORED
-    assert r.on_packet(hdr(10, 10, 5, 20), b"bbbbb")[0] == STORED
-    status, flushed = r.on_packet(hdr(11, 0, 5, 20), b"ccccc")
-    assert status == FLUSHED_PREVIOUS
-    assert flushed is not None and flushed.buffer_id == 10
+    assert r.on_packet(hdr(10, 0, 5, 20), b"aaaaa") == bits(0, 5)
+    assert r.on_packet(hdr(10, 10, 5, 20), b"bbbbb") == bits(10, 15)
+    flushed = r.current
+    assert r.on_packet(hdr(11, 0, 5, 20), b"ccccc") == bits(0, 5)  # of the new buffer
+    assert flushed.buffer_id == 10
     assert flushed.covered(0, 5) == b"aaaaa" and flushed.covered(10, 15) == b"bbbbb"
     assert flushed.covered(5, 10) is None and flushed.received_bytes == 10
     assert r.current.buffer_id == 11
@@ -223,29 +229,35 @@ def test_new_buffer_flushes_previous():
 def test_stale_buffer_dropped():
     r = Reassembler()
     r.on_packet(hdr(10, 0, 5, 20), b"aaaaa")
-    status, flushed = r.on_packet(hdr(9, 0, 5, 20), b"zzzzz")
-    assert status == STALE and flushed is None
+    assert r.on_packet(hdr(9, 0, 5, 20), b"zzzzz") == 0
     assert r.current.buffer_id == 10
+    assert r.current.covered(0, 5) == b"aaaaa"
     assert r.counters.stale == 1
 
 
 def test_wraparound_id_opens_new_buffer():
     r = Reassembler()
     r.on_packet(hdr(2**32 - 1, 0, 5, 20), b"aaaaa")
-    status, flushed = r.on_packet(hdr(0, 0, 5, 20), b"bbbbb")
-    assert status == FLUSHED_PREVIOUS
+    flushed = r.current
+    assert r.on_packet(hdr(0, 0, 5, 20), b"bbbbb") == bits(0, 5)
     assert flushed.buffer_id == 2**32 - 1
     assert r.current.buffer_id == 0
+    assert r.counters.flushed == 1
 
 
 def test_malformed_packets_counted():
+    # wire.parse_packet checks the framing; the buffer's bounds and the
+    # bytes already held are the reassembler's own checks.
     r = Reassembler()
-    # payload does not match the advertised length
-    assert r.on_packet(hdr(1, 0, 8, 20), b"short")[0] == MALFORMED
     # PDU sticking out of the buffer
-    assert r.on_packet(hdr(1, 18, 5, 20), b"aaaaa")[0] == MALFORMED
-    assert r.counters.malformed == 2
-    assert r.current is None
+    assert r.on_packet(hdr(1, 18, 5, 20), b"aaaaa") == 0
+    assert r.on_packet(hdr(1, 0, 5, 20), b"aaaaa") == bits(0, 5)
+    # bytes unlike the ones already held, in part or in whole
+    assert r.on_packet(hdr(1, 3, 5, 20), b"axxxx") == 0
+    assert r.on_packet(hdr(1, 0, 5, 20), b"aaaab") == 0
+    assert r.counters.malformed == 3
+    assert r.counters.stored == 1
+    assert r.current.received_bytes == 5 and r.current.covered(0, 5) == b"aaaaa"
 
 
 def test_flush_explicit_and_empty():

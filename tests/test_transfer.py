@@ -251,7 +251,7 @@ def test_partial_metrics_subset():
 
 def test_format_metrics_and_report_order():
     m = compute_metrics(counters())
-    lines = format_metrics(m).splitlines()
+    lines = format_metrics(m.as_dict()).splitlines()
     assert [ln.split()[0] for ln in lines] == list(METRIC_NAMES)
     rep = report([m, m])
     out = format_report(rep).splitlines()
@@ -336,7 +336,7 @@ def test_null_codec_one_period_completes():
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     done_at = None
     for t, _, datagram in sess.emissions(max_buffers=sess.spec.n):
-        if rx.on_packet(t, datagram):
+        if rx.on_packet(datagram):
             done_at = t
             break
     assert rx.done and done_at is not None
@@ -351,19 +351,19 @@ def test_on_packet_after_close_changes_nothing():
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     stream = sess.emissions(max_buffers=2 * sess.spec.n)
     for t, _, datagram in stream:
-        if rx.on_packet(t, datagram):
+        if rx.on_packet(datagram):
             break
 
     def state():
         return (rx.received_symbols, rx.foreign_packets, rx.malformed_packets,
-                rx.conflicting_symbols, rx.completion_time, rx.decoder.distinct,
+                rx.conflicting_symbols, rx.decoder.distinct,
                 dataclasses.asdict(rx.reassembler.counters))
 
     before = state()
     # The rest of the second lap, then a datagram that does not parse.
     for t, _, datagram in stream:
-        assert rx.on_packet(t, datagram) is True
-    assert rx.on_packet(t, b"junk") is True
+        assert rx.on_packet(datagram) is True
+    assert rx.on_packet(b"junk") is True
     assert state() == before
 
 
@@ -375,7 +375,7 @@ def test_file_is_the_input_at_every_tail_length(codec, length):
     sess = CarouselSession(data, SMALL_CFG, spec_for_file(codec, length, 64, seed=4), levels=1)
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=length)
     for t, _, datagram in sess.emissions(max_buffers=8 * sess.spec.n):
-        if rx.on_packet(t, datagram):
+        if rx.on_packet(datagram):
             break
     assert rx.done
     assert rx.file() == data
@@ -389,7 +389,7 @@ def test_duplicates_counted_against_missed_block():
         header, _ = wire.parse_packet(datagram)
         if header.buffer_id == 3:  # lose one buffer in the first lap
             continue
-        if rx.on_packet(t, datagram):
+        if rx.on_packet(datagram):
             break
     # second lap replays blocks 0..2 (duplicates) before delivering block 3
     assert rx.done
@@ -406,13 +406,13 @@ def test_wrong_buffer_length_dropped_and_counted():
     data, sess = null_session()
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     h = wire.PacketHeader(0, sess.session_id, 0, 0, 0, offset=0, buffer_length=8, payload_len=8)
-    assert rx.on_packet(0.0, wire.pack_packet(h, b"8bytes!!")) is False
+    assert rx.on_packet(wire.pack_packet(h, b"8bytes!!")) is False
     assert rx.malformed_packets == 1
     assert rx.reassembler.counters.malformed == 0
     assert rx.reassembler.current is None
     assert rx.received_symbols == 0
     for t, _, datagram in sess.emissions(max_buffers=sess.spec.n):
-        if rx.on_packet(t, datagram):
+        if rx.on_packet(datagram):
             break
     assert rx.file() == data
 
@@ -434,16 +434,16 @@ def test_conflicting_later_lap_copy_dropped_and_counted():
     data, sess = null_session()
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     for datagram in buffer_datagrams(sess, 0):
-        rx.on_packet(0.0, datagram)
+        rx.on_packet(datagram)
     before = dataclasses.asdict(rx.reassembler.counters)
     for datagram in buffer_datagrams(sess, 40):
-        assert rx.on_packet(1.0, repacked(datagram, flip=True)) is False
+        assert rx.on_packet(repacked(datagram, flip=True)) is False
     assert rx.conflicting_symbols == 1
     assert rx.received_symbols == 1 and rx.duplicate_symbols == 0
     after = dataclasses.asdict(rx.reassembler.counters)
     assert after["malformed"] == before["malformed"] and after["duplicate"] == before["duplicate"]
     for t, _, datagram in sess.emissions(max_buffers=2 * sess.spec.n):
-        if wire.parse_packet(datagram)[0].buffer_id > 40 and rx.on_packet(t, datagram):
+        if wire.parse_packet(datagram)[0].buffer_id > 40 and rx.on_packet(datagram):
             break
     assert rx.file() == data
 
@@ -452,7 +452,7 @@ def test_foreign_session_dropped_and_counted():
     data, sess = null_session()
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     for datagram in buffer_datagrams(sess, 0):
-        assert rx.on_packet(0.0, repacked(datagram, session_id=77)) is False
+        assert rx.on_packet(repacked(datagram, session_id=77)) is False
     assert rx.received_symbols == 0
     assert rx.foreign_packets == len(buffer_datagrams(sess, 0))
     assert rx.reassembler.current is None
@@ -462,8 +462,8 @@ def test_conflicting_copy_in_the_open_buffer_counted_as_malformed():
     data, sess = null_session()
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     (datagram,) = buffer_datagrams(sess, 0)
-    assert rx.on_packet(0.0, datagram) is False
-    assert rx.on_packet(0.0, repacked(datagram, flip=True)) is False
+    assert rx.on_packet(datagram) is False
+    assert rx.on_packet(repacked(datagram, flip=True)) is False
     assert rx.reassembler.counters.malformed == 1
     assert rx.received_symbols == 1 and rx.conflicting_symbols == 0
 
@@ -544,9 +544,143 @@ def test_on_packet_never_raises(codec):
         rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(FUZZ_DATA),
                             session_id=sess.session_id)
         for datagram in itertools.chain.from_iterable(groups):
-            assert type(rx.on_packet(0.0, datagram)) is bool
+            assert type(rx.on_packet(datagram)) is bool
 
     feed()
+
+
+class SlotSetReceiver(SymbolReceiver):
+    """The receiver's former feeding rule, kept as the reference.
+
+    It keeps a set of the open buffer's slots already fed, cleared when a
+    new buffer opens, and feeds every slot a stored PDU touches that is
+    whole and not in the set.  Stale and rejected PDUs are read off the
+    reassembler's counters, so the reference does not depend on the bits
+    ``Reassembler.on_packet`` returns.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.slots_done: set[int] = set()
+
+    def on_packet(self, datagram):
+        if self.decoder.complete:
+            return True
+        try:
+            header, payload = wire.parse_packet(datagram)
+        except ValueError:
+            header = None
+        if header is None or header.buffer_length != self.buffer_length:
+            self.malformed_packets += 1
+            return False
+        if header.session_id != self.session_id:
+            self.foreign_packets += 1
+            return False
+        r = self.reassembler
+        before, dropped = r.current, r.counters.stale + r.counters.malformed
+        r.on_packet(header, payload)
+        if r.counters.stale + r.counters.malformed > dropped:
+            return False
+        if r.current is not before:
+            self.slots_done.clear()
+        ss = self.spec.symbol_size
+        for slot in range(header.offset // ss, (header.offset + len(payload) - 1) // ss + 1):
+            if slot in self.slots_done:
+                continue
+            data = r.current.covered(slot * ss, (slot + 1) * ss)
+            if data is None:
+                continue
+            self.slots_done.add(slot)
+            position = self.plan.block_for(header.buffer_id, slot + 1)
+            try:
+                self.decoder.add(ring_symbol(position, self.spec.k, self.spec.n), data)
+            except DecodeFailureError:
+                self.conflicting_symbols += 1
+                continue
+            self.received_symbols += 1
+            if self.decoder.complete:
+                return True
+        return False
+
+
+# 40-byte PDUs over 64-byte symbols: most PDUs straddle two slots.
+STRADDLE_CFG = dataclasses.replace(SMALL_CFG, packet_payload=40)
+STRADDLE_SESSIONS = {
+    name: CarouselSession(FUZZ_DATA, STRADDLE_CFG,
+                          spec_for_file(name, len(FUZZ_DATA), 64, seed=1), levels=3, session_id=7)
+    for name in ("null", "sparse_parity", "mds")
+}
+EDITS = ("drop", "keep", "twice", "corrupt", "corrupt_copy", "split")
+
+
+def edited_stream(real, seed):
+    """``real`` with one random edit per datagram, reordered by index plus jitter.
+
+    Half the datagrams are kept in place, so that some decodes close.  A
+    split datagram becomes two parts that overlap, sent in either order;
+    a corrupt one has one payload byte flipped, and a corrupt copy follows
+    the datagram; a jitter that crosses a buffer's datagrams makes the
+    older buffer's ones stale.
+    """
+    rng = random.Random(seed)
+    keyed = []
+    for index, datagram in enumerate(real):
+        edit = rng.choice(EDITS) if rng.random() < 0.5 else "keep"
+        x, y = rng.randrange(2**16), rng.randrange(2**16)
+        jitter = rng.randint(-6, 6) if rng.random() < 0.5 else 0
+        header, payload = wire.parse_packet(datagram)
+        size = len(payload)
+        out = {"drop": [], "keep": [datagram], "twice": [datagram, datagram]}.get(edit)
+        if edit.startswith("corrupt"):
+            at = x % size
+            flipped = payload[:at] + bytes([payload[at] ^ (y % 255 + 1)]) + payload[at + 1:]
+            out = [datagram] * (edit == "corrupt_copy") + [wire.pack_packet(header, flipped)]
+        elif edit == "split":
+            a = x % (size + 1)
+            b = a + y % (size - a + 1)
+            out = [wire.pack_packet(header._replace(offset=header.offset + lo, payload_len=hi - lo),
+                                    payload[lo:hi])
+                   for lo, hi in ((0, b), (a, size))]
+            if x % 2:
+                out.reverse()
+        keyed += [(index + jitter, d) for d in out]
+    keyed.sort(key=lambda item: item[0])
+    return [d for _, d in keyed]
+
+
+def receiver_state(rx):
+    try:
+        file = rx.file() if rx.done else None
+    except DecodeFailureError as exc:
+        file = str(exc)
+    return (rx.received_symbols, rx.conflicting_symbols, rx.decoder.distinct,
+            rx.malformed_packets, rx.foreign_packets,
+            dataclasses.asdict(rx.reassembler.counters), file)
+
+
+@pytest.mark.parametrize("codec", sorted(STRADDLE_SESSIONS))
+def test_receiver_feeds_what_the_slot_set_reference_feeds(codec):
+    sess = STRADDLE_SESSIONS[codec]
+    real = [d for _, _, d in sess.emissions(max_buffers=2 * sess.spec.n)]
+    seen = set()
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def feed(seed):
+        kwargs = dict(file_length=len(FUZZ_DATA), session_id=sess.session_id)
+        rx = SymbolReceiver(sess.spec, sess.plan, **kwargs)
+        ref = SlotSetReceiver(sess.spec, sess.plan, **kwargs)
+        for datagram in edited_stream(real, seed):
+            assert rx.on_packet(datagram) == ref.on_packet(datagram)
+        assert receiver_state(rx) == receiver_state(ref)
+        c = ref.reassembler.counters
+        seen.update(name for name, hit in (("closed", ref.done), ("stale", c.stale),
+                                           ("malformed", c.malformed),
+                                           ("conflicting", ref.conflicting_symbols),
+                                           ("duplicate", ref.duplicate_symbols)) if hit)
+
+    feed()
+    assert seen == {"closed", "stale", "malformed", "conflicting", "duplicate"}
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,30 @@ FINGERPRINT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(FINGERPRINT_SHA256))
-def test_workload_fingerprint_is_pinned(monkeypatch, workload):
+# The same digests at the held-out seed 7919, which perfbench/design.json
+# keeps for checking that a change holds beyond the default seed.
+HELD_OUT_FINGERPRINT_SHA256 = {
+    "bulk": "2200a6c8c7d4d40e4bf713cc088976cc7ae5c8fae58730b2fb5ed2119f4e8278",
+    "fanout": "7788405be990cd9b2fbdeb6ad83e2580dbb189c6ae812e3e2ef9222366477868",
+    "mds": "65a5a9a747475ad1e317400f0e7e04cbc0978908f04f5a185e66c9e45fb7ada8",
+}
+
+
+def fingerprint_sha256(monkeypatch, workload, seed):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    inputs = workloads.make_inputs(workload, 1)
+    inputs = workloads.make_inputs(workload, seed)
     summary = workloads.summarize(inputs, workloads.run(inputs))
     assert summary["failed"] == 0
     fingerprint = json.dumps(summary["fingerprint"], sort_keys=True).encode()
-    assert hashlib.sha256(fingerprint).hexdigest() == FINGERPRINT_SHA256[workload]
+    return hashlib.sha256(fingerprint).hexdigest()
+
+
+@pytest.mark.parametrize("workload", sorted(FINGERPRINT_SHA256))
+def test_workload_fingerprint_is_pinned(monkeypatch, workload):
+    assert fingerprint_sha256(monkeypatch, workload, 1) == FINGERPRINT_SHA256[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(HELD_OUT_FINGERPRINT_SHA256))
+def test_held_out_seed_fingerprint_is_pinned(monkeypatch, workload):
+    assert fingerprint_sha256(monkeypatch, workload, 7919) == HELD_OUT_FINGERPRINT_SHA256[workload]
