@@ -17,16 +17,17 @@ Three codecs share one interface:
   missing source becomes a payload plus a mask over the inactive
   columns, which are about a third of the missing sources at k = 5525.
   The repairs peeling did not use, and every symbol after the k-th,
-  are rows of a dense core over the inactive columns alone.  The exact
-  GF(2) rank of everything received is tracked on the core masks, so
-  the decode closes at the first full-rank prefix a few symbols past k.
-  The first request for the blocks eliminates the core Gauss-Jordan,
-  eight columns per table of pivot combinations (the method of four
-  Russians, ``_solve_core``), and resolves the peeled sources forward
-  (maximum-likelihood decoding in the sense of RFC 5170).  A leftover
-  core row with a nonzero payload, which means the symbols received
-  before the close contradict each other, fails the decode rather than
-  return wrong bytes.
+  are rows of a dense core over the inactive columns alone, eliminated
+  once, payloads and all: the k-th symbol's rows Gauss-Jordan, eight
+  columns per table of pivot combinations (the method of four Russians,
+  ``_eliminate``), and each later row against the pivots as it comes.
+  The decode closes when every inactive column has a pivot, a few
+  symbols past k; ``blocks()`` reads the core off the pivots and
+  resolves the peeled sources forward (maximum-likelihood decoding in
+  the sense of RFC 5170).  A core row eliminated to an empty mask but a
+  nonzero payload, which means the symbols received before the close
+  contradict each other, fails the decode rather than return wrong
+  bytes.
 
 The close is final for every codec: after it ``SymbolDecoder.add``
 raises ValueError and stores nothing, so the decoder holds exactly the
@@ -388,72 +389,65 @@ def _peel(rows, columns) -> tuple[list[tuple[int, int]], list[int]]:
     return peeled, inactive
 
 
-_GROUP = 8  # pivot columns cleared per lookup table in _solve_core
+_GROUP = 8  # pivot columns cleared per lookup table in _eliminate
 
 
-def _solve_core(masks: list[int], payloads: list[int], width: int) -> list[int]:
-    """Solve a dense GF(2) system: the payload of each of ``width`` columns.
+def _eliminate(masks: list[int], payloads: list[int], width: int) -> dict[int, int]:
+    """Reduce a dense GF(2) system in place; returns {column: pivot row}.
 
     Row r says that the XOR of the columns set in ``masks[r]`` equals
-    ``payloads[r]``; both lists are consumed.  Gauss-Jordan elimination
-    with the method of four Russians (Bard, 2006; Albrecht, Bard and
-    Hart's M4RI, 2010): the columns go in groups of ``_GROUP``.  For each
-    group the rows without a pivot yet give one pivot per column, reduced
-    against each other so each holds exactly one of the group's columns;
-    the 2**_GROUP XOR combinations of those pivots are tabulated once,
-    and every other row clears all of the group's columns with one table
-    lookup, one mask and one payload XOR.  Afterwards each pivot row is
-    its column alone, so its payload is the column's value.
-
-    Raises DecodeFailureError when a column finds no pivot (the rows do
-    not determine it) or when a row left without a pivot, which is then
-    the XOR of pivot rows, has a nonzero payload (the rows contradict
-    each other).
+    ``payloads[r]``.  Gauss-Jordan elimination with the method of four
+    Russians (Bard, 2006; Albrecht, Bard and Hart's M4RI, 2010): the
+    columns go in groups of ``_GROUP``.  For each group the rows without
+    a pivot yet give one pivot per column they reach (a column none
+    reaches stays open), reduced against each other so each holds one of
+    the group's pivot columns; the 2**_GROUP XOR combinations of those
+    pivots, an open offset read as the zero row, are tabulated once, and
+    every other row clears the group's pivot columns with one table
+    lookup, one mask and one payload XOR.  Afterwards a pivot row holds
+    its own column and open columns only, and every other row's mask is 0.
     """
     free = list(range(len(masks)))  # rows without a pivot
-    done: list[int] = []  # pivot rows, in column order
+    pivots: dict[int, int] = {}
     for base in range(0, width, _GROUP):
         span = min(_GROUP, width - base)
         window = (1 << span) - 1
-        group: list[int] = []
+        group: dict[int, int] = {}  # offset -> pivot row
         for j in range(span):
             for pos, r in enumerate(free):
                 bits = masks[r] >> base & window
-                for g, p in enumerate(group):
+                for g, p in group.items():
                     if bits >> g & 1:
                         bits ^= masks[p] >> base & window
                 if bits >> j & 1:
                     break
             else:
-                raise DecodeFailureError("repairs received before the close leave a source undetermined")
+                continue  # column base + j stays open
             del free[pos]
             mask, payload = masks[r], payloads[r]
-            for g, p in enumerate(group):
+            for g, p in group.items():
                 if mask >> (base + g) & 1:
                     mask ^= masks[p]
                     payload ^= payloads[p]
-            for p in group:
+            for p in group.values():
                 if masks[p] >> (base + j) & 1:
                     masks[p] ^= mask
                     payloads[p] ^= payload
             masks[r], payloads[r] = mask, payload
-            group.append(r)
-        table_masks = [0]
-        table_payloads = [0]
-        for p in group:
-            mask, payload = masks[p], payloads[p]
+            group[j] = r
+        table_masks, table_payloads = [0], [0]
+        for j in range(span):
+            mask, payload = (masks[group[j]], payloads[group[j]]) if j in group else (0, 0)
             table_masks += [m ^ mask for m in table_masks]
             table_payloads += [t ^ payload for t in table_payloads]
-        for rows in (free, done):
+        for rows in (free, pivots.values()):  # this group's pivots join after
             for r in rows:
                 i = masks[r] >> base & window
                 if i:
                     masks[r] ^= table_masks[i]
                     payloads[r] ^= table_payloads[i]
-        done += group
-    if any(payloads[r] for r in free):
-        raise DecodeFailureError("repairs received before the close contradict each other")
-    return [payloads[r] for r in done]
+        pivots.update((base + j, p) for j, p in group.items())
+    return pivots
 
 
 class SymbolDecoder:
@@ -470,9 +464,10 @@ class SymbolDecoder:
     Each peeled column is fixed by its own row once the inactive columns
     are, so the rank of everything received is the sources received by
     the k-th symbol, plus the peeled columns, plus the rank of the core.
-    The core masks are reduced top-bit into one pivot per bit, and the
-    decode closes when every inactive column has its pivot.
-    ``blocks()`` then solves the stored core rows (see ``_solve_sparse``).
+    The core is eliminated once, payloads and all: the k-th symbol's
+    rows by ``_eliminate``, every later row as it comes (``_add_row``),
+    and the decode closes when every inactive column has its pivot row.
+    ``blocks()`` then reads the solution off them (see ``_solve_sparse``).
 
     The close is final: ``add`` refuses every symbol after it, so
     ``_received`` is exactly the set that closed the decode.
@@ -490,7 +485,7 @@ class SymbolDecoder:
         # The sparse solve state, set at the k-th distinct symbol: the
         # sources received by then as integers, the peeled columns' terms
         # and (column, repair) pairs in peel order, the inactive columns,
-        # the core rows, and pivot bit -> core mask whose top bit it is.
+        # the core rows, and core column -> its pivot row.
         self._values: dict[int, int] = {}
         self._terms: dict[int, tuple[int, int]] = {}
         self._peeled: list[tuple[int, int]] = []
@@ -558,9 +553,9 @@ class SymbolDecoder:
         for c, j in self._peeled:
             terms[c] = self._reduced(j, c)
         used = {j for _, j in self._peeled}
-        for j in repairs:
-            if j not in used:
-                self._add_row(*self._reduced(j))
+        core = [self._reduced(j) for j in repairs if j not in used]
+        self._masks, self._payloads = [m for m, _ in core], [p for _, p in core]
+        self._pivots = _eliminate(self._masks, self._payloads, len(inactive))
 
     def _reduced(self, index: int, own: int | None = None) -> tuple[int, int]:
         """Repair ``index`` as (mask over the inactive columns, payload).
@@ -583,18 +578,23 @@ class SymbolDecoder:
         return mask, const
 
     def _add_row(self, mask: int, payload: int) -> None:
-        """Store one core row; what is left of its mask after top-bit
-        reduction, if anything, is a new pivot."""
-        self._masks.append(mask)
-        self._payloads.append(payload)
-        pivots = self._pivots
-        while mask:
-            top = mask.bit_length() - 1
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = mask
-                return
-            mask ^= pivot
+        """Store one core row reduced against the pivots; if open columns
+        are left, it pivots on the lowest, cleared from every other pivot."""
+        masks, payloads, pivots = self._masks, self._payloads, self._pivots
+        for c, p in pivots.items():
+            if mask >> c & 1:  # pivot rows hold no other pivot's column
+                mask ^= masks[p]
+                payload ^= payloads[p]
+        r = len(masks)
+        masks.append(mask)
+        payloads.append(payload)
+        if mask:
+            low = mask & -mask
+            for p in pivots.values():
+                if masks[p] & low:
+                    masks[p] ^= mask
+                    payloads[p] ^= payload
+            pivots[low.bit_length() - 1] = r
 
     def _closed(self) -> bool:
         # Any k distinct symbols of the systematic MDS codes (``null`` has
@@ -629,15 +629,13 @@ class SymbolDecoder:
         return self._solve_mds()
 
     def _solve_sparse(self) -> list[bytes]:
-        """Solve the core rows, then the peeled columns.
+        """Read the core's values off its pivot rows, then solve the peeled columns.
 
-        ``_solve_core`` eliminates the core Gauss-Jordan, eight columns
-        per lookup table, for the inactive columns' values; each peeled
-        column then follows forward from its own repair, whose other
-        columns are all known by then.  The core rows left without a
-        pivot are implied by the others, so their payloads must eliminate
-        to zero: this checks every repair and every late source against
-        the solution.
+        At the close each pivot row is its column alone, so its payload
+        is the column's value; each peeled column follows forward from
+        its own repair.  Every other core row eliminated to the empty
+        mask, so its payload must be zero too: this checks every repair
+        and every late source against the solution.
 
         So each received source equals its solved value, and its block is
         the received ``bytes`` object itself; only the missing sources are
@@ -646,8 +644,10 @@ class SymbolDecoder:
         spec = self.spec
         values = self._values
         self._terms = {}  # the peeled payloads are no longer needed
-        values.update(zip(self._inactive,
-                          _solve_core(self._masks, self._payloads, len(self._inactive))))
+        payloads = self._payloads
+        if any(payloads[r] for r, mask in enumerate(self._masks) if not mask):
+            raise DecodeFailureError("repairs received before the close contradict each other")
+        values.update((c, payloads[self._pivots[b]]) for b, c in enumerate(self._inactive))
         for c, j in self._peeled:
             values[c] = self._reduced(j, c)[1]
         received = self._received

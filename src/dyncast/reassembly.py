@@ -63,11 +63,6 @@ class ReassemblyBuffer:
         self.mask |= span
         return added
 
-    def contiguous_prefix(self) -> bytes:
-        """Bytes available from offset 0 without a hole."""
-        mask = self.mask
-        return bytes(self.data[: (~mask & (mask + 1)).bit_length() - 1])
-
     def covered(self, start: int, end: int) -> bytes | None:
         """The bytes of [start, end) if fully received, else None."""
         if not 0 <= start <= end <= self.expected_length:
@@ -76,14 +71,6 @@ class ReassemblyBuffer:
         if self.mask & span != span:
             return None
         return bytes(self.data[start:end])
-
-    @property
-    def received_bytes(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def is_complete(self) -> bool:
-        return self.mask == (1 << self.expected_length) - 1
 
 
 @dataclass

@@ -19,9 +19,10 @@ import time
 from collections import defaultdict
 
 import pytest
+from test_reassembly import contiguous_prefix
 
 from dyncast import fec, wire
-from dyncast.carousel import build_plan, completion_time, first_duplicate
+from dyncast.carousel import CarouselPlan, build_plan, completion_time
 from dyncast.channel import (
     BASE_GROUP,
     ChannelConfig,
@@ -204,7 +205,7 @@ def test_criterion_3_end_to_end_prefix_delivery():
 
     def note(i: int, buf) -> None:
         if buf is not None and buf.buffer_id not in fetched[i]:
-            fetched[i][buf.buffer_id] = len(buf.contiguous_prefix()) / buf.expected_length
+            fetched[i][buf.buffer_id] = len(contiguous_prefix(buf)) / buf.expected_length
 
     def on_delivery(i, t, group, packet):
         header, payload = wire.parse_packet(packet)
@@ -261,6 +262,27 @@ def test_criterion_4_carousel_level_halving():
 
 
 # --------------------------------------------------------------- criterion 5
+
+
+def first_duplicate(plan: CarouselPlan, levels: int, start_buffer: int = 0) -> tuple[int, int]:
+    """(blocks_seen, blocks_missing) when the first repeated block arrives.
+
+    Blocks are consumed buffer by buffer, level 1 first inside a buffer.
+    ``blocks_seen`` counts distinct blocks delivered strictly before the
+    first duplicate; ``blocks_missing`` is what the ring still owes.
+    """
+    # With no level at all the walk over the buffers would never end.
+    if not 1 <= levels <= plan.level_count:
+        raise ValueError(f"levels {levels} not in 1..{plan.level_count}")
+    seen: set[int] = set()
+    b = start_buffer
+    while True:
+        for level in range(1, levels + 1):
+            block = plan.block_for(b, level)
+            if block in seen:
+                return len(seen), plan.block_count - len(seen)
+            seen.add(block)
+        b += 1
 
 
 @pytest.mark.xfail(

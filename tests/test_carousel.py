@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import first_duplicate
 
 from dyncast.carousel import (
+    CarouselPlan,
     blocks_for_buffer,
     build_plan,
     completion_time,
-    first_duplicate,
 )
 
 
@@ -30,6 +33,22 @@ def oracle_offsets(block_count, level_count):
         length, start = max(gaps, key=lambda g: (g[0], -g[1]))
         offsets.append((start + length // 2) % block_count)
     return offsets
+
+
+def ref_build_plan(block_count, level_count):
+    """Reference bisection: every level sorts the offsets and scans all
+    gaps for the longest (ties: smallest start), so a plan costs
+    O(L^2 log L) where build_plan's heap costs O(L log L)."""
+    offsets = [0]
+    for _ in range(level_count - 1):
+        used = sorted(offsets)
+        best_start, best_len = used[0], 0
+        for i, a in enumerate(used):
+            length = (used[(i + 1) % len(used)] - a) % block_count or block_count
+            if length > best_len:
+                best_start, best_len = a, length
+        offsets.append((best_start + best_len // 2) % block_count)
+    return CarouselPlan(block_count, tuple(offsets))
 
 
 def max_circular_gap(points, ring):
@@ -73,6 +92,20 @@ def test_plan_matches_oracle_randomized():
         ring = rng.randint(2, 200)
         levels = rng.randint(1, min(ring, 16))
         assert list(build_plan(ring, levels).level_offsets) == oracle_offsets(ring, levels)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ring=st.one_of(st.integers(1, 64), st.integers(65, 3000)), data=st.data())
+def test_plan_matches_bisection_reference(ring, data):
+    levels = data.draw(st.integers(1, min(ring, 300)))
+    assert build_plan(ring, levels) == ref_build_plan(ring, levels)
+
+
+def test_plan_at_full_ring_is_a_permutation():
+    # One level per block: every ring position is used exactly once, in
+    # O(L log L) rather than the reference's quadratic time.
+    ring = 1 << 16
+    assert sorted(build_plan(ring, ring).level_offsets) == list(range(ring))
 
 
 def test_offsets_distinct_and_first_zero():

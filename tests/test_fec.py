@@ -16,10 +16,10 @@ from dyncast.fec import (
     DecodeFailureError,
     SymbolDecoder,
     _PLANE_MIN_ROWS,
+    _eliminate,
     _gf_combine,
     _interpolation_coeffs,
     _peel,
-    _solve_core,
     _support_layout,
     decode,
     encode,
@@ -864,7 +864,15 @@ core_cases = dict(
 
 
 def solve_core(core, width):
-    return _solve_core([m for m, _ in core], [p for _, p in core], width)
+    """The values of columns 0 .. width - 1 through ``_eliminate``, raising
+    on a column left open or on a zero-mask row with a nonzero payload."""
+    masks, payloads = [m for m, _ in core], [p for _, p in core]
+    pivots = _eliminate(masks, payloads, width)
+    if any(payloads[r] for r, mask in enumerate(masks) if not mask):
+        raise DecodeFailureError("the rows contradict each other")
+    if len(pivots) < width:
+        raise DecodeFailureError(f"columns {sorted(set(range(width)) - set(pivots))} left open")
+    return [payloads[pivots[c]] for c in range(width)]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -897,9 +905,18 @@ def test_solve_core_fails_on_a_corrupt_dependent_row(width, extra, sparse, seed)
 def test_solve_core_fails_on_a_rank_deficient_core(width, extra, sparse, seed):
     rng = random.Random(seed)
     width = max(width, 1)
-    core, _ = random_core(rng, width, extra, sparse, skip=rng.randrange(width))
+    skip = rng.randrange(width)
+    core, _ = random_core(rng, width, extra, sparse, skip=skip)
     rng.shuffle(core)
     with pytest.raises(DecodeFailureError):
         ref_solve_core(core, width)
     with pytest.raises(DecodeFailureError):
         solve_core(core, width)
+    # Exactly the skipped column is open: each pivot row holds its own
+    # column and at most that one, and every other row is eliminated.
+    masks, payloads = [m for m, _ in core], [p for _, p in core]
+    pivots = _eliminate(masks, payloads, width)
+    assert sorted(pivots) == [c for c in range(width) if c != skip]
+    for c, r in pivots.items():
+        assert masks[r] & ~(1 << skip) == 1 << c
+    assert not any(masks[r] for r in set(range(len(masks))) - set(pivots.values()))

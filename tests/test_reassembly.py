@@ -35,6 +35,19 @@ def positions(mask):
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
+def contiguous_prefix(buf):
+    """The bytes available from offset 0 without a hole."""
+    return bytes(buf.data[: (~buf.mask & (buf.mask + 1)).bit_length() - 1])
+
+
+def received_bytes(buf):
+    return buf.mask.bit_count()
+
+
+def is_complete(buf):
+    return buf.mask == (1 << buf.expected_length) - 1
+
+
 # ---------------------------------------------------------------------------
 # ReassemblyBuffer
 
@@ -44,18 +57,18 @@ def test_adjacent_parts_merge():
     assert buf.insert(0, b"a" * 1448) == bits(0, 1448)
     assert buf.insert(1448, b"b" * 1448) == bits(1448, 2896)
     assert buf.covered(1000, 2000) == b"a" * 448 + b"b" * 552  # across the seam
-    assert buf.is_complete
-    assert buf.contiguous_prefix() == b"a" * 1448 + b"b" * 1448
+    assert is_complete(buf)
+    assert contiguous_prefix(buf) == b"a" * 1448 + b"b" * 1448
 
 
 def test_hole_then_fill():
     buf = ReassemblyBuffer(1, 300)
     buf.insert(200, b"z" * 100)
-    assert buf.contiguous_prefix() == b""
-    assert not buf.is_complete
+    assert contiguous_prefix(buf) == b""
+    assert not is_complete(buf)
     buf.insert(0, b"y" * 200)
-    assert buf.is_complete
-    assert buf.contiguous_prefix() == b"y" * 200 + b"z" * 100
+    assert is_complete(buf)
+    assert contiguous_prefix(buf) == b"y" * 200 + b"z" * 100
 
 
 def test_contained_duplicate():
@@ -63,7 +76,7 @@ def test_contained_duplicate():
     assert buf.insert(10, b"x" * 50) == bits(10, 60)
     assert buf.insert(10, b"x" * 50) == 0
     assert buf.insert(20, b"x" * 10) == 0  # strict sub-range
-    assert buf.received_bytes == 50
+    assert received_bytes(buf) == 50
 
 
 def test_partial_overlap_identical_bytes_merges():
@@ -71,8 +84,8 @@ def test_partial_overlap_identical_bytes_merges():
     buf = ReassemblyBuffer(1, 400)
     buf.insert(0, data[:250])
     assert buf.insert(200, data[200:]) == bits(250, 400)  # only the bytes past the overlap
-    assert buf.received_bytes == 400
-    assert buf.contiguous_prefix() == data
+    assert received_bytes(buf) == 400
+    assert contiguous_prefix(buf) == data
 
 
 def test_overlap_mismatch_raises():
@@ -93,7 +106,7 @@ def test_insert_outside_buffer_rejected():
 def test_empty_payload_is_noop():
     buf = ReassemblyBuffer(1, 100)
     assert buf.insert(0, b"") == 0
-    assert buf.received_bytes == 0
+    assert received_bytes(buf) == 0
     assert buf.covered(0, 1) is None
 
 
@@ -133,9 +146,9 @@ def test_random_replay_matches_interval_oracle():
             rng_set = set(range(off, off + len(chunk)))
             assert positions(rc) == rng_set - seen
             seen |= rng_set
-            assert buf.received_bytes == len(seen)
-        assert buf.is_complete
-        assert buf.contiguous_prefix() == original
+            assert received_bytes(buf) == len(seen)
+        assert is_complete(buf)
+        assert contiguous_prefix(buf) == original
 
 
 def test_random_overlaps_match_byte_oracle():
@@ -173,7 +186,7 @@ def test_random_overlaps_match_byte_oracle():
                 stored.update(zip(span, chunk))
             kinds.add((contained, outcome))
             # The buffer holds exactly the oracle's bytes, also after a rejection.
-            assert buf.received_bytes == len(stored)
+            assert received_bytes(buf) == len(stored)
             assert [buf.covered(i, i + 1) for i in range(length)] == [
                 bytes([stored[i]]) if i in stored else None for i in range(length)
             ]
@@ -184,8 +197,8 @@ def test_random_overlaps_match_byte_oracle():
             prefix = 0
             while prefix in stored:
                 prefix += 1
-            assert buf.contiguous_prefix() == bytes(stored[i] for i in range(prefix))
-            assert buf.is_complete == (len(stored) == length)
+            assert contiguous_prefix(buf) == bytes(stored[i] for i in range(prefix))
+            assert is_complete(buf) == (len(stored) == length)
     assert {(True, "conflict"), (False, "conflict"), (True, "duplicate"), (False, "added")} <= kinds
 
 
@@ -221,7 +234,7 @@ def test_new_buffer_flushes_previous():
     assert r.on_packet(hdr(11, 0, 5, 20), b"ccccc") == bits(0, 5)  # of the new buffer
     assert flushed.buffer_id == 10
     assert flushed.covered(0, 5) == b"aaaaa" and flushed.covered(10, 15) == b"bbbbb"
-    assert flushed.covered(5, 10) is None and flushed.received_bytes == 10
+    assert flushed.covered(5, 10) is None and received_bytes(flushed) == 10
     assert r.current.buffer_id == 11
     assert r.counters.flushed == 1
 
@@ -257,7 +270,7 @@ def test_malformed_packets_counted():
     assert r.on_packet(hdr(1, 0, 5, 20), b"aaaab") == 0
     assert r.counters.malformed == 3
     assert r.counters.stored == 1
-    assert r.current.received_bytes == 5 and r.current.covered(0, 5) == b"aaaaa"
+    assert received_bytes(r.current) == 5 and r.current.covered(0, 5) == b"aaaaa"
 
 
 def test_flush_explicit_and_empty():
@@ -265,7 +278,7 @@ def test_flush_explicit_and_empty():
     assert r.flush() is None
     r.on_packet(hdr(3, 0, 4, 4), b"done")
     buf = r.flush()
-    assert buf.is_complete
+    assert is_complete(buf)
     assert r.current is None
     assert r.counters.flushed == 1
 
