@@ -64,6 +64,11 @@ CODEC_NAMES = ("null", "mds", "sparse_parity")
 # session or a trace header asks for; the benchmark's largest n is 11050.
 MAX_N = 1 << 20
 
+# Most bytes a code's n symbols may take.  Encoding holds all of them, and
+# a buffer (levels <= n symbols) has a 32-bit length on the wire; the
+# benchmark's largest code is 11050 symbols of 1448 bytes, 16,000,400 bytes.
+MAX_CODE_BYTES = 1 << 28
+
 
 class DecodeFailureError(Exception):
     """Received symbols are mutually inconsistent or corrupt."""
@@ -88,6 +93,9 @@ class CodecSpec:
             raise ValueError(f"n={self.n} is above {MAX_N}, the most symbols a code may have")
         if self.symbol_size < 1:
             raise ValueError("symbol_size must be >= 1")
+        if self.n * self.symbol_size > MAX_CODE_BYTES:
+            raise ValueError(f"n * symbol_size = {self.n * self.symbol_size} bytes is above "
+                             f"{MAX_CODE_BYTES}, the most bytes a code may hold")
         if self.name == "null" and self.n != self.k:
             raise ValueError("null codec requires n == k")
         if self.name == "mds" and not (self.k <= 255 and self.n <= 255):

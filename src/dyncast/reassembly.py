@@ -1,5 +1,6 @@
-"""Receiver-side buffer reassembly keyed by (buffer id, offset).
+"""Receiver-side buffer reassembly keyed by (buffer id, symbol slot).
 
+A buffer splits into slots of ``symbol_size`` bytes, one FEC symbol each.
 The receiver holds exactly one buffer open at a time.  A packet carrying
 a newer buffer id flushes the buffer under construction to the
 application, whatever state it is in; packets for older ids are dropped.
@@ -23,54 +24,63 @@ def serial_newer(a: int, b: int) -> bool:
 
 
 class ReassemblyBuffer:
-    """One buffer under construction: its bytes and a mask of the offsets received.
+    """One buffer under construction, held as symbol slots.
 
-    Bit i of ``mask`` is set once byte i has arrived; bytes whose bit is
-    clear are zero placeholders.
+    Slot s is bytes [s * symbol_size, (s + 1) * symbol_size), the last one
+    cut at the buffer's end.  ``slots`` maps each slot reached so far to
+    ``(data, mask)``, bit i of ``mask`` set once byte i of the slot arrived.
     """
 
-    def __init__(self, buffer_id: int, expected_length: int):
+    def __init__(self, buffer_id: int, expected_length: int, symbol_size: int):
         self.buffer_id = buffer_id
         self.expected_length = expected_length
-        self.data = bytearray(expected_length)
-        self.mask = 0
+        self.symbol_size = symbol_size
+        self.slots: dict[int, tuple[bytes | bytearray, int]] = {}
 
-    def insert(self, offset: int, data: bytes) -> int:
+    def insert(self, offset: int, data: bytes) -> list[int] | None:
         """Store one PDU, verifying the bytes it shares with earlier ones.
 
-        Returns the mask bits it set, one per byte not received before (0
-        for a duplicate).  A PDU outside the buffer, or with bytes unlike
-        those already held for its range, raises ValueError and leaves the
-        buffer as it was.
+        Returns the slots it made whole, or None if it brought no new byte.
+        A PDU outside the buffer, or unlike the bytes already held, raises
+        ValueError and leaves every slot as it was.
         """
         end = offset + len(data)
         if offset < 0 or end > self.expected_length:
             raise ValueError("PDU outside the buffer")
-        span = ((1 << len(data)) - 1) << offset
-        seen = self.mask & span
-        if seen == span:
-            if self.data[offset:end] != data:
-                raise ValueError(f"buffer {self.buffer_id}: conflicting bytes at {offset}..{end}")
-            return 0
-        added = span ^ seen
-        if seen:
-            # A partial overlap: only traces and fuzzed input send one.
-            seen >>= offset
-            for i, byte in enumerate(data):
-                if seen >> i & 1 and self.data[offset + i] != byte:
-                    raise ValueError(f"buffer {self.buffer_id}: conflicting byte at {offset + i}")
-        self.data[offset:end] = data
-        self.mask |= span
-        return added
-
-    def covered(self, start: int, end: int) -> bytes | None:
-        """The bytes of [start, end) if fully received, else None."""
-        if not 0 <= start <= end <= self.expected_length:
-            raise ValueError("range outside the buffer")
-        span = ((1 << (end - start)) - 1) << start
-        if self.mask & span != span:
+        ss = self.symbol_size
+        whole, updates = [], {}
+        for slot in range(offset // ss, -(-end // ss)):
+            base = slot * ss
+            lo, hi = max(offset - base, 0), min(end - base, ss)
+            piece = data[base + lo - offset:base + hi - offset]
+            held, mask = self.slots.get(slot, (b"", 0))
+            span = ((1 << hi - lo) - 1) << lo
+            seen = mask & span
+            if seen == span:
+                if held[lo:hi] != piece:
+                    raise ValueError(f"buffer {self.buffer_id}: conflicting bytes at {base + lo}")
+                continue
+            if seen:
+                # A partial overlap: only traces and fuzzed input send one.
+                for i, byte in enumerate(piece, lo):
+                    if seen >> i & 1 and held[i] != byte:
+                        raise ValueError(f"buffer {self.buffer_id}: conflicting byte at {base + i}")
+            width = min(ss, self.expected_length - base)
+            if held or hi - lo < width:  # filled piece by piece; else held as the PDU's bytes
+                held = bytearray(held or width)
+                held[lo:hi] = piece
+            updates[slot] = held or piece, mask | span
+            if mask | span == (1 << width) - 1:
+                whole.append(slot)
+        if not updates:
             return None
-        return bytes(self.data[start:end])
+        self.slots.update(updates)
+        return whole
+
+    def covered(self, slot: int) -> bytes | None:
+        """The bytes of ``slot`` if it is whole, else None."""
+        data, mask = self.slots.get(slot, (b"", 0))  # held data is as long as its slot
+        return bytes(data) if data and mask == (1 << len(data)) - 1 else None
 
 
 @dataclass
@@ -85,39 +95,39 @@ class Counters:
 class Reassembler:
     """Feeds packets into per-buffer reassembly, one open buffer at a time.
 
-    Packets come framed as ``wire.parse_packet`` checks them.  A buffer is
-    allocated at its header's ``buffer_length`` when it opens, so callers
-    bound that field first (SymbolReceiver admits only its own).
+    Packets come framed as ``wire.parse_packet`` checks them.  A buffer
+    opens empty and holds only the slots its PDUs have reached.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, symbol_size: int) -> None:
+        self.symbol_size = symbol_size
         self.current: ReassemblyBuffer | None = None
         self.counters = Counters()
 
-    def on_packet(self, header: PacketHeader, payload: bytes) -> int:
-        """Store one PDU; returns the bits it set in the open buffer's mask.
+    def on_packet(self, header: PacketHeader, payload: bytes) -> list[int]:
+        """Store one PDU; returns the slots of the open buffer it made whole.
 
-        A newer buffer id flushes the open buffer first.  The return is 0
+        A newer buffer id flushes the open buffer first.  The list is empty
         for a duplicate, a stale buffer id, and a PDU outside its buffer or
         unlike the bytes already held.
         """
         if self.current is not None and header.buffer_id != self.current.buffer_id:
             if not serial_newer(header.buffer_id, self.current.buffer_id):
                 self.counters.stale += 1
-                return 0
+                return []
             self.flush()
         if self.current is None:
-            self.current = ReassemblyBuffer(header.buffer_id, header.buffer_length)
+            self.current = ReassemblyBuffer(header.buffer_id, header.buffer_length, self.symbol_size)
         try:
-            added = self.current.insert(header.offset, payload)
+            whole = self.current.insert(header.offset, payload)
         except ValueError:  # outside the buffer, or conflicting bytes
             self.counters.malformed += 1
-            return 0
-        if added:
-            self.counters.stored += 1
-        else:
+            return []
+        if whole is None:
             self.counters.duplicate += 1
-        return added
+            return []
+        self.counters.stored += 1
+        return whole
 
     def flush(self) -> ReassemblyBuffer | None:
         """Close and return the buffer under construction, if any."""

@@ -3,8 +3,8 @@
 The sender FEC-encodes the file into n symbols, spreads them over a
 carousel of n buffers (one symbol per level, level 1 first), and hands
 each buffer to the sequencer so receivers at any rate always get the
-most useful prefix.  The receiver reassembles buffers, carves complete
-symbols out of them, and feeds the FEC decoder until the file closes.
+most useful prefix.  The receiver reassembles buffers slot by slot and
+feeds each slot to the FEC decoder once it is whole, until the file closes.
 
 Evaluation metrics: time (s), gput and tput (Kb/s), and the overhead
 percentages loss, dup, sym, head, net and comp.
@@ -216,7 +216,7 @@ class SymbolReceiver:
         self.buffer_length = plan.level_count * spec.symbol_size
         self.file_length = file_length
         self.session_id = _checked_session_id(session_id)
-        self.reassembler = Reassembler()
+        self.reassembler = Reassembler(spec.symbol_size)
         self.decoder = fec.SymbolDecoder(spec)
         self.received_symbols = 0
         self.foreign_packets = 0  # another session's datagrams, dropped
@@ -241,18 +241,8 @@ class SymbolReceiver:
         if header.session_id != self.session_id:
             self.foreign_packets += 1
             return False
-        added = self.reassembler.on_packet(header, payload)
-        if not added:
-            return False
-        buf = self.reassembler.current
-        ss = self.spec.symbol_size
-        slot_bits = (1 << ss) - 1
-        for slot in range(header.offset // ss, (header.offset + len(payload) - 1) // ss + 1):
-            if not added >> slot * ss & slot_bits:
-                continue  # no new byte: fed when it became whole, or not whole yet
-            data = buf.covered(slot * ss, (slot + 1) * ss)
-            if data is None:
-                continue
+        for slot in self.reassembler.on_packet(header, payload):
+            data = self.reassembler.current.covered(slot)
             position = self.plan.block_for(header.buffer_id, slot + 1)
             symbol = ring_symbol(position, self.spec.k, self.spec.n)
             try:

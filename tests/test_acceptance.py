@@ -200,7 +200,7 @@ def test_criterion_3_end_to_end_prefix_delivery():
                 )
                 yield pkt.send_time, pkt.group, wire.pack_packet(header, pkt.payload)
 
-    reassemblers = [Reassembler() for _ in fractions]
+    reassemblers = [Reassembler(cfg.packet_payload) for _ in fractions]
     fetched: list[dict[int, float]] = [dict() for _ in fractions]
 
     def note(i: int, buf) -> None:

@@ -432,6 +432,15 @@ BAD_INPUTS = [
                  id="send-fec-n=2**32"),
     pytest.param(capped(recv_header(set_field("n", 2**32))), "n=4294967296 is above",
                  id="header-n=2**32"),
+    # A code of more than fec.MAX_CODE_BYTES bytes: encoding ran out of
+    # memory in fec.encode, or in cutting a 3 GB null symbol.
+    pytest.param(capped(send_small("--symbol-size", "65535", "--fec-n", "100000")),
+                 "n * symbol_size = 6553500000 bytes is above", id="send-code-of-6.5-GB"),
+    pytest.param(capped(send_small("--codec", "null", "--symbol-size", "3000000000",
+                                   "--tsd", "100000")),
+                 "n * symbol_size = 3000000000 bytes is above", id="send-null-symbol-of-3-GB"),
+    pytest.param(capped(recv_header(set_field("symbol_size", 3 * 10**9))),
+                 "bytes is above 268435456", id="header-symbol_size=3e9"),
     pytest.param(metrics_file('{"k": 1}'), "counters.json", id="metrics-missing-fields"),
     pytest.param(metrics_file("[1, 2]"), "counters.json", id="metrics-not-an-object"),
     pytest.param(metrics_file("{not json"), "counters.json", id="metrics-not-json"),

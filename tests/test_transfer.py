@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_reassembly import ReferenceReassembler
 
 from dyncast import wire
 from dyncast.carousel import build_plan
@@ -552,15 +553,16 @@ def test_on_packet_never_raises(codec):
 class SlotSetReceiver(SymbolReceiver):
     """The receiver's former feeding rule, kept as the reference.
 
-    It keeps a set of the open buffer's slots already fed, cleared when a
-    new buffer opens, and feeds every slot a stored PDU touches that is
-    whole and not in the set.  Stale and rejected PDUs are read off the
-    reassembler's counters, so the reference does not depend on the bits
-    ``Reassembler.on_packet`` returns.
+    It reassembles with the byte-mask reference reassembler, keeps a set
+    of the open buffer's slots already fed, cleared when a new buffer
+    opens, and feeds every slot a stored PDU touches that is whole and not
+    in the set.  Stale and rejected PDUs are read off the reassembler's
+    counters, so the reference shares nothing with ``dyncast.reassembly``.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.reassembler = ReferenceReassembler()
         self.slots_done: set[int] = set()
 
     def on_packet(self, datagram):

@@ -9,6 +9,8 @@ any of them fails here instead of only in a hand comparison.
 import hashlib
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,51 @@ def test_workload_fingerprint_is_pinned(monkeypatch, workload):
 @pytest.mark.parametrize("workload", sorted(HELD_OUT_FINGERPRINT_SHA256))
 def test_held_out_seed_fingerprint_is_pinned(monkeypatch, workload):
     assert fingerprint_sha256(monkeypatch, workload, 7919) == HELD_OUT_FINGERPRINT_SHA256[workload]
+
+
+# The traced per-layer metrics of unit "count" in BENCHMARK.json, from
+# ``perfbench/worker.py --seed 1 --trace 1``.  They say how much work each
+# layer was handed (adds, parses, PDUs stored, buffers flushed), so a
+# change that keeps the fingerprint but moves work between layers fails
+# here.
+TRACED_COUNTS = {
+    "bulk": {
+        "fec.add_calls": 5525, "fec.epsilon": 0, "transfer.on_packet_calls": 5525,
+        "transfer.symbols_fed": 5525, "netsim.policy_calls": 21, "netsim.offered": 5525,
+        "netsim.delivered": 5525, "netsim.queue_dropped": 0, "netsim.channel_lost": 0,
+        "netsim.rx_deliveries": 5525, "netsim.rx_missed": 0, "wire.pack_calls": 5526,
+        "wire.parse_calls": 5525, "reassembly.stored": 5525, "reassembly.duplicate": 0,
+        "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 221,
+        "sequencer.buffers": 222, "sequencer.packets": 5543, "channel.tiles": 2420,
+    },
+    "fanout": {
+        "fec.add_calls": 137280, "fec.epsilon": 0, "transfer.on_packet_calls": 137280,
+        "transfer.symbols_fed": 137280, "netsim.policy_calls": 1900, "netsim.offered": 112494,
+        "netsim.delivered": 80093, "netsim.queue_dropped": 26201, "netsim.channel_lost": 5909,
+        "netsim.rx_deliveries": 137280, "netsim.rx_missed": 61420, "wire.pack_calls": 112506,
+        "wire.parse_calls": 137280, "reassembly.stored": 137280, "reassembly.duplicate": 0,
+        "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 19285,
+        "sequencer.buffers": 4507, "sequencer.packets": 112625, "channel.tiles": 49100,
+    },
+    "mds": {
+        "fec.add_calls": 4509, "fec.epsilon": 0, "transfer.on_packet_calls": 4509,
+        "transfer.symbols_fed": 4509, "netsim.policy_calls": 87, "netsim.offered": 7557,
+        "netsim.delivered": 7139, "netsim.queue_dropped": 0, "netsim.channel_lost": 403,
+        "netsim.rx_deliveries": 4509, "netsim.rx_missed": 333, "wire.pack_calls": 7560,
+        "wire.parse_calls": 4509, "reassembly.stored": 4509, "reassembly.duplicate": 0,
+        "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 737,
+        "sequencer.buffers": 303, "sequencer.packets": 7581, "channel.tiles": 3300,
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_COUNTS))
+def test_traced_counts_are_pinned(workload):
+    benchmark = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    names = {m["name"] for m in benchmark["per_layer"] if m["unit"] == "count"}
+    assert set(TRACED_COUNTS[workload]) == names
+    done = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
+                           "--seed", "1", "--trace", "1"],
+                          capture_output=True, text=True, timeout=300, check=True)
+    layers = json.loads(done.stdout.splitlines()[-1])["layers"]
+    assert {name: layers[name] for name in names} == TRACED_COUNTS[workload]
