@@ -61,31 +61,18 @@ def blocks_for_buffer(plan: CarouselPlan, buffer_index: int) -> list[int]:
     return [(buffer_index + offset) % plan.block_count for offset in plan.level_offsets]
 
 
-def completion_time(
-    plan: CarouselPlan,
-    levels: int,
-    start_buffer: int = 0,
-    needed: int | None = None,
-) -> int:
-    """Consecutive buffers a receiver must consume to see enough blocks.
+def completion_time(plan: CarouselPlan, levels: int) -> int:
+    """Consecutive buffers a receiver of the first ``levels`` levels needs
+    to see every block, from any start buffer.
 
-    ``needed`` defaults to the full ring; pass ``k + epsilon`` when the
-    ring carries FEC symbols and only that many distinct ones matter.
-    Level 1 walks the whole ring, so ``block_count`` buffers always do.
+    Level l sees the T blocks after its offset in T buffers, so the ring
+    is covered once T reaches the longest free run between the first
+    ``levels`` offsets.  The bisection leaves 2^j runs of floor(n / 2^j)
+    or ceil(n / 2^j) blocks after 2^j levels, n mod 2^j of them the
+    longer, and each further level halves one of the longest.
     """
-    # With no level at all the walk over the buffers would never end.
     if not 1 <= levels <= plan.level_count:
         raise ValueError(f"levels {levels} not in 1..{plan.level_count}")
-    target = plan.block_count if needed is None else needed
-    if not 0 < target <= plan.block_count:
-        raise ValueError("needed must be in 1..block_count")
-    seen: set[int] = set()
-    buffers = 0
-    b = start_buffer
-    while len(seen) < target:
-        for level in range(1, levels + 1):
-            seen.add(plan.block_for(b, level))
-        buffers += 1
-        b += 1
-    return buffers
-
+    j = levels.bit_length() - 1
+    q, r = divmod(plan.block_count, 1 << j)
+    return q + (levels - (1 << j) < r)

@@ -41,17 +41,15 @@ def _add_codec_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_plan(args) -> int:
-    if args.starts < 1:
-        raise ValueError("--starts must be >= 1")
+    # A ring holds one code's n symbols; with levels <= blocks that bounds the plan.
+    if args.blocks > fec.MAX_N:
+        raise ValueError(f"--blocks {args.blocks} is above {fec.MAX_N}, "
+                         "the most symbols a code may have")
     plan = carousel.build_plan(args.blocks, args.levels)
     print("level offsets:", " ".join(str(o) for o in plan.level_offsets))
     for lv in range(1, args.levels + 1):
-        times = [
-            carousel.completion_time(plan, lv, start_buffer=s)
-            for s in range(min(args.starts, args.blocks))
-        ]
-        avg = sum(times) / len(times)
-        print(f"levels {lv}: {avg:.1f} buffers to all {args.blocks} blocks")
+        print(f"levels {lv}: {carousel.completion_time(plan, lv):.1f} buffers "
+              f"to all {args.blocks} blocks")
     return 0
 
 
@@ -166,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="derive a carousel plan and its completion profile")
     p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--starts", type=int, default=1, help="start buffers to average over")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("send", help="sequence a file into an emission trace")

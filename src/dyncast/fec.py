@@ -31,8 +31,7 @@ Three codecs share one interface:
 
 The close is final for every codec: after it ``SymbolDecoder.add``
 raises ValueError and stores nothing, so the decoder holds exactly the
-symbols that closed the decode, and ``blocks()`` and ``epsilon`` read
-those alone.
+symbols that closed the decode, and ``blocks()`` reads those alone.
 
 Symbol data is treated as big integers for XOR work.  GF(256) work
 (the ``mds`` encode and solve) goes through one multiply-accumulate
@@ -504,8 +503,8 @@ class SymbolDecoder:
 
     # -- feeding ---------------------------------------------------------
 
-    def add(self, index: int, data: bytes) -> str:
-        """Feed one symbol; returns "new" or "duplicate".
+    def add(self, index: int, data: bytes) -> None:
+        """Feed one symbol; a duplicate is checked and not stored.
 
         Raises ValueError once the decode has closed.
         """
@@ -519,12 +518,11 @@ class SymbolDecoder:
         if index in self._received:
             if self._received[index] != data:
                 raise DecodeFailureError(f"symbol {index} received twice with different data")
-            return "duplicate"
+            return
         self._received[index] = bytes(data)
         if spec.name == "sparse_parity":
             self._track_rank(index)
         self.complete = self._closed()
-        return "new"
 
     def _track_rank(self, index: int) -> None:
         k = self.spec.k
@@ -616,13 +614,6 @@ class SymbolDecoder:
     @property
     def distinct(self) -> int:
         return len(self._received)
-
-    @property
-    def epsilon(self) -> int:
-        """Distinct symbols beyond k consumed before the decode closed."""
-        if not self.complete:
-            raise ValueError("decode has not succeeded")
-        return self.distinct - self.spec.k
 
     def blocks(self) -> list[bytes]:
         if not self.complete:

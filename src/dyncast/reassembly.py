@@ -2,8 +2,10 @@
 
 A buffer splits into slots of ``symbol_size`` bytes, one FEC symbol each.
 The receiver holds exactly one buffer open at a time.  A packet carrying
-a newer buffer id flushes the buffer under construction to the
-application, whatever state it is in; packets for older ids are dropped.
+a newer buffer id drops the buffer under construction, whatever state it
+is in, and counts it as flushed: each of its slots went to the caller
+when it became whole, so nothing reads it after.  Packets for older ids
+are dropped.
 Buffer ids compare with serial-number arithmetic so the 32-bit field may
 wrap during long sessions.
 """
@@ -107,7 +109,7 @@ class Reassembler:
     def on_packet(self, header: PacketHeader, payload: bytes) -> list[int]:
         """Store one PDU; returns the slots of the open buffer it made whole.
 
-        A newer buffer id flushes the open buffer first.  The list is empty
+        A newer buffer id closes the open buffer first.  The list is empty
         for a duplicate, a stale buffer id, and a PDU outside its buffer or
         unlike the bytes already held.
         """
@@ -115,7 +117,8 @@ class Reassembler:
             if not serial_newer(header.buffer_id, self.current.buffer_id):
                 self.counters.stale += 1
                 return []
-            self.flush()
+            self.current = None
+            self.counters.flushed += 1
         if self.current is None:
             self.current = ReassemblyBuffer(header.buffer_id, header.buffer_length, self.symbol_size)
         try:
@@ -128,10 +131,3 @@ class Reassembler:
             return []
         self.counters.stored += 1
         return whole
-
-    def flush(self) -> ReassemblyBuffer | None:
-        """Close and return the buffer under construction, if any."""
-        buf, self.current = self.current, None
-        if buf is not None:
-            self.counters.flushed += 1
-        return buf

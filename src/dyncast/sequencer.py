@@ -22,7 +22,6 @@ from .channel import ChannelConfig, tiles_in_window
 
 
 class SequencedPacket(NamedTuple):
-    pdu_index: int  # j: position of the PDU in the buffer
     group: int  # g: multicast group carrying the packet
     seq: int  # s: per-group send counter inside the buffer window
     send_time: float
@@ -96,6 +95,6 @@ def sequence(data: bytes, buffer_time: float, cfg: ChannelConfig,
         counters[group] = seq + 1
         offset = j * pdu_size
         packets.append(
-            SequencedPacket(j, group, seq, send_time, offset, data[offset : offset + pdu_size])
+            SequencedPacket(group, seq, send_time, offset, data[offset : offset + pdu_size])
         )
     return packets

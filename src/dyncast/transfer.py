@@ -196,7 +196,7 @@ class CarouselSession:
             t0 = buffer_id * self.buffer_time
             payload = self.buffer_payload(buffer_id)
             packets = sequence(payload, self.buffer_time, self.cfg, t0)
-            for _, group, seq, send_time, offset, pdu in packets:
+            for group, seq, send_time, offset, pdu in packets:
                 header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0), seq,
                                            buffer_id, offset, len(payload), len(pdu))
                 yield send_time, group, wire.pack_packet(header, pdu)
@@ -266,7 +266,7 @@ class SymbolReceiver:
 
     @property
     def epsilon(self) -> int:
-        # Distinct symbols beyond k so far: the decoder's epsilon once it closes.
+        # Distinct symbols beyond k so far: epsilon, once the decoder closes.
         return max(self.decoder.distinct - self.spec.k, 0)
 
     def counters(self, *, packets: int, missed: int, link_bytes: int, elapsed: float,

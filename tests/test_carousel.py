@@ -51,6 +51,26 @@ def ref_build_plan(block_count, level_count):
     return CarouselPlan(block_count, tuple(offsets))
 
 
+def ref_completion_time(plan, levels, start_buffer=0, needed=None):
+    """Reference walk: consume buffers from ``start_buffer``, one set-add
+    per block, until ``needed`` distinct blocks (default: the whole ring)
+    are seen.  Costs O(buffers * levels) where completion_time is O(1)."""
+    if not 1 <= levels <= plan.level_count:
+        raise ValueError(f"levels {levels} not in 1..{plan.level_count}")
+    target = plan.block_count if needed is None else needed
+    if not 0 < target <= plan.block_count:
+        raise ValueError("needed must be in 1..block_count")
+    seen = set()
+    buffers = 0
+    b = start_buffer
+    while len(seen) < target:
+        for level in range(1, levels + 1):
+            seen.add(plan.block_for(b, level))
+        buffers += 1
+        b += 1
+    return buffers
+
+
 def max_circular_gap(points, ring):
     """Completion oracle: each level's coverage front sweeps the ring in
     parallel, so the last hole to close sits behind the widest gap among
@@ -130,7 +150,7 @@ def test_levels_beyond_plan_rejected():
         build_plan(4, 5)
     # A walk over no level, or over levels the plan lacks, is refused
     # before it starts: with none it would never end.
-    for walk in (completion_time, first_duplicate):
+    for walk in (completion_time, ref_completion_time, first_duplicate):
         for levels in (0, 4):
             with pytest.raises(ValueError, match=rf"levels {levels} not in 1\.\.3"):
                 walk(plan, levels)
@@ -140,23 +160,36 @@ def test_levels_beyond_plan_rejected():
 
 def test_full_coverage_plan_completes_in_one_buffer():
     plan = build_plan(6, 6)
+    assert completion_time(plan, 6) == 1
     for start in range(6):
-        assert completion_time(plan, 6, start_buffer=start) == 1
+        assert ref_completion_time(plan, 6, start) == 1
 
 
 def test_completion_matches_max_gap_oracle_b64():
     plan = build_plan(64, 8)
     for levels in range(1, 9):
         expect = max_circular_gap(plan.level_offsets[:levels], 64)
+        assert completion_time(plan, levels) == expect
         for start in range(64):
-            assert completion_time(plan, levels, start_buffer=start) == expect
+            assert ref_completion_time(plan, levels, start) == expect
 
 
 def test_completion_start_independent():
     plan = build_plan(128, 8)
     for levels in (1, 2, 4, 8):
-        counts = {completion_time(plan, levels, start_buffer=s) for s in range(128)}
-        assert len(counts) == 1
+        counts = {ref_completion_time(plan, levels, s) for s in range(128)}
+        assert counts == {completion_time(plan, levels)}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ring=st.integers(1, 600), data=st.data())
+def test_completion_matches_walk_and_max_gap(ring, data):
+    levels = data.draw(st.integers(1, ring))
+    start = data.draw(st.integers(0, 10 * ring))
+    plan = build_plan(ring, levels)
+    expect = completion_time(plan, levels)
+    assert expect == ref_completion_time(plan, levels, start)
+    assert expect == max_circular_gap(plan.level_offsets, ring)
 
 
 def test_doubling_levels_halves_completion_b4000():
@@ -178,15 +211,6 @@ def test_minimal_gap_spacing_guarantee():
         gaps = [(offs[(i + 1) % levels] - o) % ring for i, o in enumerate(offs)]
         bound = ring // (2 ** ((levels - 1).bit_length() + 1))
         assert min(gaps) >= bound, (ring, levels, offs)
-
-
-def test_partial_coverage_target():
-    plan = build_plan(50, 5)
-    # needing only 20 distinct blocks finishes faster than the full ring
-    t_all = completion_time(plan, 5)
-    t_part = completion_time(plan, 5, needed=20)
-    assert t_part <= t_all
-    assert t_part >= 20 // 5
 
 
 def test_first_duplicate_even_split():

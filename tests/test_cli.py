@@ -23,7 +23,7 @@ CHANNEL_FLAGS = [
 
 
 def test_plan_prints_offsets_and_profile(capsys):
-    assert main(["plan", "--blocks", "10", "--levels", "3", "--starts", "10"]) == 0
+    assert main(["plan", "--blocks", "10", "--levels", "3"]) == 0
     out = capsys.readouterr().out
     assert "level offsets: 0 5 2" in out
     lines = out.splitlines()
@@ -34,13 +34,24 @@ def test_plan_prints_offsets_and_profile(capsys):
 def test_python_m_dyncast_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-m", "dyncast", "plan", "--blocks", "10",
-                           "--levels", "3", "--starts", "4"],
+                           "--levels", "3"],
                           cwd=src, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout == ("level offsets: 0 5 2\n"
                            "levels 1: 10.0 buffers to all 10 blocks\n"
                            "levels 2: 5.0 buffers to all 10 blocks\n"
                            "levels 3: 5.0 buffers to all 10 blocks\n")
+
+
+def test_plan_work_is_bounded():
+    # Each level's completion time is a formula: a walk over the buffers
+    # runs for more than 20 s on this input.
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "dyncast", "plan", "--blocks", "200000",
+                           "--levels", "200"],
+                          cwd=src, capture_output=True, text=True, timeout=2)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines()[-1] == "levels 200: 1562.0 buffers to all 200000 blocks"
 
 
 def test_send_then_recv_round_trip(tmp_path, capsys):
@@ -330,8 +341,8 @@ BAD_INPUTS = [
     pytest.param(recv_header(set_field("payload", 0)), "payload=0", id="header-payload=0"),
     pytest.param(lambda tmp_path, trace: ["plan", "--blocks", "3", "--levels", "5"],
                  "5 levels > 3 blocks", id="plan-more-levels-than-blocks"),
-    pytest.param(lambda tmp_path, trace: ["plan", "--blocks", "3", "--levels", "1", "--starts", "0"],
-                 "--starts", id="plan-no-starts"),
+    pytest.param(lambda tmp_path, trace: ["plan", "--blocks", "1048577", "--levels", "1"],
+                 "--blocks 1048577 is above 1048576", id="plan-blocks=1048577"),
     pytest.param(lambda tmp_path, trace: ["send", "--file", str(tmp_path / "missing.bin"),
                                           "--out", str(tmp_path / "t.trace")],
                  "missing.bin", id="send-missing-file"),

@@ -45,7 +45,7 @@ def epsilon_overhead(spec, received_indices):
     for index in received_indices:
         dec.add(index, zeros)
         if dec.complete:
-            return 100.0 * dec.epsilon / spec.k
+            return 100.0 * (dec.distinct - spec.k) / spec.k
     raise ValueError("trace never reaches a decodable set")
 
 
@@ -71,11 +71,11 @@ def test_null_closes_at_the_kth_distinct_source_past_k_255():
     distinct = set()
     for i in feed + [last]:
         assert not dec.complete
-        status = dec.add(i, blocks[i])
-        assert status == ("duplicate" if i in distinct else "new")
+        dec.add(i, blocks[i])
         distinct.add(i)
+        assert dec.distinct == len(distinct)  # a duplicate is not counted
         assert dec.complete == (len(distinct) == spec.k)
-    assert dec.epsilon == 0
+    assert dec.distinct == spec.k
     assert dec.blocks() == blocks
 
 
@@ -110,7 +110,7 @@ def test_all_sources_present_copies_out():
     for sym in encode(spec, blocks)[: spec.k]:
         dec.add(sym.index, sym.data)
     assert dec.complete
-    assert dec.epsilon == 0
+    assert dec.distinct == spec.k
     assert dec.blocks() == blocks
 
 
@@ -146,7 +146,7 @@ def test_mds_epsilon_zero_always():
             if dec.complete:
                 break
         assert fed == spec.k
-        assert dec.epsilon == 0
+        assert dec.distinct == spec.k
 
 
 def test_sparse_roundtrip_and_determinism():
@@ -204,13 +204,13 @@ def test_epsilon_overhead_matches_hand_recount():
     order = rng.sample(symbols, len(symbols))
     # hand recount: feed the full decoder, count distinct until it closes
     dec = SymbolDecoder(spec)
-    distinct = 0
+    distinct = set()
     for sym in order:
-        if dec.add(sym.index, sym.data) == "new":
-            distinct += 1
+        dec.add(sym.index, sym.data)
+        distinct.add(sym.index)
         if dec.complete:
             break
-    expected = (distinct - spec.k) / spec.k * 100.0
+    expected = (len(distinct) - spec.k) / spec.k * 100.0
     got = epsilon_overhead(spec, [s.index for s in order])
     assert got == pytest.approx(expected)
     assert dec.blocks() == blocks
@@ -220,8 +220,9 @@ def test_duplicates_and_conflicts():
     spec = CodecSpec("mds", 3, 6, 4)
     symbols = encode(spec, blocks_of(spec))
     dec = SymbolDecoder(spec)
-    assert dec.add(0, symbols[0].data) == "new"
-    assert dec.add(0, symbols[0].data) == "duplicate"
+    dec.add(0, symbols[0].data)
+    dec.add(0, symbols[0].data)  # a duplicate: stored once
+    assert dec.distinct == 1
     with pytest.raises(DecodeFailureError):
         dec.add(0, b"\xff\xff\xff\xff")
     with pytest.raises(ValueError):
@@ -240,13 +241,11 @@ def test_insufficient_symbols_raise():
     assert not dec.complete
     with pytest.raises(ValueError, match=r"decode needs more symbols \(have 1 distinct\)"):
         dec.blocks()
-    with pytest.raises(ValueError, match="decode has not succeeded"):
-        _ = dec.epsilon
 
 
 def test_sparse_rank_deficit_then_closure():
     # Receiving k symbols whose equations are dependent is not enough; the
-    # decoder closes only at full rank and reports the surplus as epsilon.
+    # decoder closes only at full rank.
     spec = CodecSpec("sparse_parity", 30, 60, 4, seed=2)
     blocks = blocks_of(spec, seed=9)
     symbols = encode(spec, blocks)
@@ -258,7 +257,7 @@ def test_sparse_rank_deficit_then_closure():
         if dec.complete:
             break
     assert dec.complete
-    assert dec.epsilon == dec.distinct - spec.k >= 0
+    assert dec.distinct >= spec.k
     assert dec.blocks() == blocks
 
 
@@ -432,13 +431,12 @@ class ReferenceSparseDecoder:
         if index in self._received:
             if self._received[index] != data:
                 raise DecodeFailureError(f"symbol {index} received twice with different data")
-            return "duplicate"
+            return
         self._received[index] = bytes(data)
         if self._done_at is None:
             self._absorb(index, data)
             if len(self._pivots) == self.spec.k:
                 self._done_at = len(self._received)
-        return "new"
 
     def _absorb(self, index, data):
         spec = self.spec
@@ -493,10 +491,12 @@ def assert_same_as_reference(spec, order, blocks):
                 dec.add(index, data)
             ref.add(index, data)
             continue
-        assert dec.add(index, data) == ref.add(index, data)
+        dec.add(index, data)
+        ref.add(index, data)
+        assert dec.distinct == len(ref._received)
         assert dec.complete == ref.complete
     if ref.complete:
-        assert dec.epsilon == ref.epsilon
+        assert dec.distinct - spec.k == ref.epsilon
         assert dec.blocks() == ref.blocks() == blocks
 
 
@@ -569,7 +569,7 @@ def test_corrupt_redundant_repair_fails_the_decode():
             dec.add(sym.index, sym.data)
         dec.add(repair, corrupt)
         dec.add(last, symbols[last].data)
-        assert dec.complete and dec.epsilon == 1
+        assert dec.complete and dec.distinct == spec.k + 1
         dec.blocks()
 
 
@@ -592,7 +592,7 @@ def test_corrupt_redundant_repair_fails_a_peeled_decode():
     check = SymbolDecoder(spec)
     for i in close[1:]:
         check.add(i, symbols[i].data)
-    assert check.complete and dec.epsilon > 0
+    assert check.complete and dec.distinct > spec.k
     with pytest.raises(DecodeFailureError):
         dec.blocks()
 
@@ -707,7 +707,7 @@ def test_mds_refuses_a_corrupt_source_after_the_close():
     assert dec.complete
     with pytest.raises(ValueError, match="the decode has closed"):
         dec.add(0, b"\x00\x00\x00")
-    assert (dec.distinct, dec.epsilon) == (2, 0)
+    assert dec.distinct == 2
     assert dec.blocks() == [b"abc", b"xyz"]
 
 
@@ -723,7 +723,7 @@ def test_the_close_is_final(name):
         if dec.complete:
             break
     distinct = dec.distinct
-    assert dec.complete and dec.epsilon == distinct - spec.k
+    assert dec.complete
     held = order[0]
     late = [(i, symbols[i].data) for i in order[distinct:]]  # new, and intact
     late += [(i, bytes(4)) for i in order[distinct:]]  # new, and corrupt
@@ -732,7 +732,7 @@ def test_the_close_is_final(name):
         for i, data in late:
             with pytest.raises(ValueError, match="the decode has closed"):
                 dec.add(i, data)
-            assert (dec.distinct, dec.epsilon) == (distinct, distinct - spec.k)
+            assert dec.distinct == distinct
         assert dec.blocks() == blocks
 
 

@@ -473,16 +473,6 @@ def test_malformed_packets_counted():
     assert received_bytes(r.current) == 5 and contiguous_prefix(r.current) == b"aaaaa"
 
 
-def test_flush_explicit_and_empty():
-    r = Reassembler(4)
-    assert r.flush() is None
-    r.on_packet(hdr(3, 0, 4, 4), b"done")
-    buf = r.flush()
-    assert is_complete(buf)
-    assert r.current is None
-    assert r.counters.flushed == 1
-
-
 def test_counter_totals():
     r = Reassembler(5)
     r.on_packet(hdr(1, 0, 5, 10), b"aaaaa")

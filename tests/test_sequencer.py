@@ -26,11 +26,16 @@ def oracle_assignment(cfg, data, buffer_time, t_start):
     return expected
 
 
+def pdu_index(cfg, p):
+    """j, the position of the packet's PDU in the buffer."""
+    return p.offset // cfg.packet_payload
+
+
 def packets_by_tile(cfg, packets):
     got = {}
     for p in packets:
         interval = interval_index(cfg, p.send_time)
-        got.setdefault((p.group, interval), set()).add(p.pdu_index)
+        got.setdefault((p.group, interval), set()).add(pdu_index(cfg, p))
     return got
 
 
@@ -56,7 +61,7 @@ def test_single_tile_sends_descending():
     data = bytes(4 * 1448)
     pkts = sequence(data, 4.0, cfg, 0.0)
     base = [p for p in pkts if p.group == 0]
-    assert [p.pdu_index for p in base] == [3, 2, 1, 0]
+    assert [pdu_index(cfg, p) for p in base] == [3, 2, 1, 0]
     times = [p.send_time for p in base]
     assert times == sorted(times)
 
@@ -67,7 +72,7 @@ def test_pdu_zero_lands_in_lowest_min_cum_tile():
     pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
     tiles = tiles_in_window(cfg, 0.0, cfg.sub_tsi)
     lowest = min(tiles, key=lambda tb: (tb.min_cum_rate, tb.interval, tb.group))
-    p0 = next(p for p in pkts if p.pdu_index == 0)
+    p0 = next(p for p in pkts if p.offset == 0)
     assert p0.group == lowest.group
 
 
@@ -117,7 +122,7 @@ def test_prefix_property_under_rate_thresholds():
     rates = sorted({tb.min_cum_rate for tb in tiles.values()})
     for threshold in rates + [rng.uniform(rates[0], rates[-1]) for _ in range(10)]:
         below = {
-            p.pdu_index
+            pdu_index(cfg, p)
             for p in pkts
             if tiles[(p.group, interval_index(cfg, p.send_time))].min_cum_rate <= threshold
         }
@@ -152,7 +157,7 @@ def test_intra_tile_times_increase_while_j_decreases():
         per_tile.setdefault(p.group, []).append(p)
     for group, plist in per_tile.items():
         plist.sort(key=lambda p: p.send_time)
-        js = [p.pdu_index for p in plist]
+        js = [pdu_index(cfg, p) for p in plist]
         assert js == sorted(js, reverse=True), f"group {group} not most-important-last"
         assert all(a.send_time < b.send_time for a, b in zip(plist, plist[1:]))
         assert all(0.0 <= p.send_time < cfg.sub_tsi for p in plist)
@@ -173,9 +178,9 @@ def test_offsets_and_payload_slices():
     cfg = ChannelConfig()
     data = bytes(random.Random(5).randbytes(90 * 1448 + 311))
     pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
-    assert len({p.pdu_index for p in pkts}) == len(pkts)
+    assert len({p.offset for p in pkts}) == len(pkts)
     for p in pkts:
-        assert p.offset == p.pdu_index * cfg.packet_payload
+        assert p.offset % cfg.packet_payload == 0
         assert p.payload == data[p.offset : p.offset + cfg.packet_payload]
     # the short tail PDU is included iff the budget reached it
     sizes = {len(p.payload) for p in pkts}
@@ -188,7 +193,7 @@ def test_oversized_buffer_drops_highest_indices():
     # Window budget is tiny; a huge buffer keeps only the lowest PDUs.
     data = bytes(50 * 1448)
     pkts = sequence(data, 4.0, cfg, 0.0)
-    assigned = sorted(p.pdu_index for p in pkts)
+    assigned = sorted(pdu_index(cfg, p) for p in pkts)
     assert assigned == list(range(len(assigned)))
     assert len(assigned) < 50
 
