@@ -35,11 +35,13 @@ symbols that closed the decode, and ``blocks()`` reads those alone.
 
 Symbol data is treated as big integers for XOR work.  GF(256) work
 (the ``mds`` encode and solve) goes through one multiply-accumulate
-kernel, ``_gf_combine``: each operand is translated into its 8 bit
-planes once (x^b times the operand, one ``bytes.translate`` each), and
-every product is then two XORs of nibble sums of those planes.  That
-keeps the whole module dependency free and fast enough for file-sized
-symbols.
+kernel, ``_gf_combine``, bit-sliced: the coefficients are split into
+their 8 bits, every group of 8 operands gets one table of its 256 XOR
+combinations (four Russians again), and each output sums one table
+entry per group and bit, then multiplies by x over the bits by Horner's
+rule on the whole integer.  So every product is one XOR and no operand
+is ever translated.  That keeps the whole module dependency free and
+fast enough for file-sized symbols.
 
 No byte of the file is held twice without need.  ``encode`` keeps a
 full-length source block that cannot change, ``bytes`` or a flat
@@ -149,29 +151,35 @@ def _scale_table(c: int) -> bytes:
     return bytes(_gf_mul(c, v) for v in range(256))
 
 
-# Tables multiplying by x^0 .. x^7: one per bit plane of a coefficient.
-_PLANE_TABLES = tuple(_scale_table(_GF_EXP[b]) for b in range(8))
+# Bit b of every byte value, one table per bit of a coefficient.
+_BIT_TABLES = tuple(bytes(v >> b & 1 for v in range(256)) for b in range(8))
 
-# Below this many rows the 8 plane translates of an operand cost more
-# than one direct translate per product (break-even measured at 1448-byte
-# symbols; at 1-byte symbols the direct form wins up to ~18 rows).
-_PLANE_MIN_ROWS = 10
+# Below this many rows one direct translate per product is cheaper than
+# a table of 256 combinations per group of 8 operands.  The break-even
+# moves with the shape: at 125 operands of 1448 bytes the tables win from
+# 3 rows (2.8 times faster at 10), at 10 operands of 1 byte the direct
+# form wins through 20 rows.  One threshold serves every symbol size, and
+# at 10 the exhaustive small-code decodes (at most 10 rows) stay direct.
+_TABLE_MIN_ROWS = 10
 
 
 def _gf_combine(rows, operands, size: int) -> list[bytes]:
     """sum_j rows[r][j] * operands[j] over GF(256), one output per row.
 
-    Multiplying by c is GF(2)-linear, so c * v is the XOR of x^b * v
-    over the set bits b of c.  Each operand is therefore translated into
-    its 8 bit planes once, the planes are combined into the 16 sums of
-    each nibble, and every product costs two XORs of nibble sums.  The
-    operands are the outer loop, which keeps one accumulator per row and
-    no more than one operand's planes alive.  With fewer than
-    ``_PLANE_MIN_ROWS`` rows each product is one direct translate.
-    An operand may be a view: it is copied to ``bytes`` where it is
-    translated, one operand at a time.
+    Multiplying by c is GF(2)-linear, so sum_j c_j * v_j is the sum over
+    the bits b of x^b * A_b, where A_b is the XOR of the operands whose
+    coefficient has bit b set.  The coefficients are split into bits:
+    for each b, one translate of all rows at once marks the set bits, and
+    three shift-or-mask steps fold every 8 marks into one byte, the index
+    of a group of 8 operands.  Each group's 256 XOR combinations are
+    tabulated once (the method of four Russians, as in ``_eliminate``),
+    and each row's 8 accumulators take one table entry per group: one
+    XOR per product, no operand translated.  Horner's rule over b = 7..0
+    then finishes each row, multiplying by x on the whole integer, every
+    byte lane at once.  With fewer than ``_TABLE_MIN_ROWS`` rows each
+    product is one direct translate instead.  An operand may be a view.
     """
-    if len(rows) < _PLANE_MIN_ROWS:
+    if len(rows) < _TABLE_MIN_ROWS:
         out = []
         for coeffs in rows:
             acc = 0
@@ -180,19 +188,44 @@ def _gf_combine(rows, operands, size: int) -> list[bytes]:
                     acc ^= int.from_bytes(bytes(v).translate(_scale_table(c)), "big")
             out.append(acc.to_bytes(size, "big"))
         return out
-    tables = _PLANE_TABLES
-    acc = [0] * len(rows)
-    for v, col in zip(operands, zip(*rows)):
-        v = bytes(v)  # a view has no translate; bytes stay as they are
-        lo = [0, int.from_bytes(v, "big")]
-        hi = [0, int.from_bytes(v.translate(tables[4]), "big")]
-        for b in (1, 2, 3):
-            plane = int.from_bytes(v.translate(tables[b]), "big")
-            lo += [s ^ plane for s in lo]
-            plane = int.from_bytes(v.translate(tables[b + 4]), "big")
-            hi += [s ^ plane for s in hi]
-        acc = [a ^ lo[c & 15] ^ hi[c >> 4] for a, c in zip(acc, col)]
-    return [a.to_bytes(size, "big") for a in acc]
+    groups = -(-len(operands) // 8)
+    pad = bytes(8 * groups - len(operands))
+    joined = b"".join(bytes(coeffs) + pad for coeffs in rows)
+    n = len(joined)  # one 8-byte lane per row and group
+    # A mark at byte j of a lane moves to bit j of the lane's low byte.
+    folds = ((7, int.from_bytes(b"\x03\x00" * (n // 2), "little")),
+             (14, int.from_bytes(b"\x0f\x00\x00\x00" * (n // 4), "little")),
+             (28, int.from_bytes(b"\xff\x00\x00\x00\x00\x00\x00\x00" * (n // 8), "little")))
+    index = []  # per bit: the index of each row's group, rows outer
+    for bit in _BIT_TABLES:
+        marks = int.from_bytes(joined.translate(bit), "little")
+        for shift, mask in folds:
+            marks = (marks | marks >> shift) & mask
+        index.append(marks.to_bytes(n, "little")[::8])
+    acc = [[0] * len(rows) for _ in range(8)]
+    for g in range(groups):
+        table = [0]
+        for v in operands[8 * g : 8 * g + 8]:
+            v = int.from_bytes(v, "big")
+            table += [t ^ v for t in table]
+        for b in range(8):
+            acc[b] = [a ^ table[i] for a, i in zip(acc[b], index[b][g::groups])]
+    low = int.from_bytes(b"\x7f" * size, "big")
+    ones = int.from_bytes(b"\x01" * size, "big")
+    out = []
+    for sums in zip(*acc):
+        s = sums[7]
+        for b in range(6, -1, -1):
+            s = _times_x(s, low, ones) ^ sums[b]
+        out.append(s.to_bytes(size, "big"))
+    return out
+
+
+def _times_x(s: int, low: int, ones: int) -> int:
+    """x times every byte of ``s`` over GF(256); ``low`` holds 0x7F and
+    ``ones`` 0x01 in each byte.  Bit 7 of a byte leaves as the reduction
+    0x1D of its own byte, never as a carry into the next."""
+    return ((s & low) << 1) ^ ((s >> 7) & ones) * (_GF_PRIM & 0xFF)
 
 
 # ---------------------------------------------------------------------------

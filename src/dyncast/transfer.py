@@ -330,7 +330,10 @@ def simulate_transfer(
         scenario, session.emissions(), on_delivery=on_delivery, collect_traces=collect_traces
     )
     outcomes = []
-    for app, rres in zip(apps, result.receivers):
+    for i, rres in enumerate(result.receivers):
+        # Each receiver is released once its outcome is built, so the
+        # next one decodes in the memory of those before it.
+        app, apps[i] = apps[i], None
         state = rres.state
         end = state.done_time if app.done else result.end_time
         counters = app.counters(packets=state.received, missed=state.missed,

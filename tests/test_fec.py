@@ -15,12 +15,13 @@ from dyncast.fec import (
     CodecSpec,
     DecodeFailureError,
     SymbolDecoder,
-    _PLANE_MIN_ROWS,
+    _TABLE_MIN_ROWS,
     _eliminate,
     _gf_combine,
     _interpolation_coeffs,
     _peel,
     _support_layout,
+    _times_x,
     decode,
     encode,
     repair_support,
@@ -313,11 +314,11 @@ def test_encode_copies_writable_blocks(name):
 
 
 @pytest.mark.parametrize("name,repairs", [("null", 0), ("sparse_parity", 12),
-                                          ("mds", _PLANE_MIN_ROWS - 1),
-                                          ("mds", 2 * _PLANE_MIN_ROWS)])
+                                          ("mds", _TABLE_MIN_ROWS - 1),
+                                          ("mds", 2 * _TABLE_MIN_ROWS)])
 def test_encode_keeps_read_only_views_of_bytes(name, repairs):
     # The sources are the caller's views, and every symbol is what bytes
-    # blocks give; mds runs _gf_combine below and above _PLANE_MIN_ROWS.
+    # blocks give; mds runs _gf_combine below and above _TABLE_MIN_ROWS.
     spec = CodecSpec(name, 12, 12 + repairs, 16, seed=4)
     blocks = blocks_of(spec, seed=6)
     data = b"".join(blocks)[:-5]  # a short last block is padded
@@ -402,12 +403,14 @@ def _ref_combine(rows, operands, size):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     size=st.sampled_from([1, 2, 37, 1448]),
-    rows=st.integers(1, 2 * _PLANE_MIN_ROWS),
-    operands=st.integers(1, 20),
+    rows=st.integers(1, 2 * _TABLE_MIN_ROWS),
+    operands=st.integers(1, 40),
     zero_one=st.sampled_from([0.0, 0.3, 1.0]),
+    views=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_gf_combine_matches_per_product_reference(size, rows, operands, zero_one, seed):
+def test_gf_combine_matches_per_product_reference(size, rows, operands, zero_one, views, seed):
+    # Up to 40 operands: several groups of 8 and a partial last group.
     rng = random.Random(seed)
     data = [rng.randbytes(size) for _ in range(operands)]
     coeffs = [
@@ -415,7 +418,40 @@ def test_gf_combine_matches_per_product_reference(size, rows, operands, zero_one
          for _ in range(operands)]
         for _ in range(rows)
     ]
-    assert _gf_combine(coeffs, data, size) == _ref_combine(coeffs, data, size)
+    if views:
+        joined = memoryview(b"".join(data))
+        args = [joined[j * size : (j + 1) * size] for j in range(operands)]
+    else:
+        args = data
+    assert _gf_combine(coeffs, args, size) == _ref_combine(coeffs, data, size)
+
+
+def test_gf_combine_at_the_mds_decode_shape():
+    # The mds workload's decodes: 125 received points, about 60 missing
+    # sources, 1448-byte symbols.
+    rng = random.Random(60)
+    points = rng.sample(range(250), 125)
+    targets = rng.sample([x for x in range(250) if x not in points], 60)
+    coeffs = _interpolation_coeffs(points, targets)
+    data = [rng.randbytes(1448) for _ in points]
+    assert _gf_combine(coeffs, data, 1448) == _ref_combine(coeffs, data, 1448)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1448])
+def test_times_x_multiplies_every_byte_lane(size):
+    # Every byte value in the first, middle and last lane, beside lanes
+    # of 0x00 and of 0xFF: a reduction that carries between lanes shows
+    # where two neighbours both have bit 7 set.
+    low = int.from_bytes(b"\x7f" * size, "big")
+    ones = int.from_bytes(b"\x01" * size, "big")
+    double = bytes(_ref_gf_mul(2, v) for v in range(256))
+    for fill in (0x00, 0xFF):
+        for lane in {0, size // 2, size - 1}:
+            for v in range(256):
+                data = bytearray([fill] * size)
+                data[lane] = v
+                got = _times_x(int.from_bytes(data, "big"), low, ones).to_bytes(size, "big")
+                assert got == bytes(data).translate(double), (fill, lane, v)
 
 
 class ReferenceSparseDecoder:

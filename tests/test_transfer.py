@@ -740,19 +740,42 @@ def test_one_transfer_holds_the_file_few_times():
     spec = spec_for_file("sparse_parity", len(data), 1448, seed=3)
     scen = Scenario(channel=cfg, bottleneck_rate=8e6, receivers=(ReceiverSpec(cfg.mean_top_rate),),
                     duration=600.0, seed=8)
+    (out,), peak = traced_transfer(data, scen, spec)
+    assert out.done and out.file == data
+    assert peak <= 5.0 * len(data), f"peak {peak / len(data):.2f} bytes per file byte"
+
+
+def test_receivers_decode_one_after_another_in_the_same_memory():
+    # The mds workload's shape on criterion 8's channel: 12 receivers at
+    # 5% loss.  Every receiver decodes after the run, and a GF(256)
+    # combine holds 8 accumulators per missing source.  Each receiver is
+    # released once its outcome is built, so each decode reuses the
+    # memory of the receivers before it (a peak of about 39 file lengths
+    # when all stay alive to the end, 23 with the release).
+    cfg = ChannelConfig(128000.0, 4e6, 0.7, 2.0, 2, 1448, 10)
+    data = random.Random(0x3D5).randbytes(180_900)
+    spec = spec_for_file("mds", len(data), 1448)
+    scen = Scenario(channel=cfg, bottleneck_rate=8e6, iid_loss=0.05, duration=120.0, seed=1,
+                    receivers=tuple(ReceiverSpec((0.05 + 0.95 * i / 11) * cfg.mean_top_rate)
+                                    for i in range(12)))
+    outcomes, peak = traced_transfer(data, scen, spec)
+    assert all(out.done and out.file == data for out in outcomes)
+    assert peak <= 28.0 * len(data), f"peak {peak / len(data):.2f} bytes per file byte"
+
+
+def traced_transfer(data, scen, spec):
+    """``simulate_transfer``'s outcomes and its peak traced allocation."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        (out,), _ = simulate_transfer(data, scen, spec)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        outcomes, _ = simulate_transfer(data, scen, spec)
+        return outcomes, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert out.done and out.file == data
-    assert peak <= 5.0 * len(data), f"peak {peak / len(data):.2f} bytes per file byte"
 
 
 def test_session_sources_are_views_of_the_file():
