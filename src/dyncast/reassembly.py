@@ -46,10 +46,17 @@ class ReassemblyBuffer:
         A PDU outside the buffer, or unlike the bytes already held, raises
         ValueError and leaves every slot as it was.
         """
-        end = offset + len(data)
+        size = len(data)
+        end = offset + size
         if offset < 0 or end > self.expected_length:
             raise ValueError("PDU outside the buffer")
         ss = self.symbol_size
+        slot, lo = divmod(offset, ss)
+        if not lo and 0 < size == min(ss, self.expected_length - offset) and slot not in self.slots:
+            # A new slot filled by one PDU, as every sender PDU of a
+            # packet_payload == symbol_size session is: one store.
+            self.slots[slot] = data, (1 << size) - 1
+            return [slot]
         whole, updates = [], {}
         for slot in range(offset // ss, -(-end // ss)):
             base = slot * ss

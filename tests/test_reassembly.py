@@ -369,11 +369,17 @@ def test_slot_buffer_matches_byte_reference():
         buf, ref = ReassemblyBuffer(0, length, ss), ReferenceBuffer(0, length)
         sent = []
         for _ in range(draw.draw(st.integers(1, 25), "pdus")):
-            if sent and draw.draw(st.booleans(), "repeat"):
+            kind = draw.draw(st.sampled_from(["repeat", "whole", "any"] if sent else ["whole", "any"]),
+                             "kind")
+            if kind == "repeat":
                 off, chunk = draw.draw(st.sampled_from(sent), "earlier")
             else:
-                off = draw.draw(st.integers(-2, length + 1), "offset")
-                size = draw.draw(st.integers(0, 3 * ss), "size")
+                if kind == "whole":  # one slot exactly, the short last one included
+                    off = draw.draw(st.integers(0, -(-length // ss) - 1), "slot") * ss
+                    size = min(ss, length - off)
+                else:
+                    off = draw.draw(st.integers(-2, length + 1), "offset")
+                    size = draw.draw(st.integers(0, 3 * ss), "size")
                 chunk = bytes(original[i] if 0 <= i < length else 0 for i in range(off, off + size))
             if chunk and draw.draw(st.integers(0, 3), "flip") == 0:
                 at = draw.draw(st.integers(0, len(chunk) - 1), "at")
@@ -395,12 +401,16 @@ def test_slot_buffer_matches_byte_reference():
                     assert whole == slots_completed(buf, before, ref.mask, off, off + len(chunk))
                     if off // ss != (off + len(chunk) - 1) // ss:
                         seen.add("straddle")
-                    if before & (((1 << len(chunk)) - 1) << off):
+                    overlap = before & (((1 << len(chunk)) - 1) << off)
+                    if overlap:
                         seen.add("partial overlap")
+                    if off % ss == 0 and len(chunk) == min(ss, length - off):
+                        seen.add("whole slot over held bytes" if overlap else "whole slot")
             assert byte_view(buf) == (bytes(ref.data), ref.mask)
 
     feed()
-    assert seen == {"rejected", "duplicate", "straddle", "partial overlap"}
+    assert seen == {"rejected", "duplicate", "straddle", "partial overlap", "whole slot",
+                    "whole slot over held bytes"}
 
 # ---------------------------------------------------------------------------
 # serial-number comparison

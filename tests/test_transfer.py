@@ -36,6 +36,7 @@ from dyncast.transfer import (
     receive_file,
     report,
     ring_symbol,
+    ring_table,
     send_file,
     simulate_transfer,
     spec_for_file,
@@ -178,6 +179,13 @@ def test_ring_symbol_spreads_sources_evenly():
     positions = [p for p in range(n) if ring_symbol(p, k, n) < k]
     gaps = [b - a for a, b in zip(positions, positions[1:])]
     assert set(gaps) <= {2, 3}  # a source every n/k = 2.5 slots
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (7, 19), (100, 137), (64, 256)])
+def test_ring_table_holds_ring_symbol_of_every_position(k, n):
+    table = ring_table(k, n)
+    assert (table.format, table.itemsize) == ("I", 4)
+    assert table.tolist() == [ring_symbol(p, k, n) for p in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +500,29 @@ def test_receiver_rejects_a_file_length_its_codec_cannot_hold(file_length):
         SymbolReceiver(spec, plan, file_length=file_length)
 
 
-# One small session per codec (k = 12, three 64-byte levels per buffer).
+def test_receiver_rejects_a_plan_of_another_ring_size():
+    # The receiver maps slots to symbols through a table of the code's n
+    # ring positions, so the carousel must walk a ring of n blocks.
+    spec = CodecSpec("sparse_parity", 3, 6, 4)
+    SymbolReceiver(spec, build_plan(6, 2), file_length=12)
+    for blocks in (5, 7):
+        with pytest.raises(ValueError, match=f"a carousel of {blocks} blocks for a code of 6"):
+            SymbolReceiver(spec, build_plan(blocks, 2), file_length=12)
+
+
 FUZZ_DATA = random.Random(21).randbytes(64 * 12 - 5)
-FUZZ_SESSIONS = {
-    name: CarouselSession(FUZZ_DATA, SMALL_CFG, spec_for_file(name, len(FUZZ_DATA), 64, seed=1),
-                          levels=3, session_id=7)
-    for name in ("null", "sparse_parity", "mds")
-}
+
+
+def sessions(cfg):
+    """One small session per codec over ``cfg`` (k = 12, three 64-byte levels per buffer)."""
+    return {name: CarouselSession(FUZZ_DATA, cfg, spec_for_file(name, len(FUZZ_DATA), 64, seed=1),
+                                  levels=3, session_id=7)
+            for name in ("null", "sparse_parity", "mds")}
+
+
+# 64-byte PDUs over 64-byte symbols, as every workload sends them: each
+# PDU fills one slot whole.
+FUZZ_SESSIONS = sessions(SMALL_CFG)
 
 
 def fuzz_datagrams(sess):
@@ -606,12 +630,7 @@ class SlotSetReceiver(SymbolReceiver):
 
 
 # 40-byte PDUs over 64-byte symbols: most PDUs straddle two slots.
-STRADDLE_CFG = dataclasses.replace(SMALL_CFG, packet_payload=40)
-STRADDLE_SESSIONS = {
-    name: CarouselSession(FUZZ_DATA, STRADDLE_CFG,
-                          spec_for_file(name, len(FUZZ_DATA), 64, seed=1), levels=3, session_id=7)
-    for name in ("null", "sparse_parity", "mds")
-}
+STRADDLE_SESSIONS = sessions(dataclasses.replace(SMALL_CFG, packet_payload=40))
 EDITS = ("drop", "keep", "twice", "corrupt", "corrupt_copy", "split")
 
 
@@ -660,9 +679,11 @@ def receiver_state(rx):
             dataclasses.asdict(rx.reassembler.counters), file)
 
 
-@pytest.mark.parametrize("codec", sorted(STRADDLE_SESSIONS))
-def test_receiver_feeds_what_the_slot_set_reference_feeds(codec):
-    sess = STRADDLE_SESSIONS[codec]
+def feeds_what_the_slot_set_reference_feeds(sess):
+    """The receiver against ``SlotSetReceiver`` over edited streams of ``sess``.
+
+    Returns the outcomes the reference saw over all the streams.
+    """
     real = [d for _, _, d in sess.emissions(max_buffers=2 * sess.spec.n)]
     seen = set()
 
@@ -682,6 +703,21 @@ def test_receiver_feeds_what_the_slot_set_reference_feeds(codec):
                                            ("duplicate", ref.duplicate_symbols)) if hit)
 
     feed()
+    return seen
+
+
+@pytest.mark.parametrize("codec", sorted(STRADDLE_SESSIONS))
+def test_receiver_feeds_what_the_slot_set_reference_feeds(codec):
+    seen = feeds_what_the_slot_set_reference_feeds(STRADDLE_SESSIONS[codec])
+    assert seen == {"closed", "stale", "malformed", "conflicting", "duplicate"}
+
+
+@pytest.mark.parametrize("codec", sorted(FUZZ_SESSIONS))
+def test_aligned_receiver_feeds_what_the_slot_set_reference_feeds(codec):
+    # Whole-slot PDUs take the reassembler's one-store path; a split one
+    # leaves a partial slot that a later whole copy completes through the
+    # per-slot loop.
+    seen = feeds_what_the_slot_set_reference_feeds(FUZZ_SESSIONS[codec])
     assert seen == {"closed", "stale", "malformed", "conflicting", "duplicate"}
 
 

@@ -94,13 +94,55 @@ TRACED_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(TRACED_COUNTS))
-def test_traced_counts_are_pinned(workload):
+# The same counts at the held-out seed 7919.
+HELD_OUT_TRACED_COUNTS = {
+    "bulk": {
+        "fec.add_calls": 5528, "fec.epsilon": 3, "transfer.on_packet_calls": 5528,
+        "transfer.symbols_fed": 5528, "netsim.policy_calls": 21, "netsim.offered": 5533,
+        "netsim.delivered": 5528, "netsim.queue_dropped": 0, "netsim.channel_lost": 0,
+        "netsim.rx_deliveries": 5528, "netsim.rx_missed": 0, "wire.pack_calls": 5534,
+        "wire.parse_calls": 5528, "reassembly.stored": 5528, "reassembly.duplicate": 0,
+        "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 221,
+        "sequencer.buffers": 222, "sequencer.packets": 5543, "channel.tiles": 2420,
+    },
+    "fanout": {
+        "fec.add_calls": 140721, "fec.epsilon": 0, "transfer.on_packet_calls": 140721,
+        "transfer.symbols_fed": 140721, "netsim.policy_calls": 2003, "netsim.offered": 131304,
+        "netsim.delivered": 93555, "netsim.queue_dropped": 30577, "netsim.channel_lost": 6877,
+        "netsim.rx_deliveries": 140721, "netsim.rx_missed": 61850, "wire.pack_calls": 131316,
+        "wire.parse_calls": 140721, "reassembly.stored": 140721, "reassembly.duplicate": 0,
+        "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 20377,
+        "sequencer.buffers": 5260, "sequencer.packets": 131376, "channel.tiles": 57310,
+    },
+    "mds": {
+        "fec.add_calls": 4504, "fec.epsilon": 0, "transfer.on_packet_calls": 4504,
+        "transfer.symbols_fed": 4504, "netsim.policy_calls": 86, "netsim.offered": 7659,
+        "netsim.delivered": 7262, "netsim.queue_dropped": 0, "netsim.channel_lost": 380,
+        "netsim.rx_deliveries": 4504, "netsim.rx_missed": 242, "wire.pack_calls": 7662,
+        "wire.parse_calls": 4504, "reassembly.stored": 4504, "reassembly.duplicate": 0,
+        "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 719,
+        "sequencer.buffers": 307, "sequencer.packets": 7686, "channel.tiles": 3330,
+    },
+}
+
+
+def traced_counts(workload, seed):
+    """The metrics of unit "count" from one traced ``perfbench/worker.py`` run."""
     benchmark = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
     names = {m["name"] for m in benchmark["per_layer"] if m["unit"] == "count"}
-    assert set(TRACED_COUNTS[workload]) == names
+    assert set(TRACED_COUNTS[workload]) == set(HELD_OUT_TRACED_COUNTS[workload]) == names
     done = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
-                           "--seed", "1", "--trace", "1"],
+                           "--seed", str(seed), "--trace", "1"],
                           capture_output=True, text=True, timeout=300, check=True)
     layers = json.loads(done.stdout.splitlines()[-1])["layers"]
-    assert {name: layers[name] for name in names} == TRACED_COUNTS[workload]
+    return {name: layers[name] for name in names}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_COUNTS))
+def test_traced_counts_are_pinned(workload):
+    assert traced_counts(workload, 1) == TRACED_COUNTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(HELD_OUT_TRACED_COUNTS))
+def test_held_out_seed_traced_counts_are_pinned(workload):
+    assert traced_counts(workload, 7919) == HELD_OUT_TRACED_COUNTS[workload]
