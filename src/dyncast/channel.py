@@ -67,6 +67,10 @@ class ChannelConfig:
             raise ValueError("packet_payload must be >= 1 byte")
         if self.group_count < 2:
             raise ValueError("group_count must be >= 2 (base plus one dynamic)")
+        # The most bits a dynamic group sends, whose floor tiles_in_window takes.
+        if not math.isfinite(self.max_cumulative_rate * self.sub_tsi
+                             / math.log(1.0 / self.decay_ratio)):
+            raise ValueError("max_cumulative_rate * sub slot / ln(1/decay_ratio) is not finite")
         floor_rate = self.max_cumulative_rate * self.decay_ratio ** (self.group_count - 1)
         if floor_rate < self.base_rate * (1.0 - 1e-9):
             raise ValueError(

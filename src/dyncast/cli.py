@@ -54,8 +54,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_send(args) -> int:
-    if args.buffers is not None and args.buffers < 1:
-        raise ValueError("--buffers must be >= 1")
+    # One period of the largest code, fec.MAX_N buffers, is the longest default.
+    if args.buffers is not None and not 1 <= args.buffers <= fec.MAX_N:
+        raise ValueError(f"--buffers must be in 1..{fec.MAX_N}")
     channel = _channel_from_args(args)
     size = Path(args.file).stat().st_size
     spec = transfer.spec_for_file(args.codec, size, args.symbol_size,
@@ -132,16 +133,17 @@ _COUNTER_TYPES = {f.name: {"int": (int,), "float": (int, float)}[f.type]
 def _read_counters(path) -> transfer.TransferCounters:
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"{path}: {exc}") from None
+    # 2**53, the largest count a float holds exactly, keeps the metrics' sums finite.
     if (not isinstance(payload, dict) or payload.keys() != _COUNTER_TYPES.keys()
             or not all(type(v) in _COUNTER_TYPES[k] and 0 <= v < math.inf
-                       for k, v in payload.items())):
+                       and (type(v) is float or v <= 2**53) for k, v in payload.items())):
         ints = [k for k, types in _COUNTER_TYPES.items() if float not in types]
         floats = [k for k, types in _COUNTER_TYPES.items() if float in types]
         raise ValueError(f"{path}: not a JSON object of the non-negative integers "
                          f"{', '.join(ints)} and the finite, non-negative numbers "
-                         f"{', '.join(floats)}")
+                         f"{', '.join(floats)}, every integer at most 2**53")
     return transfer.TransferCounters(**payload)
 
 

@@ -1,6 +1,9 @@
 """Systematic erasure codes for the block carousel.
 
-Three codecs share one interface:
+Three codecs share one interface.  A symbol is its bytes: ``encode``
+returns the n symbols as a list, entry i being symbol i, and ``decode``
+takes ``(index, data)`` pairs, as ``SymbolDecoder.add`` takes its two
+arguments (RFC 5052 carries the Encoding Symbol ID beside the data).
 
 * ``null`` sends the k source blocks unprotected (n == k): RFC 5445's
   Compact No-Code scheme, decoded as ``mds`` with no repairs.
@@ -45,7 +48,7 @@ fast enough for file-sized symbols.
 
 No byte of the file is held twice without need.  ``encode`` keeps a
 full-length source block that cannot change, ``bytes`` or a flat
-read-only view of ``bytes``, as the source symbol's data itself, so a
+read-only view of ``bytes``, as the source symbol itself, so a
 sender that cuts its blocks as views of the file holds the file once;
 anything writable is copied.  The decoder's blocks are the received
 sources themselves, and only the missing ones are new ``bytes``.
@@ -102,19 +105,6 @@ class CodecSpec:
         if self.name == "mds" and not (self.k <= 255 and self.n <= 255):
             raise ValueError(f"mds codec requires k <= 255 and n <= 255, "
                              f"got k={self.k} n={self.n}")
-
-
-@dataclass(frozen=True)
-class FecSymbol:
-    """One encoded symbol: a source when ``index < k``, else a repair.
-
-    ``data`` is ``bytes``, or for a full-length source the caller's own
-    read-only view of ``bytes`` (see ``encode``): either way it is
-    ``symbol_size`` bytes that cannot change.
-    """
-
-    index: int
-    data: bytes | memoryview
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +231,6 @@ def _frozen(block) -> bool:
     return isinstance(block, bytes)
 
 
-def _padded_blocks(spec: CodecSpec, blocks) -> list[bytes | memoryview]:
-    blocks = list(blocks)
-    if len(blocks) != spec.k:
-        raise ValueError(f"expected {spec.k} blocks, got {len(blocks)}")
-    out = []
-    for i, block in enumerate(blocks):
-        if len(block) > spec.symbol_size:
-            raise ValueError(f"block {i} longer than symbol_size")
-        if len(block) < spec.symbol_size:
-            if i != spec.k - 1:
-                raise ValueError("only the last block may be short")
-            block = bytes(block).ljust(spec.symbol_size, b"\x00")
-        out.append(block if _frozen(block) else bytes(block))
-    return out
-
-
 _COL_REPAIRS = 16  # repair rows each source block feeds (capped by row count)
 
 
@@ -341,31 +315,38 @@ def _interpolation_coeffs(points, targets) -> list[list[int]]:
     return rows
 
 
-def encode(spec: CodecSpec, blocks) -> list[FecSymbol]:
-    """Produce the n symbols for k source blocks (systematic: sources first).
+def encode(spec: CodecSpec, blocks) -> list[bytes | memoryview]:
+    """The n symbols for k source blocks, entry i being symbol i.
 
-    A block may be any bytes-like object.  A full-length block of
-    ``bytes``, or a flat read-only view of ``bytes``, becomes its source
-    symbol's data as it is; any other block is copied, so changing the
-    input afterwards changes no symbol.
+    Systematic: symbol i < k is source block i, the rest are repairs.
+    Every symbol is ``symbol_size`` bytes that cannot change.  A block
+    may be any bytes-like object.  A full-length block of ``bytes``, or
+    a flat read-only view of ``bytes``, is its source symbol as it is;
+    any other block is copied, so changing the input afterwards changes
+    no symbol.
     """
-    src = _padded_blocks(spec, blocks)
-    symbols = [FecSymbol(i, src[i]) for i in range(spec.k)]
-    if spec.name == "null":
-        return symbols
+    blocks = list(blocks)
+    if len(blocks) != spec.k:
+        raise ValueError(f"expected {spec.k} blocks, got {len(blocks)}")
+    symbols = []
+    for i, block in enumerate(blocks):
+        if len(block) > spec.symbol_size:
+            raise ValueError(f"block {i} longer than symbol_size")
+        if len(block) < spec.symbol_size:
+            if i != spec.k - 1:
+                raise ValueError("only the last block may be short")
+            block = bytes(block).ljust(spec.symbol_size, b"\x00")
+        symbols.append(block if _frozen(block) else bytes(block))
     if spec.name == "mds":
-        repairs = range(spec.k, spec.n)
-        coeffs = _interpolation_coeffs(range(spec.k), repairs)
-        for r, data in zip(repairs, _gf_combine(coeffs, src, spec.symbol_size)):
-            symbols.append(FecSymbol(r, data))
-        return symbols
-    # sparse_parity
-    ints = [int.from_bytes(b, "big") for b in src]
-    for r in range(spec.k, spec.n):
-        acc = 0
-        for i in repair_support(spec, r):
-            acc ^= ints[i]
-        symbols.append(FecSymbol(r, acc.to_bytes(spec.symbol_size, "big")))
+        coeffs = _interpolation_coeffs(range(spec.k), range(spec.k, spec.n))
+        symbols += _gf_combine(coeffs, symbols, spec.symbol_size)
+    elif spec.name == "sparse_parity":
+        ints = [int.from_bytes(b, "big") for b in symbols]
+        for r in range(spec.k, spec.n):
+            acc = 0
+            for i in repair_support(spec, r):
+                acc ^= ints[i]
+            symbols.append(acc.to_bytes(spec.symbol_size, "big"))
     return symbols
 
 
@@ -652,13 +633,9 @@ class SymbolDecoder:
         if not self.complete:
             raise ValueError(f"decode needs more symbols (have {self.distinct} distinct)")
         if self._blocks is None:
-            self._blocks = self._solve()
+            sparse = self.spec.name == "sparse_parity"
+            self._blocks = self._solve_sparse() if sparse else self._solve_mds()
         return self._blocks
-
-    def _solve(self) -> list[bytes]:
-        if self.spec.name == "sparse_parity":
-            return self._solve_sparse()
-        return self._solve_mds()
 
     def _solve_sparse(self) -> list[bytes]:
         """Read the core's values off its pivot rows, then solve the peeled columns.
@@ -690,31 +667,29 @@ class SymbolDecoder:
 
     def _solve_mds(self) -> list[bytes]:
         """The received sources, and the missing ones interpolated (``null`` misses none)."""
-        spec = self.spec
-        points = sorted(self._received)
-        values = [self._received[x] for x in points]
-        out: list[bytes | None] = [None] * spec.k
-        for x, v in zip(points, values):
-            if x < spec.k:
-                out[x] = v
-        missing = [t for t in range(spec.k) if out[t] is None]
+        spec, received = self.spec, self._received
+        out = [received.get(t) for t in range(spec.k)]
+        missing = [t for t in range(spec.k) if t not in received]
         if missing:
+            points = sorted(received)
             coeffs = _interpolation_coeffs(points, missing)
+            values = [received[x] for x in points]
             for t, data in zip(missing, _gf_combine(coeffs, values, spec.symbol_size)):
                 out[t] = data
         return out  # type: ignore[return-value]
 
 
 def decode(spec: CodecSpec, received) -> list[bytes]:
-    """Rebuild the k source blocks from an iterable of FecSymbols.
+    """Rebuild the k source blocks from an iterable of ``(index, data)``
+    pairs, such as ``enumerate(encode(spec, blocks))``.
 
     Feeding stops at the close.  Raises ValueError when the set cannot
     close the decode and DecodeFailureError when symbols received before
     the close contradict each other.
     """
     dec = SymbolDecoder(spec)
-    for sym in received:
-        dec.add(sym.index, sym.data)
+    for index, data in received:
+        dec.add(index, data)
         if dec.complete:
             break
     return dec.blocks()

@@ -373,9 +373,16 @@ def finite_float(text: str) -> float:
     return value
 
 
+def finite_int(text: str) -> int:
+    """``int(text)``, refusing an integer too large for a float, as the
+    channel and the scenario meet every integer in float arithmetic."""
+    finite_float(text)  # a float of too many digits is infinite
+    return int(text)
+
+
 # Each scenario key sets one dataclass field and converts its value to the
 # type of that field's default; keys left out keep the dataclass defaults.
-_CONVERTERS = {float: finite_float, int: int}
+_CONVERTERS = {float: finite_float, int: finite_int}
 
 SCENARIO_KEYS = {
     key: (cls, name, _CONVERTERS[type(getattr(cls, name))])

@@ -85,7 +85,7 @@ def compute_metrics(c: TransferCounters) -> TransferMetrics:
     if c.elapsed <= 0:
         raise ValueError("time undefined: nothing elapsed")
     needed = c.k + c.epsilon
-    return TransferMetrics(
+    metrics = TransferMetrics(
         time=c.elapsed,
         gput=c.file_length * 8.0 / c.elapsed / 1000.0,
         tput=c.link_bytes * 8.0 / c.elapsed / 1000.0,
@@ -96,6 +96,11 @@ def compute_metrics(c: TransferCounters) -> TransferMetrics:
         net=(_ratio(c.link_bytes, c.file_length, "net") - 1.0) * 100.0,
         comp=(_ratio(c.elapsed, c.network_time, "comp") - 1.0) * 100.0,
     )
+    # A tiny elapsed or network time can push a metric past the floats.
+    infinite = [name for name, value in metrics.as_dict().items() if not math.isfinite(value)]
+    if infinite:
+        raise ValueError(f"{', '.join(infinite)} undefined: not finite")
+    return metrics
 
 
 def partial_metrics(c: TransferCounters) -> dict[str, float]:
@@ -117,7 +122,7 @@ def spec_for_file(name: str, file_length: int, symbol_size: int, *,
         raise ValueError("empty file")
     if symbol_size < 1:
         raise ValueError("symbol_size must be >= 1")
-    k = math.ceil(file_length / symbol_size)
+    k = -(-file_length // symbol_size)
     if n is None:
         n = k if name == "null" else 2 * k
     return fec.CodecSpec(name, k, n, symbol_size, seed)
@@ -176,7 +181,7 @@ class CarouselSession:
         if channel.packet_payload > wire.MAX_PAYLOAD:
             raise ValueError(f"packet_payload {channel.packet_payload} > {wire.MAX_PAYLOAD}, "
                              "the most one datagram carries")
-        if codec.k != math.ceil(len(data) / codec.symbol_size):
+        if codec.k != -(-len(data) // codec.symbol_size):
             raise ValueError("codec k does not match the file and symbol size")
         self.cfg = channel
         self.spec = codec
@@ -201,7 +206,7 @@ class CarouselSession:
     def buffer_payload(self, buffer_id: int) -> bytes:
         indices = carousel.blocks_for_buffer(self.plan, buffer_id)
         spec = self.spec
-        return b"".join(self.symbols[ring_symbol(b, spec.k, spec.n)].data for b in indices)
+        return b"".join(self.symbols[ring_symbol(b, spec.k, spec.n)] for b in indices)
 
     def emissions(self, *, max_buffers: int | None = None):
         """Yield (send_time, group, datagram) in send order, buffer after buffer."""
@@ -223,7 +228,7 @@ class SymbolReceiver:
 
     def __init__(self, spec: fec.CodecSpec, plan: carousel.CarouselPlan, *,
                  file_length: int, session_id: int = 1):
-        if spec.k != math.ceil(file_length / spec.symbol_size):
+        if spec.k != -(-file_length // spec.symbol_size):
             raise ValueError("codec k does not match the file and symbol size")
         if plan.block_count != spec.n:
             raise ValueError(f"a carousel of {plan.block_count} blocks for a code of "
@@ -566,8 +571,14 @@ def report(runs) -> dict[str, tuple[float, float]]:
     out: dict[str, tuple[float, float]] = {}
     for name in METRIC_NAMES:
         values = [getattr(m, name) for m in runs]
-        mean = statistics.fmean(values)
-        half = quantile * statistics.stdev(values) / math.sqrt(len(values))
+        try:
+            mean = statistics.fmean(values)
+            half = quantile * statistics.stdev(values) / math.sqrt(len(values))
+        except OverflowError:
+            half = math.inf
+        if not math.isfinite(half):
+            raise ValueError(f"{name} undefined over these runs: the mean or its "
+                             "interval is not finite")
         out[name] = (mean, half)
     return out
 

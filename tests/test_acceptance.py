@@ -327,7 +327,7 @@ def test_criterion_6_mds_any_k_of_n():
         spec = fec.CodecSpec("mds", k, 2 * k, 1)
         source = [bytes([(37 * i + 11) % 256]) for i in range(k)]
         symbols = fec.encode(spec, source)
-        for subset in itertools.combinations(symbols, k):
+        for subset in itertools.combinations(enumerate(symbols), k):
             assert fec.decode(spec, subset) == source
             decodes += 1
     elapsed = time.perf_counter() - t0

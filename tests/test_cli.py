@@ -1,7 +1,10 @@
 """Command line entry points, exercised in-process through main(argv)."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import random
 import re
@@ -11,10 +14,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyncast import netsim, transfer, wire
 from dyncast.channel import ChannelConfig
-from dyncast.cli import _channel_from_args, build_parser, main
+from dyncast.cli import _CHANNEL_KEYS, _channel_from_args, build_parser, main
 
 CHANNEL_FLAGS = [
     "--base-rate", "62500", "--max-rate", "4e6", "--decay", "0.5",
@@ -105,7 +110,9 @@ def test_send_channel_flags_are_the_channel_scenario_keys(capsys):
                                  ).channel == channel
 
 
-@pytest.mark.parametrize("flag", ["--max-rate=inf", "--decay=nan", "--payload=1.5"])
+@pytest.mark.parametrize("flag", ["--max-rate=inf", "--decay=nan", "--payload=1.5",
+                                  pytest.param("--group-count=" + str(10**400),
+                                               id="--group-count=10**400")])
 def test_send_rejects_unconvertible_channel_flags(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as exit_:
         main(["send", "--file", "in.bin", "--out", str(tmp_path / "t.trace"), flag])
@@ -311,9 +318,9 @@ def recv_bad_second_record(tmp_path, trace):
     return ["recv", "--trace", str(edited), "--out", str(tmp_path / "x.bin")]
 
 
-def metrics_file(text):
+def metrics_file(text, copies=1):
     counters = with_file("counters.json", text)
-    return lambda tmp_path, trace: ["metrics", counters(tmp_path)]
+    return lambda tmp_path, trace: ["metrics", *[counters(tmp_path)] * copies]
 
 
 COUNTERS = dict(
@@ -358,6 +365,10 @@ BAD_INPUTS = [
     pytest.param(lambda tmp_path, trace: ["send", "--file", str(trace), "--out",
                                           str(tmp_path / "t.trace"), "--buffers", "-1"],
                  "--buffers", id="send-negative-buffers"),
+    # More buffers than one period of the largest code: 10**12 wrote
+    # hundreds of megabytes of trace for a 3 kB file.
+    pytest.param(send_small("--buffers", str(10**12)), "--buffers must be in 1..1048576",
+                 id="send-buffers=10**12"),
     pytest.param(send_small("--payload", "2000", "--symbol-size", "2000"), "packet_payload 2000 > 1448",
                  id="send-payload-above-datagram"),
     pytest.param(send_small("--payload", "70000"), "packet_payload 70000 > 1448",
@@ -400,6 +411,14 @@ BAD_INPUTS = [
                  id="sim-scenario-duration=0"),
     pytest.param(sim_scenario("receiver = 1e6\nbase_rate = 0\n"), "base_rate must be positive",
                  id="sim-scenario-base_rate=0"),
+    # Integers too large for a float ended in an OverflowError traceback.
+    pytest.param(sim_scenario(f"receiver = 1e6\ngroup_count = {10**400}\n"),
+                 "0' is not a finite number",
+                 id="sim-scenario-group_count=10**400"),
+    pytest.param(recv_header(set_field("file_length", 10**400)), "trace header: n must be >= k",
+                 id="header-file_length=10**400"),
+    pytest.param(metrics_file(json.dumps({**COUNTERS, "file_length": 10**400})),
+                 "every integer at most 2**53", id="metrics-file_length=10**400"),
     # A base rate so small that the buffer time (5e-324) or the buffer
     # length at the top rate (1e-300) overflows to infinity.
     pytest.param(sim_scenario("receiver = 1e6\nbase_rate = 5e-324\n"), "no finite buffer time",
@@ -455,6 +474,8 @@ BAD_INPUTS = [
     pytest.param(metrics_file('{"k": 1}'), "counters.json", id="metrics-missing-fields"),
     pytest.param(metrics_file("[1, 2]"), "counters.json", id="metrics-not-an-object"),
     pytest.param(metrics_file("{not json"), "counters.json", id="metrics-not-json"),
+    pytest.param(metrics_file("[" * 100_000 + "]" * 100_000), "maximum recursion depth",
+                 id="metrics-nested-too-deep"),
     pytest.param(metrics_file(json.dumps({**COUNTERS, "k": "one"})), "counters.json",
                  id="metrics-string-count"),
     pytest.param(metrics_file(json.dumps({**COUNTERS, "extra": 1})), "counters.json",
@@ -469,6 +490,12 @@ BAD_INPUTS = [
                  "non-negative integers", id="metrics-fractional-k"),
     pytest.param(metrics_file(json.dumps({**COUNTERS, "epsilon": 0.5})), "non-negative integers",
                  id="metrics-fractional-epsilon"),
+    pytest.param(metrics_file(json.dumps({**COUNTERS, "elapsed": 5e-324,
+                                          "network_time": 5e-324})),
+                 "gput, tput undefined: not finite", id="metrics-infinite-gput"),
+    pytest.param(metrics_file(json.dumps({**COUNTERS, "elapsed": 1.7e308,
+                                          "network_time": 1.7e308}), copies=2),
+                 "time undefined over these runs", id="metrics-report-past-the-floats"),
     pytest.param(send_small("--levels", "0"), "at least one level", id="send-levels-0"),
     pytest.param(send_small("--levels", "-3"), "at least one level", id="send-negative-levels"),
     pytest.param(send_small("--levels", "100000"), "100000 levels > 8 blocks",
@@ -632,3 +659,78 @@ def test_metrics_single_and_report(tmp_path, capsys):
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# ---------------------------------------------------------------------------
+# Property-based inputs: whatever value a format holds, the command ends
+# with a documented exit code and no traceback.
+
+
+def run_main(argv):
+    """``main(argv)``'s exit code and stderr; an argparse refusal is its exit 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "tiny.bin").write_bytes(random.Random(3).randbytes(100))
+    return d
+
+
+# A number in range, on a boundary, huge, not finite, or not a number at all.
+NUMBER_TEXTS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "7", "0.5", "0.999", "1448", "1449", "65535", "1e-300",
+                     "5e-324", "1e308", str(2**53 + 1), str(2**64), str(10**400),
+                     "inf", "-inf", "nan", ""]),
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(flags=st.dictionaries(st.sampled_from(sorted(_CHANNEL_KEYS)), NUMBER_TEXTS, max_size=4))
+@example(flags={"groups_per_tsi": str(10**400)})
+@example(flags={"group_count": str(10**400)})
+def test_send_channel_flags_end_in_a_documented_exit(fuzz_dir, flags):
+    argv = ["send", "--file", str(fuzz_dir / "tiny.bin"), "--out", str(fuzz_dir / "t.trace"),
+            "--buffers", "1", *(f"--{key.replace('_', '-')}={value}" for key, value in flags.items())]
+    rc, err = run_main(argv)
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err
+
+
+COUNTER_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2**53, 2**53 + 1, 10**400, 0.0, 5e-324, 1e-300, 1.7e308,
+                     math.nan, math.inf, True, None, "1", [1]]),
+    st.integers(-2, 2**60),
+    st.floats(min_value=0.0),
+)
+
+COUNTER_FILES = st.builds(
+    lambda edits, drop: {k: v for k, v in {**COUNTERS, **edits}.items() if k not in drop},
+    st.dictionaries(st.sampled_from([*COUNTERS, "extra"]), COUNTER_VALUES, max_size=4),
+    st.sets(st.sampled_from(list(COUNTERS)), max_size=1),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(files=st.lists(COUNTER_FILES, min_size=1, max_size=3))
+@example(files=[{**COUNTERS, "file_length": 10**400}])
+@example(files=[{**COUNTERS, "link_bytes": 10**400}] * 2)
+@example(files=[{**COUNTERS, "elapsed": 5e-324, "network_time": 5e-324}] * 2)
+def test_metrics_counters_end_in_a_documented_exit(fuzz_dir, files):
+    paths = []
+    for i, counters in enumerate(files):
+        paths.append(fuzz_dir / f"counters{i}.json")
+        paths[-1].write_text(json.dumps(counters))
+    rc, err = run_main(["metrics", *map(str, paths)])
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err

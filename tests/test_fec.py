@@ -54,9 +54,9 @@ def test_null_codec_is_identity():
     spec = CodecSpec("null", 4, 4, 16)
     blocks = blocks_of(spec)
     symbols = encode(spec, blocks)
-    assert [s.data for s in symbols] == blocks
-    assert [s.index for s in symbols] == list(range(spec.k))  # every symbol a source
-    assert decode(spec, symbols) == blocks
+    assert symbols == blocks
+    assert len(symbols) == spec.k  # every symbol a source
+    assert decode(spec, enumerate(symbols)) == blocks
 
 
 def test_null_closes_at_the_kth_distinct_source_past_k_255():
@@ -83,7 +83,7 @@ def test_null_closes_at_the_kth_distinct_source_past_k_255():
 def test_mds_k2_n4_every_pair_decodes():
     spec = CodecSpec("mds", 2, 4, 1)
     symbols = encode(spec, [b"\x01", b"\x02"])
-    for pair in itertools.combinations(symbols, 2):
+    for pair in itertools.combinations(enumerate(symbols), 2):
         assert decode(spec, pair) == [b"\x01", b"\x02"]
 
 
@@ -91,7 +91,7 @@ def test_mds_recovers_from_repairs_only():
     spec = CodecSpec("mds", 2, 4, 3)
     blocks = [b"abc", b"xyz"]
     symbols = encode(spec, blocks)
-    assert decode(spec, symbols[2:]) == blocks
+    assert decode(spec, list(enumerate(symbols))[2:]) == blocks
 
 
 def test_systematic_prefix_everywhere():
@@ -99,17 +99,17 @@ def test_systematic_prefix_everywhere():
         spec = CodecSpec(name, 5, 5 * n_factor, 8, seed=3)
         blocks = blocks_of(spec, seed=1)
         symbols = encode(spec, blocks)
+        assert len(symbols) == spec.n
         for i in range(spec.k):
-            assert symbols[i].index == i
-            assert symbols[i].data == blocks[i]
+            assert symbols[i] == blocks[i]
 
 
 def test_all_sources_present_copies_out():
     spec = CodecSpec("mds", 6, 12, 32)
     blocks = blocks_of(spec, seed=2)
     dec = SymbolDecoder(spec)
-    for sym in encode(spec, blocks)[: spec.k]:
-        dec.add(sym.index, sym.data)
+    for index, data in enumerate(encode(spec, blocks)[: spec.k]):
+        dec.add(index, data)
     assert dec.complete
     assert dec.distinct == spec.k
     assert dec.blocks() == blocks
@@ -122,14 +122,14 @@ def test_mds_exhaustive_small_and_sampled_large():
         spec = CodecSpec("mds", k, 2 * k, 4)
         blocks = blocks_of(spec, seed=k)
         symbols = encode(spec, blocks)
-        for subset in itertools.combinations(symbols, k):
+        for subset in itertools.combinations(enumerate(symbols), k):
             assert decode(spec, subset) == blocks
     for k in (9, 12):
         spec = CodecSpec("mds", k, 2 * k, 4)
         blocks = blocks_of(spec, seed=k)
         symbols = encode(spec, blocks)
         for _ in range(200):
-            subset = rng.sample(symbols, k)
+            subset = rng.sample(list(enumerate(symbols)), k)
             assert decode(spec, subset) == blocks
 
 
@@ -139,11 +139,11 @@ def test_mds_epsilon_zero_always():
     rng = random.Random(5)
     for _ in range(20):
         dec = SymbolDecoder(spec)
-        order = rng.sample(symbols, len(symbols))
+        order = rng.sample(list(enumerate(symbols)), len(symbols))
         fed = 0
-        for sym in order:
+        for index, data in order:
             fed += 1
-            dec.add(sym.index, sym.data)
+            dec.add(index, data)
             if dec.complete:
                 break
         assert fed == spec.k
@@ -155,14 +155,14 @@ def test_sparse_roundtrip_and_determinism():
     blocks = blocks_of(spec, seed=4)
     symbols = encode(spec, blocks)
     again = encode(spec, blocks)
-    assert [s.data for s in symbols] == [s.data for s in again]
+    assert symbols == again
     other = encode(CodecSpec("sparse_parity", 60, 120, 16, seed=12), blocks)
-    assert [s.data for s in symbols[60:]] != [s.data for s in other[60:]]
+    assert symbols[60:] != other[60:]
     rng = random.Random(6)
-    received = rng.sample(symbols, 90)
+    received = rng.sample(list(enumerate(symbols)), 90)
     dec = SymbolDecoder(spec)
-    for sym in received:
-        dec.add(sym.index, sym.data)
+    for index, data in received:
+        dec.add(index, data)
         if dec.complete:
             break
     assert dec.blocks() == blocks
@@ -202,17 +202,17 @@ def test_epsilon_overhead_matches_hand_recount():
     blocks = blocks_of(spec, seed=7)
     symbols = encode(spec, blocks)
     rng = random.Random(17)
-    order = rng.sample(symbols, len(symbols))
+    order = rng.sample(list(enumerate(symbols)), len(symbols))
     # hand recount: feed the full decoder, count distinct until it closes
     dec = SymbolDecoder(spec)
     distinct = set()
-    for sym in order:
-        dec.add(sym.index, sym.data)
-        distinct.add(sym.index)
+    for index, data in order:
+        dec.add(index, data)
+        distinct.add(index)
         if dec.complete:
             break
     expected = (len(distinct) - spec.k) / spec.k * 100.0
-    got = epsilon_overhead(spec, [s.index for s in order])
+    got = epsilon_overhead(spec, [index for index, _ in order])
     assert got == pytest.approx(expected)
     assert dec.blocks() == blocks
 
@@ -221,13 +221,13 @@ def test_duplicates_and_conflicts():
     spec = CodecSpec("mds", 3, 6, 4)
     symbols = encode(spec, blocks_of(spec))
     dec = SymbolDecoder(spec)
-    dec.add(0, symbols[0].data)
-    dec.add(0, symbols[0].data)  # a duplicate: stored once
+    dec.add(0, symbols[0])
+    dec.add(0, symbols[0])  # a duplicate: stored once
     assert dec.distinct == 1
     with pytest.raises(DecodeFailureError):
         dec.add(0, b"\xff\xff\xff\xff")
     with pytest.raises(ValueError):
-        dec.add(6, symbols[0].data)
+        dec.add(6, symbols[0])
     with pytest.raises(DecodeFailureError):
         dec.add(1, b"short")
 
@@ -236,9 +236,9 @@ def test_insufficient_symbols_raise():
     spec = CodecSpec("mds", 4, 8, 4)
     symbols = encode(spec, blocks_of(spec))
     with pytest.raises(ValueError, match=r"decode needs more symbols \(have 3 distinct\)"):
-        decode(spec, symbols[:3])
+        decode(spec, enumerate(symbols[:3]))
     dec = SymbolDecoder(spec)
-    dec.add(0, symbols[0].data)
+    dec.add(0, symbols[0])
     assert not dec.complete
     with pytest.raises(ValueError, match=r"decode needs more symbols \(have 1 distinct\)"):
         dec.blocks()
@@ -252,9 +252,10 @@ def test_sparse_rank_deficit_then_closure():
     symbols = encode(spec, blocks)
     dec = SymbolDecoder(spec)
     fed = 0
-    for sym in symbols[spec.k :] + symbols[: spec.k]:  # repairs first
+    pairs = list(enumerate(symbols))
+    for index, data in pairs[spec.k :] + pairs[: spec.k]:  # repairs first
         fed += 1
-        dec.add(sym.index, sym.data)
+        dec.add(index, data)
         if dec.complete:
             break
     assert dec.complete
@@ -286,7 +287,7 @@ def test_spec_validation():
 def test_block_padding_rules():
     spec = CodecSpec("mds", 3, 6, 4)
     symbols = encode(spec, [b"aaaa", b"bbbb", b"cc"])  # short tail is padded
-    assert symbols[2].data == b"cc\x00\x00"
+    assert symbols[2] == b"cc\x00\x00"
     with pytest.raises(ValueError, match="only the last block may be short"):
         encode(spec, [b"aaaa", b"bb", b"cccc"])
     with pytest.raises(ValueError, match="block 2 longer than symbol_size"):
@@ -301,16 +302,16 @@ def test_encode_copies_writable_blocks(name):
     # all change after encode returns; no symbol may change with them.
     spec = CodecSpec(name, 12, 12 if name == "null" else 24, 16, seed=4)
     blocks = blocks_of(spec, seed=6)
-    want = [s.data for s in encode(spec, blocks)]
+    want = encode(spec, blocks)
     arrays = [bytearray(b) for b in blocks]
     inputs = (arrays[:4] + [memoryview(a) for a in arrays[4:8]]
               + [memoryview(a).toreadonly() for a in arrays[8:]])
     symbols = encode(spec, inputs)
     for a in arrays:
         a[:] = bytes(x ^ 0xFF for x in a)
-    assert [s.data for s in symbols] == want
-    assert all(type(s.data) is bytes for s in symbols)
-    assert decode(spec, symbols) == blocks
+    assert symbols == want
+    assert all(type(s) is bytes for s in symbols)
+    assert decode(spec, enumerate(symbols)) == blocks
 
 
 @pytest.mark.parametrize("name,repairs", [("null", 0), ("sparse_parity", 12),
@@ -325,13 +326,13 @@ def test_encode_keeps_read_only_views_of_bytes(name, repairs):
     blocks[-1] = blocks[-1][:-5] + bytes(5)
     view = memoryview(data)
     symbols = encode(spec, [view[i * 16 : (i + 1) * 16] for i in range(spec.k)])
-    assert [s.data for s in symbols] == [s.data for s in encode(spec, blocks)]
-    assert all(s.data.obj is data for s in symbols[: spec.k - 1])
-    assert type(symbols[spec.k - 1].data) is bytes
+    assert symbols == encode(spec, blocks)
+    assert all(s.obj is data for s in symbols[: spec.k - 1])
+    assert type(symbols[spec.k - 1]) is bytes
     if name == "mds":
         coeffs = [_ref_lagrange_coeffs(range(spec.k), r) for r in range(spec.k, spec.n)]
-        assert [s.data for s in symbols[spec.k :]] == _ref_combine(coeffs, blocks, 16)
-    assert decode(spec, symbols) == blocks
+        assert symbols[spec.k :] == _ref_combine(coeffs, blocks, 16)
+    assert decode(spec, enumerate(symbols)) == blocks
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,7 @@ def assert_same_as_reference(spec, order, blocks):
     ref = ReferenceSparseDecoder(spec)
     dec = SymbolDecoder(spec)
     for index in order:
-        data = symbols[index].data
+        data = symbols[index]
         if dec.complete:
             # The close is final: the decoder refuses what the reference still takes.
             with pytest.raises(ValueError, match="the decode has closed"):
@@ -598,13 +599,13 @@ def test_corrupt_redundant_repair_fails_the_decode():
     symbols = encode(spec, blocks_of(spec, seed=3))
     last = 0
     repair = next(r for r in range(spec.k, spec.n) if last not in repair_support(spec, r))
-    corrupt = bytes([symbols[repair].data[0] ^ 0x10]) + symbols[repair].data[1:]
+    corrupt = bytes([symbols[repair][0] ^ 0x10]) + symbols[repair][1:]
     dec = SymbolDecoder(spec)
     with pytest.raises(DecodeFailureError):
-        for sym in symbols[1 : spec.k]:
-            dec.add(sym.index, sym.data)
+        for index in range(1, spec.k):
+            dec.add(index, symbols[index])
         dec.add(repair, corrupt)
-        dec.add(last, symbols[last].data)
+        dec.add(last, symbols[last])
         assert dec.complete and dec.distinct == spec.k + 1
         dec.blocks()
 
@@ -617,7 +618,7 @@ def test_corrupt_redundant_repair_fails_a_peeled_decode():
     symbols = encode(spec, blocks_of(spec, seed=8))
     rng = random.Random(9)
     order = rng.sample(range(spec.k, spec.n), spec.n - spec.k) + rng.sample(range(spec.k), spec.k)
-    data = {i: symbols[i].data for i in order}
+    data = {i: symbols[i] for i in order}
     data[order[0]] = bytes([data[order[0]][0] ^ 0x10]) + data[order[0]][1:]
     dec = SymbolDecoder(spec)
     for i in order:
@@ -627,7 +628,7 @@ def test_corrupt_redundant_repair_fails_a_peeled_decode():
     close = order[: dec.distinct]
     check = SymbolDecoder(spec)
     for i in close[1:]:
-        check.add(i, symbols[i].data)
+        check.add(i, symbols[i])
     assert check.complete and dec.distinct > spec.k
     with pytest.raises(DecodeFailureError):
         dec.blocks()
@@ -641,7 +642,7 @@ def test_corrupt_late_source_fails_the_decode():
     symbols = encode(spec, blocks_of(spec, seed=8))
     order = random.Random(2).sample(range(spec.n), spec.n)
     late = order[spec.k]
-    data = {i: symbols[i].data for i in order}
+    data = {i: symbols[i] for i in order}
     data[late] = bytes([data[late][0] ^ 0x10]) + data[late][1:]
     dec = SymbolDecoder(spec)
     for i in order:
@@ -652,7 +653,7 @@ def test_corrupt_late_source_fails_the_decode():
     check = SymbolDecoder(spec)
     for i in close:
         if i != late:
-            check.add(i, symbols[i].data)
+            check.add(i, symbols[i])
     assert late < spec.k and check.complete
     assert any(late in repair_support(spec, j) for j in close[spec.k + 1 :] if j >= spec.k)
     ref = ReferenceSparseDecoder(spec)
@@ -682,14 +683,14 @@ def test_one_peel_per_sparse_decode(monkeypatch):
     monkeypatch.setattr(fec, "_peel", counted_peel)
     dec = SymbolDecoder(spec)
     for i in order:
-        dec.add(i, symbols[i].data)
+        dec.add(i, symbols[i])
         if dec.complete:
             break
     after = order[spec.k : dec.distinct]
     assert min(after) < spec.k <= max(after)
     ref = ReferenceSparseDecoder(spec)
     for i in order[: dec.distinct]:
-        ref.add(i, symbols[i].data)
+        ref.add(i, symbols[i])
     assert ref.complete and dec.blocks() == ref.blocks() == blocks
     assert len(calls) == 1
 
@@ -707,7 +708,7 @@ def test_sparse_blocks_are_the_received_sources():
     symbols = encode(spec, blocks)
     dec = SymbolDecoder(spec)
     for i in order:
-        dec.add(i, symbols[i].data)
+        dec.add(i, symbols[i])
         if dec.complete:
             break
     close = order[: dec.distinct]
@@ -720,10 +721,10 @@ def test_sparse_blocks_are_the_received_sources():
         dec.add(missing, bytes(4))
     ref = ReferenceSparseDecoder(spec)
     for i in close:
-        ref.add(i, symbols[i].data)
+        ref.add(i, symbols[i])
     solved = dec.blocks()
     assert solved == ref.blocks() == blocks
-    assert all(solved[i] is symbols[i].data for i in sources)
+    assert all(solved[i] is symbols[i] for i in sources)
     held = sources[0]
     for data in (bytes(x ^ 1 for x in blocks[held]), bytes(blocks[held])):
         with pytest.raises(ValueError, match="the decode has closed"):
@@ -738,8 +739,8 @@ def test_mds_refuses_a_corrupt_source_after_the_close():
     spec = CodecSpec("mds", 2, 4, 3)
     symbols = encode(spec, [b"abc", b"xyz"])
     dec = SymbolDecoder(spec)
-    dec.add(3, symbols[3].data)
-    dec.add(2, symbols[2].data)
+    dec.add(3, symbols[3])
+    dec.add(2, symbols[2])
     assert dec.complete
     with pytest.raises(ValueError, match="the decode has closed"):
         dec.add(0, b"\x00\x00\x00")
@@ -755,15 +756,15 @@ def test_the_close_is_final(name):
     order = random.Random(5).sample(range(spec.n), spec.n)
     dec = SymbolDecoder(spec)
     for i in order:
-        dec.add(i, symbols[i].data)
+        dec.add(i, symbols[i])
         if dec.complete:
             break
     distinct = dec.distinct
     assert dec.complete
     held = order[0]
-    late = [(i, symbols[i].data) for i in order[distinct:]]  # new, and intact
+    late = [(i, symbols[i]) for i in order[distinct:]]  # new, and intact
     late += [(i, bytes(4)) for i in order[distinct:]]  # new, and corrupt
-    late += [(held, symbols[held].data), (held, bytes(4))]  # a duplicate, and a conflict
+    late += [(held, symbols[held]), (held, bytes(4))]  # a duplicate, and a conflict
     for _ in range(2):  # before the first blocks() call, then after it
         for i, data in late:
             with pytest.raises(ValueError, match="the decode has closed"):

@@ -817,7 +817,7 @@ def traced_transfer(data, scen, spec):
 def test_session_sources_are_views_of_the_file():
     data = random.Random(7).randbytes(64 * 40 - 9)
     sess = CarouselSession(data, SMALL_CFG, spec_for_file("sparse_parity", len(data), 64))
-    sources = [s.data for s in sess.symbols[: sess.spec.k]]
+    sources = sess.symbols[: sess.spec.k]
     assert all(v.obj is data for v in sources[:-1])
     assert b"".join(sources)[: len(data)] == data
 
