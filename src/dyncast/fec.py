@@ -629,6 +629,10 @@ class SymbolDecoder:
     def distinct(self) -> int:
         return len(self._received)
 
+    def held(self, index: int) -> bytes | None:
+        """The bytes of symbol ``index`` if it was received, else None."""
+        return self._received.get(index)
+
     def blocks(self) -> list[bytes]:
         if not self.complete:
             raise ValueError(f"decode needs more symbols (have {self.distinct} distinct)")

@@ -231,6 +231,9 @@ def run(
     ``packet_source`` yields (time, group, bytes) in non-decreasing time.
     ``on_delivery(receiver_index, time, group, packet) -> bool`` may mark a
     receiver as done; the run stops early once every receiver is done.
+    Every listener of one delivery gets the identical ``packet`` object,
+    the one the source yielded, in consecutive calls in receiver index
+    order, so a caller may parse it once for all of them.
 
     The loop merges three pending events, taking the earliest: the next
     sub-slot boundary, the completion of the packet in service, which

@@ -4,7 +4,11 @@ The sender FEC-encodes the file into n symbols, spreads them over a
 carousel of n buffers (one symbol per level, level 1 first), and hands
 each buffer to the sequencer so receivers at any rate always get the
 most useful prefix.  The receiver reassembles buffers slot by slot and
-feeds each slot to the FEC decoder once it is whole, until the file closes.
+feeds each slot to the FEC decoder once it is whole, until the file closes;
+a whole-slot copy of a symbol the decoder holds is only compared with it.
+A datagram is parsed once: ``SymbolReceiver.on_datagram`` parses and
+calls ``on_packet(header, payload)``, and the simulator parses each
+delivery once for all its listeners.
 
 Evaluation metrics: time (s), gput and tput (Kb/s), and the overhead
 percentages loss, dup, sym, head, net and comp.
@@ -224,7 +228,12 @@ class CarouselSession:
 
 
 class SymbolReceiver:
-    """Receiver application: datagrams in, decoded file out."""
+    """Receiver application: datagrams in, decoded file out.
+
+    ``on_datagram`` takes a datagram as it came off the wire;
+    ``on_packet`` takes one already parsed, so that a caller with many
+    receivers of one datagram parses it once.
+    """
 
     def __init__(self, spec: fec.CodecSpec, plan: carousel.CarouselPlan, *,
                  file_length: int, session_id: int = 1):
@@ -250,35 +259,58 @@ class SymbolReceiver:
         self.malformed_packets = 0  # unparsable or of another buffer length, dropped
         self.conflicting_symbols = 0  # copies unlike the first one of their symbol, dropped
 
-    def on_packet(self, datagram: bytes) -> bool:
-        """Feed one datagram; True once the decoder has closed.
+    def on_datagram(self, datagram: bytes) -> bool:
+        """Parse and feed one datagram; True once the decoder has closed.
 
-        Each symbol slot of a buffer is fed to the decoder once, by the
-        PDU that completes it.
+        A datagram ``wire.parse_packet`` refuses is counted in
+        ``malformed_packets`` and dropped.
         """
         if self.decoder.complete:
             return True
         try:
             header, payload = wire.parse_packet(datagram)
         except ValueError:
-            header = None
-        if header is None or header.buffer_length != self.buffer_length:
+            self.malformed_packets += 1
+            return False
+        return self.on_packet(header, payload)
+
+    def on_packet(self, header: wire.PacketHeader, payload: bytes) -> bool:
+        """Feed one parsed PDU; True once the decoder has closed.
+
+        Each symbol slot of a buffer is settled once, by the PDU that
+        completes it.  A PDU that fills its slot alone (on a slot boundary,
+        one symbol wide) is that slot's bytes: when the decoder already
+        holds the slot's symbol, the copy is compared with it and counted
+        as a duplicate or a conflict without reading the slot back or
+        calling the decoder.  Every other whole slot goes to the decoder.
+        """
+        if self.decoder.complete:
+            return True
+        if header.buffer_length != self.buffer_length:
             self.malformed_packets += 1
             return False
         if header.session_id != self.session_id:
             self.foreign_packets += 1
             return False
-        reassembler, offsets = self.reassembler, self.plan.level_offsets
+        reassembler, decoder = self.reassembler, self.decoder
+        offsets, ss = self.plan.level_offsets, self.spec.symbol_size
         for slot in reassembler.on_packet(header, payload):
-            data = reassembler.current.covered(slot)
             symbol = self.ring[(header.buffer_id + offsets[slot]) % self.spec.n]
+            if header.offset == slot * ss and len(payload) == ss:
+                held = decoder.held(symbol)
+                if held is not None:
+                    if held == payload:
+                        self.received_symbols += 1
+                    else:
+                        self.conflicting_symbols += 1
+                    continue
             try:
-                self.decoder.add(symbol, data)
+                decoder.add(symbol, reassembler.current.covered(slot))
             except fec.DecodeFailureError:
                 self.conflicting_symbols += 1
                 continue
             self.received_symbols += 1
-            if self.decoder.complete:
+            if decoder.complete:
                 return True
         return False
 
@@ -350,8 +382,24 @@ def simulate_transfer(
     apps = [SymbolReceiver(codec, session.plan, file_length=len(data))
             for _ in scenario.receivers]
 
+    # netsim hands one delivery's packet object to each of its listeners
+    # in consecutive calls, so the first call parses it for them all: they
+    # share one header and one payload object.
+    last: bytes | None = None
+    header: wire.PacketHeader | None = None
+    payload = b""
+
     def on_delivery(i: int, t: float, group: int, packet: bytes) -> bool:
-        return apps[i].on_packet(packet)
+        nonlocal last, header, payload
+        if packet is not last:
+            last = packet
+            try:
+                header, payload = wire.parse_packet(packet)
+            except ValueError:
+                header = None
+        if header is None:
+            return apps[i].on_datagram(packet)
+        return apps[i].on_packet(header, payload)
 
     result = netsim.run(
         scenario, session.emissions(), on_delivery=on_delivery, collect_traces=collect_traces
@@ -496,7 +544,7 @@ def receive_file(trace_path) -> tuple[bytes, TransferMetrics, TransferCounters]:
                 raise ValueError(f"{trace_path}:{number}: {exc}") from None
             received += 1
             link_bytes += len(datagram)
-            if app.on_packet(datagram):
+            if app.on_datagram(datagram):
                 break
     counters = app.counters(packets=received, missed=0, link_bytes=link_bytes,
                             elapsed=last_t, payload=payload)

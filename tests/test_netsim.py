@@ -1,6 +1,7 @@
 """Event-driven path simulator: queueing, loss processes, join policy."""
 
 import heapq
+import itertools
 import math
 import random
 
@@ -524,6 +525,45 @@ def test_run_matches_heap_reference(case):
         for loop in (run, ref_run)
     ]
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("loop", [run, ref_run], ids=["run", "ref_run"])
+def test_listeners_of_one_delivery_get_one_packet_object_in_turn(loop):
+    # The contract a caller may parse once per delivery on: every listener
+    # of a delivery gets the emitted object itself, in index order, in
+    # consecutive calls.  Distinct contents make each emission its own
+    # object; losses, an overflowing queue, a late starter and a receiver
+    # done early change the listener lists between deliveries.
+    rng = random.Random(27)
+    emitted = [(i * 2e-3, rng.randrange(12), i.to_bytes(4, "big") * 50) for i in range(2000)]
+    emitted_ids = {id(packet) for _, _, packet in emitted}
+    specs = (
+        ReceiverSpec(CFG.mean_top_rate),
+        ReceiverSpec(0.5 * CFG.mean_top_rate, 1.2),
+        ReceiverSpec(CFG.base_rate),
+        ReceiverSpec(0.25 * CFG.mean_top_rate),
+    )
+    scen = Scenario(channel=CFG, bottleneck_rate=6e5, queue_capacity=3, iid_loss=0.1,
+                    receivers=specs, duration=4.0, seed=3)
+    calls = []
+
+    def on_delivery(i, t, group, packet):
+        calls.append((i, t, group, packet))
+        return i == 2 and len(calls) > 300
+
+    res = loop(scen, emitted, on_delivery=on_delivery)
+    runs = [list(run_calls) for _, run_calls in itertools.groupby(calls, key=lambda c: id(c[3]))]
+    assert len(runs) == len({id(c[3]) for c in calls})  # no packet comes back later
+    for run_calls in runs:
+        indices = [i for i, _, _, _ in run_calls]
+        assert indices == sorted(set(indices))
+        assert len({(t, group) for _, t, group, _ in run_calls}) == 1
+        assert id(run_calls[0][3]) in emitted_ids
+    # Every listener of a delivery is in its run, as the traces record it.
+    heard = sorted((id(r.packet), i) for i, rres in enumerate(res.receivers) for r in rres.trace)
+    assert sorted((id(p), i) for i, _, _, p in calls) == heard
+    assert max(map(len, runs)) > 1 and res.link.channel_lost and res.link.queue_dropped
+    assert res.receivers[2].state.done and not res.receivers[0].state.done
 
 
 def test_start_time_snaps_to_next_boundary():

@@ -19,8 +19,9 @@ from test_reassembly import ReferenceReassembler
 from dyncast import wire
 from dyncast.carousel import build_plan
 from dyncast.channel import ChannelConfig
-from dyncast.fec import CodecSpec, DecodeFailureError
+from dyncast.fec import CodecSpec, DecodeFailureError, SymbolDecoder
 from dyncast.netsim import ReceiverSpec, Scenario
+from dyncast.reassembly import ReassemblyBuffer
 from dyncast.transfer import (
     METRIC_NAMES,
     CarouselSession,
@@ -345,7 +346,7 @@ def test_null_codec_one_period_completes():
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     done_at = None
     for t, _, datagram in sess.emissions(max_buffers=sess.spec.n):
-        if rx.on_packet(datagram):
+        if rx.on_datagram(datagram):
             done_at = t
             break
     assert rx.done and done_at is not None
@@ -360,7 +361,7 @@ def test_on_packet_after_close_changes_nothing():
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     stream = sess.emissions(max_buffers=2 * sess.spec.n)
     for t, _, datagram in stream:
-        if rx.on_packet(datagram):
+        if rx.on_datagram(datagram):
             break
 
     def state():
@@ -371,8 +372,8 @@ def test_on_packet_after_close_changes_nothing():
     before = state()
     # The rest of the second lap, then a datagram that does not parse.
     for t, _, datagram in stream:
-        assert rx.on_packet(datagram) is True
-    assert rx.on_packet(b"junk") is True
+        assert rx.on_datagram(datagram) is True
+    assert rx.on_datagram(b"junk") is True
     assert state() == before
 
 
@@ -384,7 +385,7 @@ def test_file_is_the_input_at_every_tail_length(codec, length):
     sess = CarouselSession(data, SMALL_CFG, spec_for_file(codec, length, 64, seed=4), levels=1)
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=length)
     for t, _, datagram in sess.emissions(max_buffers=8 * sess.spec.n):
-        if rx.on_packet(datagram):
+        if rx.on_datagram(datagram):
             break
     assert rx.done
     assert rx.file() == data
@@ -398,7 +399,7 @@ def test_duplicates_counted_against_missed_block():
         header, _ = wire.parse_packet(datagram)
         if header.buffer_id == 3:  # lose one buffer in the first lap
             continue
-        if rx.on_packet(datagram):
+        if rx.on_datagram(datagram):
             break
     # second lap replays blocks 0..2 (duplicates) before delivering block 3
     assert rx.done
@@ -415,13 +416,13 @@ def test_wrong_buffer_length_dropped_and_counted():
     data, sess = null_session()
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     h = wire.PacketHeader(0, sess.session_id, 0, 0, 0, offset=0, buffer_length=8, payload_len=8)
-    assert rx.on_packet(wire.pack_packet(h, b"8bytes!!")) is False
+    assert rx.on_datagram(wire.pack_packet(h, b"8bytes!!")) is False
     assert rx.malformed_packets == 1
     assert rx.reassembler.counters.malformed == 0
     assert rx.reassembler.current is None
     assert rx.received_symbols == 0
     for t, _, datagram in sess.emissions(max_buffers=sess.spec.n):
-        if rx.on_packet(datagram):
+        if rx.on_datagram(datagram):
             break
     assert rx.file() == data
 
@@ -443,16 +444,16 @@ def test_conflicting_later_lap_copy_dropped_and_counted():
     data, sess = null_session()
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     for datagram in buffer_datagrams(sess, 0):
-        rx.on_packet(datagram)
+        rx.on_datagram(datagram)
     before = dataclasses.asdict(rx.reassembler.counters)
     for datagram in buffer_datagrams(sess, 40):
-        assert rx.on_packet(repacked(datagram, flip=True)) is False
+        assert rx.on_datagram(repacked(datagram, flip=True)) is False
     assert rx.conflicting_symbols == 1
     assert rx.received_symbols == 1 and rx.duplicate_symbols == 0
     after = dataclasses.asdict(rx.reassembler.counters)
     assert after["malformed"] == before["malformed"] and after["duplicate"] == before["duplicate"]
     for t, _, datagram in sess.emissions(max_buffers=2 * sess.spec.n):
-        if wire.parse_packet(datagram)[0].buffer_id > 40 and rx.on_packet(datagram):
+        if wire.parse_packet(datagram)[0].buffer_id > 40 and rx.on_datagram(datagram):
             break
     assert rx.file() == data
 
@@ -461,7 +462,7 @@ def test_foreign_session_dropped_and_counted():
     data, sess = null_session()
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     for datagram in buffer_datagrams(sess, 0):
-        assert rx.on_packet(repacked(datagram, session_id=77)) is False
+        assert rx.on_datagram(repacked(datagram, session_id=77)) is False
     assert rx.received_symbols == 0
     assert rx.foreign_packets == len(buffer_datagrams(sess, 0))
     assert rx.reassembler.current is None
@@ -471,10 +472,49 @@ def test_conflicting_copy_in_the_open_buffer_counted_as_malformed():
     data, sess = null_session()
     rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
     (datagram,) = buffer_datagrams(sess, 0)
-    assert rx.on_packet(datagram) is False
-    assert rx.on_packet(repacked(datagram, flip=True)) is False
+    assert rx.on_datagram(datagram) is False
+    assert rx.on_datagram(repacked(datagram, flip=True)) is False
     assert rx.reassembler.counters.malformed == 1
     assert rx.received_symbols == 1 and rx.conflicting_symbols == 0
+
+
+def counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` from now on; returns the list of counts."""
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_later_lap_copy_of_a_held_symbol_settled_without_the_decoder(monkeypatch):
+    # Buffers 40 and 80 are the second and third laps of buffer 0: a
+    # whole-slot copy of the symbol the decoder holds from buffer 0.
+    data, sess = null_session()
+    rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(data))
+    (first,) = buffer_datagrams(sess, 0)
+    assert rx.on_datagram(first) is False
+    assert (rx.received_symbols, rx.duplicate_symbols) == (1, 0)
+    adds = counting(monkeypatch, SymbolDecoder, "add")
+    covered = counting(monkeypatch, ReassemblyBuffer, "covered")
+    (second,) = buffer_datagrams(sess, 40)
+    assert rx.on_datagram(second) is False
+    assert (rx.received_symbols, rx.duplicate_symbols, rx.conflicting_symbols) == (2, 1, 0)
+    (third,) = buffer_datagrams(sess, 80)
+    assert rx.on_datagram(repacked(third, flip=True)) is False
+    assert (rx.received_symbols, rx.duplicate_symbols, rx.conflicting_symbols) == (2, 1, 1)
+    assert adds == covered == [0]
+    symbol = ring_symbol(sess.plan.block_for(0, 1), sess.spec.k, sess.spec.n)
+    assert rx.decoder.held(symbol) == wire.parse_packet(first)[1]
+    # A first copy still goes through the decoder.
+    (new,) = buffer_datagrams(sess, 81)
+    assert rx.on_datagram(new) is False
+    assert adds == covered == [1]
+    assert rx.decoder.distinct == 2
 
 
 @pytest.mark.parametrize("session_id", [-1, 2**32, 2**32 + 1])
@@ -569,7 +609,7 @@ def test_on_packet_never_raises(codec):
         rx = SymbolReceiver(sess.spec, sess.plan, file_length=len(FUZZ_DATA),
                             session_id=sess.session_id)
         for datagram in itertools.chain.from_iterable(groups):
-            assert type(rx.on_packet(datagram)) is bool
+            assert type(rx.on_datagram(datagram)) is bool
 
     feed()
 
@@ -577,11 +617,14 @@ def test_on_packet_never_raises(codec):
 class SlotSetReceiver(SymbolReceiver):
     """The receiver's former feeding rule, kept as the reference.
 
-    It reassembles with the byte-mask reference reassembler, keeps a set
-    of the open buffer's slots already fed, cleared when a new buffer
-    opens, and feeds every slot a stored PDU touches that is whole and not
-    in the set.  Stale and rejected PDUs are read off the reassembler's
-    counters, so the reference shares nothing with ``dyncast.reassembly``.
+    It takes parsed PDUs through ``on_packet``, so the inherited
+    ``on_datagram`` parses for it as for the receiver.  It reassembles
+    with the byte-mask reference reassembler, keeps a set of the open
+    buffer's slots already fed, cleared when a new buffer opens, and
+    feeds every slot a stored PDU touches that is whole and not in the
+    set to the decoder, held symbols included.  Stale and rejected PDUs
+    are read off the reassembler's counters, so the reference shares
+    nothing with ``dyncast.reassembly``.
     """
 
     def __init__(self, *args, **kwargs):
@@ -589,14 +632,10 @@ class SlotSetReceiver(SymbolReceiver):
         self.reassembler = ReferenceReassembler()
         self.slots_done: set[int] = set()
 
-    def on_packet(self, datagram):
+    def on_packet(self, header, payload):
         if self.decoder.complete:
             return True
-        try:
-            header, payload = wire.parse_packet(datagram)
-        except ValueError:
-            header = None
-        if header is None or header.buffer_length != self.buffer_length:
+        if header.buffer_length != self.buffer_length:
             self.malformed_packets += 1
             return False
         if header.session_id != self.session_id:
@@ -694,7 +733,7 @@ def feeds_what_the_slot_set_reference_feeds(sess):
         rx = SymbolReceiver(sess.spec, sess.plan, **kwargs)
         ref = SlotSetReceiver(sess.spec, sess.plan, **kwargs)
         for datagram in edited_stream(real, seed):
-            assert rx.on_packet(datagram) == ref.on_packet(datagram)
+            assert rx.on_datagram(datagram) == ref.on_datagram(datagram)
         assert receiver_state(rx) == receiver_state(ref)
         c = ref.reassembler.counters
         seen.update(name for name, hit in (("closed", ref.done), ("stale", c.stale),
@@ -763,6 +802,45 @@ def test_simulated_transfer_timeout_leaves_partial_state():
     assert not out.done
     assert out.file is None and out.metrics is None
     assert out.counters.received_packets > 0
+
+
+def test_simulated_transfer_parses_each_delivery_once(monkeypatch):
+    # Two receivers alike hear the same datagrams; a third at a lower rate
+    # hears only some, so the listener lists vary.  Each datagram with a
+    # listener is parsed once, the first copy of a symbol is stored as
+    # the one payload object all listeners share, and a datagram that
+    # does not parse still reaches every listener's on_datagram.
+    data = random.Random(31).randbytes(64 * 60)
+    spec = spec_for_file("null", len(data), 64)
+    scen = Scenario(channel=SMALL_CFG, bottleneck_rate=1e7, duration=120.0, seed=4,
+                    receivers=(ReceiverSpec(SMALL_CFG.mean_top_rate),) * 2
+                    + (ReceiverSpec(0.3 * SMALL_CFG.mean_top_rate),))
+    receivers = []
+    init = SymbolReceiver.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        receivers.append(self)
+
+    monkeypatch.setattr(SymbolReceiver, "__init__", keep)
+    emissions = CarouselSession.emissions
+
+    def junk_first(self, **kwargs):
+        yield 0.0, 0, b"junk"
+        yield from emissions(self, **kwargs)
+
+    monkeypatch.setattr(CarouselSession, "emissions", junk_first)
+    parses = counting(monkeypatch, wire, "parse_packet")
+    outcomes, sim = simulate_transfer(data, scen, spec, collect_traces=True)
+    assert all(out.done and out.file == data for out in outcomes)
+    heard = [r.packet for rres in sim.receivers for r in rres.trace]
+    # The junk is parsed once on_delivery's way and once by each of the
+    # three receivers' on_datagram.
+    assert parses == [len({id(packet) for packet in heard}) + 3]
+    assert len(heard) > parses[0]
+    assert [rx.malformed_packets for rx in receivers] == [1, 1, 1]
+    a, b, _ = receivers
+    assert all(a.decoder.held(i) is b.decoder.held(i) for i in range(spec.k))
 
 
 def test_one_transfer_holds_the_file_few_times():

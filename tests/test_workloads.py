@@ -74,20 +74,20 @@ TRACED_COUNTS = {
         "sequencer.buffers": 222, "sequencer.packets": 5543, "channel.tiles": 2420,
     },
     "fanout": {
-        "fec.add_calls": 137280, "fec.epsilon": 0, "transfer.on_packet_calls": 137280,
+        "fec.add_calls": 41520, "fec.epsilon": 0, "transfer.on_packet_calls": 137280,
         "transfer.symbols_fed": 137280, "netsim.policy_calls": 1900, "netsim.offered": 112494,
         "netsim.delivered": 80093, "netsim.queue_dropped": 26201, "netsim.channel_lost": 5909,
         "netsim.rx_deliveries": 137280, "netsim.rx_missed": 61420, "wire.pack_calls": 112506,
-        "wire.parse_calls": 137280, "reassembly.stored": 137280, "reassembly.duplicate": 0,
+        "wire.parse_calls": 45736, "reassembly.stored": 137280, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 19285,
         "sequencer.buffers": 4507, "sequencer.packets": 112625, "channel.tiles": 49100,
     },
     "mds": {
-        "fec.add_calls": 4509, "fec.epsilon": 0, "transfer.on_packet_calls": 4509,
+        "fec.add_calls": 4500, "fec.epsilon": 0, "transfer.on_packet_calls": 4509,
         "transfer.symbols_fed": 4509, "netsim.policy_calls": 87, "netsim.offered": 7557,
         "netsim.delivered": 7139, "netsim.queue_dropped": 0, "netsim.channel_lost": 403,
         "netsim.rx_deliveries": 4509, "netsim.rx_missed": 333, "wire.pack_calls": 7560,
-        "wire.parse_calls": 4509, "reassembly.stored": 4509, "reassembly.duplicate": 0,
+        "wire.parse_calls": 1309, "reassembly.stored": 4509, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 737,
         "sequencer.buffers": 303, "sequencer.packets": 7581, "channel.tiles": 3300,
     },
@@ -106,20 +106,20 @@ HELD_OUT_TRACED_COUNTS = {
         "sequencer.buffers": 222, "sequencer.packets": 5543, "channel.tiles": 2420,
     },
     "fanout": {
-        "fec.add_calls": 140721, "fec.epsilon": 0, "transfer.on_packet_calls": 140721,
+        "fec.add_calls": 41520, "fec.epsilon": 0, "transfer.on_packet_calls": 140721,
         "transfer.symbols_fed": 140721, "netsim.policy_calls": 2003, "netsim.offered": 131304,
         "netsim.delivered": 93555, "netsim.queue_dropped": 30577, "netsim.channel_lost": 6877,
         "netsim.rx_deliveries": 140721, "netsim.rx_missed": 61850, "wire.pack_calls": 131316,
-        "wire.parse_calls": 140721, "reassembly.stored": 140721, "reassembly.duplicate": 0,
+        "wire.parse_calls": 47425, "reassembly.stored": 140721, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 20377,
         "sequencer.buffers": 5260, "sequencer.packets": 131376, "channel.tiles": 57310,
     },
     "mds": {
-        "fec.add_calls": 4504, "fec.epsilon": 0, "transfer.on_packet_calls": 4504,
+        "fec.add_calls": 4500, "fec.epsilon": 0, "transfer.on_packet_calls": 4504,
         "transfer.symbols_fed": 4504, "netsim.policy_calls": 86, "netsim.offered": 7659,
         "netsim.delivered": 7262, "netsim.queue_dropped": 0, "netsim.channel_lost": 380,
         "netsim.rx_deliveries": 4504, "netsim.rx_missed": 242, "wire.pack_calls": 7662,
-        "wire.parse_calls": 4504, "reassembly.stored": 4504, "reassembly.duplicate": 0,
+        "wire.parse_calls": 1304, "reassembly.stored": 4504, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 719,
         "sequencer.buffers": 307, "sequencer.packets": 7686, "channel.tiles": 3330,
     },
