@@ -71,6 +71,7 @@ MAX_N = 1 << 20
 # Most bytes a code's n symbols may take.  Encoding holds all of them, and
 # a buffer (levels <= n symbols) has a 32-bit length on the wire; the
 # benchmark's largest code is 11050 symbols of 1448 bytes, 16,000,400 bytes.
+# It also bounds the symbol bytes of the buffers one sent trace carries.
 MAX_CODE_BYTES = 1 << 28
 
 

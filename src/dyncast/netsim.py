@@ -52,7 +52,12 @@ class ReceiverSpec:
 
 @dataclass(frozen=True)
 class GilbertLoss:
-    """Two-state burst loss: stationary loss rate and mean burst length."""
+    """Two-state burst loss: stationary loss rate and mean burst length.
+
+    The chain enters the bad state with probability ``p_enter``, which
+    reaches 1 at ``rate = mean_burst / (1 + mean_burst)``; a higher rate
+    would need an entry probability above 1.
+    """
 
     rate: float = 0.10
     mean_burst: float = 8.0
@@ -62,6 +67,10 @@ class GilbertLoss:
             raise ValueError("burst loss rate must be in (0, 1)")
         if self.mean_burst < 1.0:
             raise ValueError("mean burst length must be >= 1 packet")
+        highest = self.mean_burst / (1.0 + self.mean_burst)
+        if self.rate > highest:
+            raise ValueError(f"burst loss rate {self.rate} is above {highest:.6g}, the most a mean"
+                             f" burst length of {self.mean_burst} packets can reach")
 
     @property
     def p_exit(self) -> float:
@@ -229,11 +238,11 @@ def run(
     """Simulate ``packet_source`` over the path.
 
     ``packet_source`` yields (time, group, bytes) in non-decreasing time.
-    ``on_delivery(receiver_index, time, group, packet) -> bool`` may mark a
-    receiver as done; the run stops early once every receiver is done.
-    Every listener of one delivery gets the identical ``packet`` object,
-    the one the source yielded, in consecutive calls in receiver index
-    order, so a caller may parse it once for all of them.
+    ``on_delivery(packet, receivers)`` is called once per delivered packet
+    that has listeners, with the packet the source yielded and the list of
+    its listeners' indices in index order, which the call must not change;
+    it returns the indices it marks as done, which hear nothing more.  The
+    run stops early once every receiver is done.
 
     The loop merges three pending events, taking the earliest: the next
     sub-slot boundary, the completion of the packet in service, which
@@ -283,12 +292,12 @@ def run(
     queue: deque[tuple[int, bytes]] = deque()  # queue[0] is in service
     t_emit, emit_group, emit_packet = pull_emission()
 
-    pending = list(enumerate(rxs))  # the receivers not done, in index order
+    pending = list(range(len(rxs)))  # the receivers not done, in index order
     start_thresholds = sorted(state.start_time - _EPS for state in rxs)
-    base_lists: dict[int, list] = {}  # by count of start thresholds passed
-    dynamic_lists: dict[int, list] = {}  # by lowest top group that listens
+    base_lists: dict[int, list[int]] = {}  # by count of start thresholds passed
+    dynamic_lists: dict[int, list[int]] = {}  # by lowest top group that listens
 
-    def listeners(group: int, t: float) -> list[tuple[int, ReceiverState]]:
+    def listeners(group: int, t: float) -> list[int]:
         """The pending receivers subscribed to ``group`` at ``t``.
 
         ``subscribed`` in tests/test_netsim.py states the rule one receiver
@@ -301,15 +310,15 @@ def run(
             found = base_lists.get(key)
             if found is None:
                 found = base_lists[key] = [
-                    (i, state) for i, state in pending if t >= state.start_time - _EPS
+                    i for i in pending if t >= rxs[i].start_time - _EPS
                 ]
         else:
             key = max(group, interval_index(cfg, t) + 1)
             found = dynamic_lists.get(key)
             if found is None:
                 found = dynamic_lists[key] = [
-                    (i, state) for i, state in pending
-                    if state.top_group is not None and state.top_group >= key
+                    i for i in pending
+                    if rxs[i].top_group is not None and rxs[i].top_group >= key
                 ]
         return found
 
@@ -320,7 +329,8 @@ def run(
             break
         end_time = t
         if t == t_policy:
-            for _, state in pending:
+            for i in pending:
+                state = rxs[i]
                 if state.active(t) and receiver_policy_step(state, t, cfg):
                     dynamic_lists.clear()
             policy_i += 1
@@ -330,20 +340,23 @@ def run(
             size = len(packet)
             if lose_packet():
                 link.channel_lost += 1
-                for _, state in listeners(group, t):
-                    state.missed += 1
+                for i in listeners(group, t):
+                    rxs[i].missed += 1
             else:
                 link.delivered += 1
                 link.delivered_bytes += size
-                for i, state in listeners(group, t):
+                heard = listeners(group, t)
+                for i in heard:
+                    state = rxs[i]
                     state.received += 1
                     state.received_bytes += size
                     if collect_traces:
                         results[i].trace.append(DeliveryRecord(t, group, packet))
-                    if on_delivery is not None and on_delivery(i, t, group, packet):
-                        state.done = True
-                        state.done_time = t
-                        pending = [(j, rx) for j, rx in pending if not rx.done]
+                if heard and on_delivery is not None:
+                    for i in on_delivery(packet, heard):
+                        rxs[i].done = True
+                        rxs[i].done_time = t
+                        pending = [j for j in pending if not rxs[j].done]
                         base_lists.clear()
                         dynamic_lists.clear()
             t_service = t + len(queue[0][1]) * 8.0 / rate if queue else math.inf
@@ -356,8 +369,8 @@ def run(
                 queue.append((emit_group, emit_packet))
             else:
                 link.queue_dropped += 1
-                for _, state in listeners(emit_group, t):
-                    state.missed += 1
+                for i in listeners(emit_group, t):
+                    rxs[i].missed += 1
             t_emit, emit_group, emit_packet = pull_emission()
         assert link.in_flight == len(queue)
         if rxs and not pending:

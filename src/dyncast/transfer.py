@@ -7,8 +7,8 @@ most useful prefix.  The receiver reassembles buffers slot by slot and
 feeds each slot to the FEC decoder once it is whole, until the file closes;
 a whole-slot copy of a symbol the decoder holds is only compared with it.
 A datagram is parsed once: ``SymbolReceiver.on_datagram`` parses and
-calls ``on_packet(header, payload)``, and the simulator parses each
-delivery once for all its listeners.
+calls ``on_packet(header, payload)``, and the simulator hands each
+delivery to all its listeners in one call, which parses it once.
 
 Evaluation metrics: time (s), gput and tput (Kb/s), and the overhead
 percentages loss, dup, sym, head, net and comp.
@@ -382,24 +382,13 @@ def simulate_transfer(
     apps = [SymbolReceiver(codec, session.plan, file_length=len(data))
             for _ in scenario.receivers]
 
-    # netsim hands one delivery's packet object to each of its listeners
-    # in consecutive calls, so the first call parses it for them all: they
-    # share one header and one payload object.
-    last: bytes | None = None
-    header: wire.PacketHeader | None = None
-    payload = b""
-
-    def on_delivery(i: int, t: float, group: int, packet: bytes) -> bool:
-        nonlocal last, header, payload
-        if packet is not last:
-            last = packet
-            try:
-                header, payload = wire.parse_packet(packet)
-            except ValueError:
-                header = None
-        if header is None:
-            return apps[i].on_datagram(packet)
-        return apps[i].on_packet(header, payload)
+    def on_delivery(packet: bytes, receivers: list[int]) -> list[int]:
+        # One parse for all listeners: they share its header and payload.
+        try:
+            header, payload = wire.parse_packet(packet)
+        except ValueError:
+            return [i for i in receivers if apps[i].on_datagram(packet)]
+        return [i for i in receivers if apps[i].on_packet(header, payload)]
 
     result = netsim.run(
         scenario, session.emissions(), on_delivery=on_delivery, collect_traces=collect_traces
@@ -449,17 +438,24 @@ def send_file(
     Transmission Information (codec, n, symbol size, seed; k follows from
     the file length), levels, session id, file SHA-256 and packet payload.
     ``buffers`` defaults to one full carousel period, which always carries
-    every symbol at least once.
+    every symbol at least once.  The buffers may hold at most
+    ``fec.MAX_CODE_BYTES`` of symbols in all, so the trace stays bounded.
     """
     data = Path(path).read_bytes()
     session = CarouselSession(data, channel, codec, levels=levels, session_id=session_id)
     spec = session.spec
+    count = buffers if buffers is not None else spec.n
+    level_count = session.plan.level_count
+    symbol_bytes = count * level_count * spec.symbol_size
+    if symbol_bytes > fec.MAX_CODE_BYTES:
+        raise ValueError(f"--buffers * levels * symbol_size = {count} * {level_count} * "
+                         f"{spec.symbol_size} = {symbol_bytes} bytes is above "
+                         f"{fec.MAX_CODE_BYTES}, the most one trace may carry")
     values = dict(codec=spec.name, n=spec.n, symbol_size=spec.symbol_size, fec_seed=spec.seed,
-                  levels=session.plan.level_count, file_length=session.file_length,
+                  levels=level_count, file_length=session.file_length,
                   session_id=session.session_id, sha256=_sha256_hex(data),
                   payload=session.cfg.packet_payload)
     header = " ".join(f"{name}={values[name]}" for name, _ in _HEADER_FIELDS)
-    count = buffers if buffers is not None else spec.n
     with open(out_path, "w") as fh:
         try:
             fh.write(f"# {header}\n")

@@ -207,13 +207,14 @@ def test_criterion_3_end_to_end_prefix_delivery():
         if buf is not None and buf.buffer_id not in fetched[i]:
             fetched[i][buf.buffer_id] = len(contiguous_prefix(buf)) / buf.expected_length
 
-    def on_delivery(i, t, group, packet):
+    def on_delivery(packet, receivers):
         header, payload = wire.parse_packet(packet)
-        previous = reassemblers[i].current
-        reassemblers[i].on_packet(header, payload)
-        if reassemblers[i].current is not previous:
-            note(i, previous)
-        return False
+        for i in receivers:
+            previous = reassemblers[i].current
+            reassemblers[i].on_packet(header, payload)
+            if reassemblers[i].current is not previous:
+                note(i, previous)
+        return ()
 
     scenario = Scenario(
         channel=cfg,

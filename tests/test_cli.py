@@ -291,11 +291,12 @@ def send_small(*flags):
 
 
 def capped(argv):
-    """Mark a bad input that would exhaust memory if its refusal regressed.
+    """Mark a bad input that would exhaust memory or disk if its refusal
+    regressed.
 
     The test runs it as ``python -m dyncast`` in a child process limited to
-    a 1 GiB address space and 60 s, so a regression fails the test instead
-    of taking the host's memory.
+    a 1 GiB address space, 64 MiB per written file and 60 s, so a
+    regression fails the test instead of taking the host's memory or disk.
     """
     argv.capped = True
     return argv
@@ -304,6 +305,7 @@ def capped(argv):
 def run_capped(args):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 26, 1 << 26))
 
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-m", "dyncast", *args], cwd=src, capture_output=True,
@@ -369,6 +371,16 @@ BAD_INPUTS = [
     # hundreds of megabytes of trace for a 3 kB file.
     pytest.param(send_small("--buffers", str(10**12)), "--buffers must be in 1..1048576",
                  id="send-buffers=10**12"),
+    # More symbol bytes than fec.MAX_CODE_BYTES, by an explicit count or by
+    # the default period of a code with many levels: each buffer of a 3 kB
+    # file wrote 18 kB of trace, so 2**20 buffers would have written 18 GB.
+    pytest.param(capped(send_small("--buffers", str(2**20))),
+                 "--buffers * levels * symbol_size = 1048576 * 8 * 1448 = 12146704384 bytes",
+                 id="send-buffers-past-the-byte-cap"),
+    pytest.param(capped(send_small("--symbol-size", "16", "--fec-n", "5000",
+                                   "--levels", "5000")),
+                 "--buffers * levels * symbol_size = 5000 * 5000 * 16 = 400000000 bytes",
+                 id="send-default-period-past-the-byte-cap"),
     pytest.param(send_small("--payload", "2000", "--symbol-size", "2000"), "packet_payload 2000 > 1448",
                  id="send-payload-above-datagram"),
     pytest.param(send_small("--payload", "70000"), "packet_payload 70000 > 1448",
@@ -401,6 +413,11 @@ BAD_INPUTS = [
                  "burst loss rate must be in (0, 1)", id="sim-scenario-burst_loss=1"),
     pytest.param(sim_scenario("receiver = 1e6\nburst_loss = 0.1\nburst_length = 0.5\n"),
                  "mean burst length must be >= 1", id="sim-scenario-burst_length-below-1"),
+    # A rate the two-state chain cannot reach ran at a lower loss rate:
+    # 0.99999999 with bursts of one packet lost every other packet.
+    pytest.param(sim_scenario("receiver = 1e6\nburst_loss = 0.99999999\nburst_length = 1\n"),
+                 "burst loss rate 0.99999999 is above 0.5, the most a mean burst length of 1.0",
+                 id="sim-scenario-burst-unreachable"),
     pytest.param(sim_scenario("receiver = 1e6\nbottleneck_rate = 0\n"),
                  "bottleneck_rate must be positive", id="sim-scenario-bottleneck_rate=0"),
     pytest.param(sim_scenario("receiver = 1e6\nqueue_capacity = 0\n"),
@@ -734,3 +751,75 @@ def test_metrics_counters_end_in_a_documented_exit(fuzz_dir, files):
     rc, err = run_main(["metrics", *map(str, paths)])
     assert rc in (0, 1, 2), err
     assert "Traceback" not in err
+
+
+# Up to four scenario keys besides a short duration, and one or two
+# receivers; the duration caps have their own BAD_INPUTS cases.  Values in
+# the range of some key come as often as any other number text.
+SCENARIO_KEYS = sorted(set(netsim.SCENARIO_KEYS) - {"duration"})
+SCENARIO_VALUES = st.one_of(
+    st.sampled_from(["0.05", "0.3", "0.5", "0.7", "1", "2", "3", "8", "25", "1448", "62500",
+                     "4e6", "8e6"]),
+    NUMBER_TEXTS,
+)
+RECEIVER_LINES = st.tuples(
+    st.one_of(st.sampled_from(["62500", "1e6", "2885390"]), NUMBER_TEXTS),
+    st.one_of(st.none(), st.sampled_from(["0", "0.5", "3"]), NUMBER_TEXTS),
+).map(lambda rx: rx[0] if rx[1] is None else f"{rx[0]}, {rx[1]}")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(keys=st.dictionaries(st.sampled_from(SCENARIO_KEYS), SCENARIO_VALUES, max_size=4),
+       duration=st.sampled_from(["0.01", "0.5", "2", "5"]),
+       receivers=st.lists(RECEIVER_LINES, min_size=1, max_size=2))
+# Rates the burst chain cannot reach: they ran at a lower loss rate.
+@example(keys={"burst_loss": "0.9", "burst_length": "2"}, duration="5", receivers=["1e6"])
+@example(keys={"burst_loss": "0.99999999", "burst_length": "1"}, duration="5", receivers=["1e6"])
+def test_scenario_files_end_in_a_documented_exit(fuzz_dir, keys, duration, receivers):
+    lines = [f"{key} = {value}" for key, value in keys.items()]
+    lines += [f"duration = {duration}", *(f"receiver = {rx}" for rx in receivers)]
+    scenario = fuzz_dir / "scenario.txt"
+    scenario.write_text("\n".join(lines) + "\n")
+    rc, err = run_main(["sim", "--file", str(fuzz_dir / "tiny.bin"), "--scenario", str(scenario),
+                        "--out-dir", str(fuzz_dir / "simout")])
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def codec_traces(fuzz_dir):
+    """One sent trace of a 3 kB file per codec, with the file."""
+    data = random.Random(28).randbytes(3000)
+    (fuzz_dir / "small.bin").write_bytes(data)
+    traces = {}
+    for codec in ("null", "mds", "sparse_parity"):
+        traces[codec] = fuzz_dir / f"{codec}.trace"
+        assert run_main(["send", "--file", str(fuzz_dir / "small.bin"), "--out",
+                         str(traces[codec]), "--codec", codec])[0] == 0
+    return data, traces
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(codec=st.sampled_from(["null", "mds", "sparse_parity"]),
+       record=st.integers(0, 2**16), bit=st.integers(0, 2**16))
+def test_a_flipped_bit_in_a_trace_record_never_decodes_to_other_bytes(codec_traces, fuzz_dir,
+                                                                       codec, record, bit):
+    # The header's SHA-256 stands between a corrupted datagram and the
+    # output: recv returns the file exactly, or exits 1 and writes nothing.
+    data, traces = codec_traces
+    header, *records = traces[codec].read_text().splitlines()
+    record %= len(records)
+    time_us, group, datagram = records[record].split()
+    flipped = bytearray.fromhex(datagram)
+    bit %= 8 * len(flipped)
+    flipped[bit // 8] ^= 1 << bit % 8
+    records[record] = f"{time_us} {group} {flipped.hex()}"
+    edited, out = fuzz_dir / "flipped.trace", fuzz_dir / "flipped.bin"
+    edited.write_text("\n".join([header, *records]) + "\n")
+    out.unlink(missing_ok=True)
+    rc, err = run_main(["recv", "--trace", str(edited), "--out", str(out)])
+    assert "Traceback" not in err
+    if rc == 0:
+        assert out.read_bytes() == data
+    else:
+        assert rc == 1 and not out.exists(), err

@@ -1,7 +1,6 @@
 """Event-driven path simulator: queueing, loss processes, join policy."""
 
 import heapq
-import itertools
 import math
 import random
 
@@ -112,10 +111,13 @@ def test_iid_loss_rate_close_to_nominal():
     assert res.receivers[0].state.missed == res.link.channel_lost
 
 
-def test_gilbert_loss_matches_chain_replay():
+# The default pair, and the highest rate a mean burst of one packet can
+# reach: there the chain enters and leaves the bad state at every packet.
+@pytest.mark.parametrize("rate, mean_burst", [(0.10, 8.0), (0.5, 1.0)])
+def test_gilbert_loss_matches_chain_replay(rate, mean_burst):
     n = 30_000
     emitted = base_emissions(n, 0.00025)
-    burst = GilbertLoss(rate=0.10, mean_burst=8.0)
+    burst = GilbertLoss(rate=rate, mean_burst=mean_burst)
     scen = Scenario(
         channel=CFG, burst=burst, receivers=(ReceiverSpec(CFG.base_rate),), duration=9.0, seed=77
     )
@@ -136,9 +138,9 @@ def test_gilbert_loss_matches_chain_replay():
         pattern.append(bad)
     assert res.link.channel_lost == sum(pattern)
 
-    # and the chain itself behaves: ~10% stationary loss in ~8-packet runs
-    rate = sum(pattern) / n
-    assert 0.08 < rate < 0.12
+    # and the chain itself behaves: the stationary loss rate and the mean
+    # run length of the pair, each within 20%
+    assert abs(sum(pattern) / n - rate) < 0.2 * rate
     bursts = []
     run_len = 0
     for lost in pattern:
@@ -147,8 +149,17 @@ def test_gilbert_loss_matches_chain_replay():
         elif run_len:
             bursts.append(run_len)
             run_len = 0
-    mean_burst = sum(bursts) / len(bursts)
-    assert 6.5 < mean_burst < 9.5
+    assert abs(sum(bursts) / len(bursts) - mean_burst) < 0.1875 * mean_burst
+
+
+# Pairs whose entry probability rate / (mean_burst * (1 - rate)) passes 1:
+# the chain delivered 0.666 for (0.9, 2.0) and 0.5 for the other two.
+@pytest.mark.parametrize("rate, mean_burst", [(0.9, 2.0), (0.8, 1.0), (0.99999999, 1.0)])
+def test_gilbert_loss_refuses_a_rate_its_chain_cannot_reach(rate, mean_burst):
+    with pytest.raises(ValueError, match=f"burst loss rate {rate} is above"):
+        GilbertLoss(rate, mean_burst)
+    highest = mean_burst / (1.0 + mean_burst)
+    assert GilbertLoss(highest, mean_burst).p_enter == pytest.approx(1.0)
 
 
 def test_emission_past_duration_never_enters():
@@ -162,7 +173,7 @@ def test_emission_past_duration_never_enters():
 def test_on_delivery_done_stops_early():
     emitted = base_emissions(1000, 0.01)
     scen = Scenario(channel=CFG, receivers=(ReceiverSpec(CFG.base_rate),), duration=30.0)
-    res = run(scen, emitted, on_delivery=lambda i, t, g, p: True)
+    res = run(scen, emitted, on_delivery=lambda packet, receivers: receivers)
     st = res.receivers[0].state
     assert st.done and st.received == 1
     assert st.done_time == pytest.approx(100 * 8.0 / scen.bottleneck_rate)
@@ -171,9 +182,10 @@ def test_on_delivery_done_stops_early():
     scen = Scenario(channel=CFG, receivers=(ReceiverSpec(CFG.base_rate),) * 2, duration=30.0)
     seen = [0, 0]
 
-    def done_after_5_and_10(i, t, g, p):
-        seen[i] += 1
-        return seen[i] == 5 * (i + 1)
+    def done_after_5_and_10(packet, receivers):
+        for i in receivers:
+            seen[i] += 1
+        return [i for i in receivers if seen[i] == 5 * (i + 1)]
 
     res = run(scen, emitted, on_delivery=done_after_5_and_10)
     assert [r.state.received for r in res.receivers] == [5, 10]
@@ -383,16 +395,18 @@ def ref_run(scenario, packet_source, *, on_delivery=None, collect_traces=True):
             else:
                 link.delivered += 1
                 link.delivered_bytes += len(packet)
-                for i in listeners(group, t):
+                heard = listeners(group, t)
+                for i in heard:
                     state = rxs[i]
                     state.received += 1
                     state.received_bytes += len(packet)
                     if collect_traces:
                         results[i].trace.append(DeliveryRecord(t, group, packet))
-                    if on_delivery is not None and on_delivery(i, t, group, packet):
-                        state.done = True
-                        state.done_time = t
-                        pending = [(j, rx) for j, rx in pending if not rx.done]
+                if heard and on_delivery is not None:
+                    for i in on_delivery(packet, heard):
+                        rxs[i].done = True
+                        rxs[i].done_time = t
+                    pending = [(j, rx) for j, rx in pending if not rx.done]
             start_service(t)
         assert link.in_flight == len(queue) + (in_service is not None)
         if rxs and not pending:
@@ -485,9 +499,10 @@ def finishing(finish_after):
     """An ``on_delivery`` that finishes receiver i at its finish_after[i]-th delivery."""
     seen = [0] * len(finish_after)
 
-    def on_delivery(i, t, group, packet):
-        seen[i] += 1
-        return seen[i] == finish_after[i]
+    def on_delivery(packet, receivers):
+        for i in receivers:
+            seen[i] += 1
+        return [i for i in receivers if seen[i] == finish_after[i]]
 
     return on_delivery
 
@@ -528,15 +543,15 @@ def test_run_matches_heap_reference(case):
 
 
 @pytest.mark.parametrize("loop", [run, ref_run], ids=["run", "ref_run"])
-def test_listeners_of_one_delivery_get_one_packet_object_in_turn(loop):
-    # The contract a caller may parse once per delivery on: every listener
-    # of a delivery gets the emitted object itself, in index order, in
-    # consecutive calls.  Distinct contents make each emission its own
-    # object; losses, an overflowing queue, a late starter and a receiver
-    # done early change the listener lists between deliveries.
+def test_on_delivery_takes_each_delivery_with_all_its_listeners(loop):
+    # One call per delivered packet that has listeners, with exactly the
+    # receivers whose traces record it, in index order; an index the call
+    # returns is done at that delivery and hears nothing after it.
+    # Distinct contents make each emission its own object; losses, an
+    # overflowing queue, a late starter, groups nobody joined and
+    # receivers done early change the listener lists between deliveries.
     rng = random.Random(27)
     emitted = [(i * 2e-3, rng.randrange(12), i.to_bytes(4, "big") * 50) for i in range(2000)]
-    emitted_ids = {id(packet) for _, _, packet in emitted}
     specs = (
         ReceiverSpec(CFG.mean_top_rate),
         ReceiverSpec(0.5 * CFG.mean_top_rate, 1.2),
@@ -547,23 +562,32 @@ def test_listeners_of_one_delivery_get_one_packet_object_in_turn(loop):
                     receivers=specs, duration=4.0, seed=3)
     calls = []
 
-    def on_delivery(i, t, group, packet):
-        calls.append((i, t, group, packet))
-        return i == 2 and len(calls) > 300
+    def on_delivery(packet, receivers):
+        if len(calls) > 300 and {1, 3} <= set(receivers):
+            done = [1, 3]  # two receivers done by one call
+        else:
+            done = [2] if len(calls) > 200 and 2 in receivers else []
+        calls.append((packet, list(receivers), done))
+        return done
 
     res = loop(scen, emitted, on_delivery=on_delivery)
-    runs = [list(run_calls) for _, run_calls in itertools.groupby(calls, key=lambda c: id(c[3]))]
-    assert len(runs) == len({id(c[3]) for c in calls})  # no packet comes back later
-    for run_calls in runs:
-        indices = [i for i, _, _, _ in run_calls]
-        assert indices == sorted(set(indices))
-        assert len({(t, group) for _, t, group, _ in run_calls}) == 1
-        assert id(run_calls[0][3]) in emitted_ids
-    # Every listener of a delivery is in its run, as the traces record it.
-    heard = sorted((id(r.packet), i) for i, rres in enumerate(res.receivers) for r in rres.trace)
-    assert sorted((id(p), i) for i, _, _, p in calls) == heard
-    assert max(map(len, runs)) > 1 and res.link.channel_lost and res.link.queue_dropped
-    assert res.receivers[2].state.done and not res.receivers[0].state.done
+    heard: dict[int, list[int]] = {}
+    for i, rres in enumerate(res.receivers):
+        for r in rres.trace:
+            heard.setdefault(id(r.packet), []).append(i)
+    assert len({id(packet) for packet, _, _ in calls}) == len(calls)
+    assert sorted((id(p), receivers) for p, receivers, _ in calls) == sorted(heard.items())
+    assert len(calls) < res.link.delivered  # a delivery nobody hears makes no call
+    assert res.link.channel_lost and res.link.queue_dropped
+    stopped = {}
+    for packet, receivers, done in calls:
+        assert not stopped.keys() & set(receivers)
+        stopped.update((i, packet) for i in done)
+    assert sorted(stopped) == [1, 2, 3] and not res.receivers[0].state.done
+    for i, packet in stopped.items():
+        state, trace = res.receivers[i].state, res.receivers[i].trace
+        assert state.done and trace[-1].packet is packet and state.done_time == trace[-1].time
+    assert res.receivers[1].state.done_time == res.receivers[3].state.done_time
 
 
 def test_start_time_snaps_to_next_boundary():
