@@ -10,15 +10,26 @@ A datagram is parsed once: ``SymbolReceiver.on_datagram`` parses and
 calls ``on_packet(header, payload)``, and the simulator hands each
 delivery to all its listeners in one call, which parses it once.
 
+A buffer's layout (each packet's send time, group, seq and offset)
+depends on the ladder, the buffer time, the buffer length and the
+buffer's index, never on its bytes.  So the process keeps one layout
+record, for the last sender geometry ``(ChannelConfig, buffer_time,
+buffer_length)`` it saw: the first buffers that ``CarouselSession.emissions``
+sequenced, in order, up to ``MAX_RECORDED_PACKETS`` packets.  A later
+session of that geometry replays them and sequences only the buffers
+past them; every datagram is the same either way.
+
 Evaluation metrics: time (s), gput and tput (Kb/s), and the overhead
 percentages loss, dup, sym, head, net and comp.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +46,18 @@ METRIC_NAMES = ("time", "gput", "tput", "loss", "dup", "sym", "head", "net", "co
 # or a tiny sub slot would spend unbounded time and memory before the
 # first packet.
 MAX_WINDOW_TILES = 65536
+
+# Most packets the layout record holds, at _ROW.size = 20 bytes each.
+MAX_RECORDED_PACKETS = 1 << 16
+
+# A recorded packet: send time, group, seq and offset.  Buffer b's rows
+# lie between the byte offsets at entries b and b + 1 of the record's
+# starts, which are _START rows.
+_ROW = struct.Struct("dIII")
+_START = struct.Struct("I")
+_SPAN = struct.Struct("II")
+# Serialises the check that a buffer is the record's next with its append.
+_RECORD_LOCK = threading.Lock()
 
 
 class TransferTimeoutError(Exception):
@@ -162,6 +185,19 @@ def ring_table(k: int, n: int) -> memoryview:
     return table
 
 
+@functools.lru_cache(maxsize=1)
+def _layout_record(channel: ChannelConfig, buffer_time: float,
+                   buffer_length: int) -> tuple[bytearray, bytearray]:
+    """The recorded layouts of one sender geometry: (rows, starts).
+
+    Empty when made; ``CarouselSession.emissions`` appends each buffer it
+    sequences that is the record's next one, while the rows fit in
+    ``MAX_RECORDED_PACKETS``.  Recorded groups fit ``_ROW``'s 32 bits:
+    fewer than 2**16 buffers of at most 2**15 sub slots each.
+    """
+    return bytearray(), bytearray(_START.pack(0))
+
+
 def _checked_session_id(session_id: int) -> int:
     if not 0 <= session_id <= 0xFFFFFFFF:
         raise ValueError(f"session_id {session_id} not in 0..{0xFFFFFFFF}")
@@ -213,14 +249,33 @@ class CarouselSession:
         return b"".join(self.symbols[ring_symbol(b, spec.k, spec.n)] for b in indices)
 
     def emissions(self, *, max_buffers: int | None = None):
-        """Yield (send_time, group, datagram) in send order, buffer after buffer."""
-        tsd, session_id = self.cfg.tsd, self.session_id
+        """Yield (send_time, group, datagram) in send order, buffer after buffer.
+
+        A buffer in this geometry's layout record is replayed from it;
+        any other is sequenced, and recorded if it is the record's next.
+        """
+        cfg, buffer_time, session_id = self.cfg, self.buffer_time, self.session_id
+        tsd, pdu_size = cfg.tsd, cfg.packet_payload
+        rows, starts = _layout_record(cfg, buffer_time,
+                                      self.plan.level_count * self.spec.symbol_size)
         buffer_id = 0
         while max_buffers is None or buffer_id < max_buffers:
-            t0 = buffer_id * self.buffer_time
             payload = self.buffer_payload(buffer_id)
-            packets = sequence(payload, self.buffer_time, self.cfg, t0)
-            for group, seq, send_time, offset, pdu in packets:
+            if buffer_id < len(starts) // _START.size - 1:
+                begin, end = _SPAN.unpack_from(starts, _START.size * buffer_id)
+                layout = _ROW.iter_unpack(rows[begin:end])
+            else:
+                packets = sequence(payload, buffer_time, cfg, buffer_id * buffer_time)
+                with _RECORD_LOCK:
+                    if (buffer_id == len(starts) // _START.size - 1
+                            and len(rows) // _ROW.size + len(packets) <= MAX_RECORDED_PACKETS):
+                        for group, seq, send_time, offset, _ in packets:
+                            rows += _ROW.pack(send_time, group, seq, offset)
+                        starts += _START.pack(len(rows))
+                layout = ((send_time, group, seq, offset)
+                          for group, seq, send_time, offset, _ in packets)
+            for send_time, group, seq, offset in layout:
+                pdu = payload[offset : offset + pdu_size]
                 header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0), seq,
                                            buffer_id, offset, len(payload), len(pdu))
                 yield send_time, group, wire.pack_packet(header, pdu)
@@ -533,7 +588,7 @@ def receive_file(trace_path) -> tuple[bytes, TransferMetrics, TransferCounters]:
             try:
                 t_us, _group, hexdata = line.split()
                 datagram = bytes.fromhex(hexdata)
-                last_t = int(t_us) / 1e6
+                last_t = netsim.finite_int(t_us) / 1e6
             except ValueError as exc:
                 if not line.endswith("\n"):
                     break

@@ -313,11 +313,13 @@ def run_capped(args):
     return done.returncode, done.stderr
 
 
-def recv_bad_second_record(tmp_path, trace):
-    header, first, records = trace.read_text().split("\n", 2)
-    edited = tmp_path / "edited.trace"
-    edited.write_text(f"{header}\n{first}\n1 0 0g\n{records}")
-    return ["recv", "--trace", str(edited), "--out", str(tmp_path / "x.bin")]
+def recv_second_record(record):
+    def argv(tmp_path, trace):
+        header, first, records = trace.read_text().split("\n", 2)
+        edited = tmp_path / "edited.trace"
+        edited.write_text(f"{header}\n{first}\n{record}\n{records}")
+        return ["recv", "--trace", str(edited), "--out", str(tmp_path / "x.bin")]
+    return argv
 
 
 def metrics_file(text, copies=1):
@@ -390,8 +392,11 @@ BAD_INPUTS = [
     pytest.param(lambda tmp_path, trace: ["recv", "--trace", str(tmp_path / "missing.trace"),
                                           "--out", str(tmp_path / "x.bin")],
                  "missing.trace", id="recv-missing-trace"),
-    pytest.param(recv_bad_second_record, "edited.trace:3: non-hexadecimal",
+    pytest.param(recv_second_record("1 0 0g"), "edited.trace:3: non-hexadecimal",
                  id="recv-malformed-record"),
+    # A time too large for a float ended in an OverflowError traceback.
+    pytest.param(recv_second_record(f"{10**400} 0 00"), "edited.trace:3: '1000",
+                 id="recv-record-time=10**400"),
     pytest.param(lambda tmp_path, trace: ["sim", "--file", str(tmp_path / "missing.bin"),
                                           "--scenario", with_file("s.txt", "receiver = 1e6\n")(tmp_path),
                                           "--out-dir", str(tmp_path / "simout")],
@@ -539,6 +544,30 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, sent_trace, argv, mes
     assert not (tmp_path / "x.bin").exists()
     assert not (tmp_path / "t.trace").exists()
     assert not (tmp_path / "simout").exists()
+
+
+def test_sim_runs_write_what_separate_processes_write(tmp_path):
+    # Runs after the first replay the layouts the first one recorded; each
+    # single run is a fresh process that sequences every buffer.
+    src = Path(__file__).resolve().parents[1] / "src"
+    data = tmp_path / "in.bin"
+    data.write_bytes(random.Random(17).randbytes(30_000))
+
+    def sim(seed, runs, out):
+        scenario = tmp_path / f"scenario{seed}.txt"
+        scenario.write_text(f"seed = {seed}\niid_loss = 0.05\nreceiver = 1e6\nreceiver = 3e6, 2\n")
+        subprocess.run([sys.executable, "-m", "dyncast", "sim", "--file", str(data),
+                        "--scenario", str(scenario), "--runs", str(runs), "--codec", "null",
+                        "--out-dir", str(tmp_path / out)],
+                       cwd=src, capture_output=True, text=True, timeout=120, check=True)
+
+    sim(3, 3, "together")
+    for run in range(3):
+        sim(3 + run, 1, f"alone{run}")
+        for rx in range(2):
+            together = (tmp_path / "together" / f"run{run}_rx{rx}_counters.json").read_text()
+            alone = (tmp_path / f"alone{run}" / f"run0_rx{rx}_counters.json").read_text()
+            assert together == alone
 
 
 def test_sim_rejects_scenario_payload_above_datagram(tmp_path, capsys, sent_trace):
@@ -797,6 +826,77 @@ def codec_traces(fuzz_dir):
         assert run_main(["send", "--file", str(fuzz_dir / "small.bin"), "--out",
                          str(traces[codec]), "--codec", codec])[0] == 0
     return data, traces
+
+
+# Trace edits.  A header edit sets a field to any text, drops it, or adds
+# a token; a record edit sets one field to any text, cuts the hex, drops or
+# adds a field, or replaces the whole line.
+FIELD_TEXTS = st.one_of(NUMBER_TEXTS, st.sampled_from(["null", "mds", "sparse_parity", "0" * 64]),
+                        st.text("0123456789abcdefABCDEF", max_size=12))
+HEADER_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(HEADER_FIELDS), FIELD_TEXTS),
+    st.tuples(st.just("drop"), st.sampled_from(HEADER_FIELDS), st.just("")),
+    st.tuples(st.just("add"), st.text(max_size=6), FIELD_TEXTS),
+), max_size=3)
+RECORD_EDITS = st.lists(st.tuples(
+    st.integers(0, 2**16),
+    st.sampled_from(["time", "group", "hex", "cut", "drop", "add", "line"]),
+    st.integers(0, 2**16),
+    FIELD_TEXTS,
+), max_size=3)
+
+
+def edit_trace(header, records, header_edits, record_edits):
+    tokens = header.removeprefix("#").split()
+    for kind, name, text in header_edits:
+        if kind == "add":
+            tokens.append(f"{name}={text}")
+            continue
+        tokens = [t for t in tokens if not t.startswith(name + "=")]
+        if kind == "set":
+            tokens.append(f"{name}={text}")
+    records = list(records)
+    for index, kind, where, text in record_edits:
+        index %= len(records)
+        fields = records[index].split()
+        position = {"time": 0, "group": 1, "hex": 2, "cut": 2}.get(kind, 0)
+        if kind != "line" and position >= len(fields):
+            continue  # an earlier edit took the field away
+        if kind in ("time", "group", "hex"):
+            fields[position] = text
+        elif kind == "cut":
+            fields[2] = fields[2][: where % (len(fields[2]) + 1)]
+        elif kind == "drop":
+            del fields[where % len(fields)]
+        elif kind == "add":
+            fields.insert(where % (len(fields) + 1), text)
+        else:
+            fields = [text]
+        records[index] = " ".join(fields)
+    return "# " + " ".join(tokens), records
+
+
+@settings(derandomize=True, max_examples=180, deadline=None)
+@given(codec=st.sampled_from(["null", "mds", "sparse_parity"]), header_edits=HEADER_EDITS,
+       record_edits=RECORD_EDITS, last_newline=st.booleans())
+@example(codec="null", header_edits=[], record_edits=[(1, "time", 0, str(10**400))],
+         last_newline=True)
+def test_trace_headers_and_records_end_in_a_documented_exit(codec_traces, fuzz_dir, codec,
+                                                            header_edits, record_edits,
+                                                            last_newline):
+    data, traces = codec_traces
+    header, *records = traces[codec].read_text().splitlines()
+    header, records = edit_trace(header, records, header_edits, record_edits)
+    edited, out = fuzz_dir / "edited.trace", fuzz_dir / "edited.bin"
+    edited.write_text("\n".join([header, *records]) + "\n" * last_newline)
+    out.unlink(missing_ok=True)
+    rc, err = run_main(["recv", "--trace", str(edited), "--out", str(out)])
+    assert "Traceback" not in err
+    assert rc in (0, 1, 2), err
+    if rc == 0:
+        assert out.read_bytes() == data
+    else:
+        assert not out.exists(), err
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

