@@ -134,8 +134,6 @@ def cumulative_rate_integral(cfg: ChannelConfig, group: int, t0: float, t1: floa
     """Integral of the cumulative rate over [t0, t1], clamped to the group lifetime.
 
     Returns bits.  For the base group this is simply base_rate * (t1 - t0).
-    ``tiles_in_window``'s nested ``floored`` inlines this expression; the
-    two must stay identical float operation for float operation.
     """
     if t1 <= t0:
         return 0.0
@@ -164,8 +162,7 @@ def tiles_in_window(cfg: ChannelConfig, t_start: float, t_end: float) -> list[Ti
     of the rate integral no matter how windows are sliced.  A dynamic
     group's count is its cumulative rate integral minus that of the
     neighbour below it: the previous dynamic group until it quiesces, the
-    base group afterwards.  The integrals are those of
-    ``cumulative_rate_integral``, float operation for float operation;
+    base group afterwards, each taken from ``cumulative_rate_integral``;
     ``ref_tiles_in_window`` in tests/test_channel.py is the reference.
     """
     if t_start < 0:
@@ -173,27 +170,22 @@ def tiles_in_window(cfg: ChannelConfig, t_start: float, t_end: float) -> list[Ti
     if t_end <= t_start:
         raise ValueError("empty window")
     s = cfg.sub_tsi
-    base_rate, rho, groups = cfg.base_rate, cfg.decay_ratio, cfg.group_count
-    top_s = cfg.max_cumulative_rate * s
-    log_inv = math.log(1.0 / rho)
+    groups = cfg.group_count
     bits_per_packet = 8.0 * cfg.packet_payload
 
     def floored(group: int, t: float) -> int:
         if group == BASE_GROUP:
-            return math.floor(base_rate * max(t, 0.0) / bits_per_packet + _GRID_EPS)
-        n = group - groups + 1  # the group starts at n * s
-        start = n * s
-        if t <= start:
-            return 0
-        t = min(t, group * s)
-        sent = top_s * ((rho ** (start / s - n) - rho ** (t / s - n)) / log_inv)
-        switch = start
-        if group > 1:  # the neighbour below is dynamic until it quiesces at switch
-            switch = (group - 1) * s
-            age0 = start / s - (n - 1)
-            sent -= top_s * ((rho ** age0 - rho ** (min(t, switch) / s - (n - 1))) / log_inv)
-        if t > switch:
-            sent -= base_rate * (t - switch)
+            sent = cumulative_rate_integral(cfg, BASE_GROUP, 0.0, t)
+        else:
+            start = group_start_time(cfg, group)
+            t = min(t, group_quiescence_time(cfg, group))
+            # The neighbour below is dynamic until it quiesces at switch (group
+            # 1's is the base group throughout).  An integral over an empty
+            # span is exactly 0.0, so its subtraction leaves ``sent`` as it is.
+            switch = group_quiescence_time(cfg, group - 1) if group > 1 else start
+            sent = (cumulative_rate_integral(cfg, group, start, t)
+                    - cumulative_rate_integral(cfg, group - 1, start, min(t, switch))
+                    - cumulative_rate_integral(cfg, BASE_GROUP, switch, t))
         return math.floor(sent / bits_per_packet + _GRID_EPS)
 
     tiles: list[TileBudget] = []

@@ -174,7 +174,7 @@ class ReceiverState:
         return bits
 
 
-def receiver_policy_step(state: ReceiverState, t: float, cfg: ChannelConfig) -> list[int]:
+def receiver_policy_step(state: ReceiverState, t: float) -> list[int]:
     """Evaluate joins at sub-slot boundary ``t``; returns groups joined now.
 
     The controller keeps the receiver's long-run average subscription
@@ -184,6 +184,7 @@ def receiver_policy_step(state: ReceiverState, t: float, cfg: ChannelConfig) -> 
     """
     state.rate_integral += state.subscription_rate_integral(state.last_eval, t)
     state.last_eval = t
+    cfg = state.cfg
     s = cfg.sub_tsi
     elapsed = t - state.start_time
     target = state.spec.target_rate
@@ -309,9 +310,7 @@ def run(
             key = bisect_right(start_thresholds, t)
             found = base_lists.get(key)
             if found is None:
-                found = base_lists[key] = [
-                    i for i in pending if t >= rxs[i].start_time - _EPS
-                ]
+                found = base_lists[key] = [i for i in pending if rxs[i].active(t)]
         else:
             key = max(group, interval_index(cfg, t) + 1)
             found = dynamic_lists.get(key)
@@ -331,7 +330,7 @@ def run(
         if t == t_policy:
             for i in pending:
                 state = rxs[i]
-                if state.active(t) and receiver_policy_step(state, t, cfg):
+                if state.active(t) and receiver_policy_step(state, t):
                     dynamic_lists.clear()
             policy_i += 1
             t_policy = policy_i * s if policy_i < n_boundaries else math.inf

@@ -231,19 +231,6 @@ def test_budgets_match_numeric_integral_over_100_subtsis():
         assert abs(totals.get(group, 0) - expect) <= 1.0, (group, totals.get(group), expect)
 
 
-def test_partial_window_budgets_prorated_with_carry():
-    cfg = ChannelConfig()
-    s = cfg.sub_tsi
-    # Slicing one sub slot into ragged windows conserves each group's budget.
-    cuts = [0.0, 0.31 * s, 0.5 * s, 0.77 * s, s]
-    sliced: dict[int, int] = {}
-    for a, b in zip(cuts, cuts[1:]):
-        for tb in tiles_in_window(cfg, a, b):
-            sliced[tb.group] = sliced.get(tb.group, 0) + tb.packet_count
-    whole = {tb.group: tb.packet_count for tb in tiles_in_window(cfg, 0.0, s)}
-    assert sliced == whole
-
-
 def test_quiescence_events_interior_tsd_k2():
     cfg = ChannelConfig(tsd=4.0, groups_per_tsi=2)
     events = quiescence_events(cfg, 4.0, 8.0)
@@ -408,6 +395,46 @@ def assert_budgets_match_reference(cfg: ChannelConfig, t_start: float, t_end: fl
     got = tiles_in_window(cfg, t_start, t_end)
     want = ref_tiles_in_window(cfg, t_start, t_end)
     assert got == want, (cfg, t_start, t_end)
+
+
+@st.composite
+def sliced_windows(draw) -> tuple[ChannelConfig, list[float]]:
+    """A ladder and the edges of 2 to 9 back-to-back windows from t in [0, 50] s.
+
+    A window may span several sub slots, and about half of the edges sit
+    within 2 ns of a sub-slot boundary, on either side of it.
+    """
+    cfg = draw(channel_configs())
+    s = cfg.sub_tsi
+
+    def near_boundary(t: float) -> float:
+        return round(t / s) * s + draw(st.floats(-2e-9, 2e-9))
+
+    start = draw(st.floats(0.0, 50.0))
+    edges = [max(near_boundary(start), 0.0) if draw(st.booleans()) else start]
+    for _ in range(draw(st.integers(2, 9))):
+        edge = edges[-1] + draw(st.floats(1e-3, 3.0)) * s
+        if draw(st.booleans()):
+            edge = max(near_boundary(edge), edges[-1] + 1e-3 * s)
+        edges.append(edge)
+    return cfg, edges
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(sliced_windows())
+def test_partial_window_budgets_prorated_with_carry(case):
+    # Slicing a window into ragged back-to-back windows conserves each
+    # group's budget.
+    cfg, edges = case
+
+    def budgets(windows: list[float]) -> dict[int, int]:
+        totals: dict[int, int] = {}
+        for a, b in zip(windows, windows[1:]):
+            for tb in tiles_in_window(cfg, a, b):
+                totals[tb.group] = totals.get(tb.group, 0) + tb.packet_count
+        return totals
+
+    assert budgets(edges) == budgets([edges[0], edges[-1]]), (cfg, edges)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

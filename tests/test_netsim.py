@@ -372,7 +372,7 @@ def ref_run(scenario, packet_source, *, on_delivery=None, collect_traces=True):
         if kind == ev_policy:
             for state in rxs:
                 if state.active(t) and not state.done:
-                    receiver_policy_step(state, t, cfg)
+                    receiver_policy_step(state, t)
         elif kind == ev_emit:
             group, packet = payload
             link.offered += 1
