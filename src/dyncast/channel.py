@@ -164,6 +164,9 @@ def tiles_in_window(cfg: ChannelConfig, t_start: float, t_end: float) -> list[Ti
     neighbour below it: the previous dynamic group until it quiesces, the
     base group afterwards, each taken from ``cumulative_rate_integral``;
     ``ref_tiles_in_window`` in tests/test_channel.py is the reference.
+
+    Both edges snap up to a sub-slot boundary by ``interval_index``'s rule,
+    so an edge two windows share is one instant to both.
     """
     if t_start < 0:
         raise ValueError("window must start at t >= 0")
@@ -190,7 +193,8 @@ def tiles_in_window(cfg: ChannelConfig, t_start: float, t_end: float) -> list[Ti
 
     tiles: list[TileBudget] = []
     i = interval_index(cfg, t_start)
-    while i * s < t_end - _GRID_EPS:
+    t_end = max(t_end, interval_index(cfg, t_end) * s)
+    while i * s < t_end:
         span0 = max(t_start, i * s)
         span1 = min(t_end, (i + 1) * s)
         for group in (BASE_GROUP, *range(i + 1, i + groups)):

@@ -1,4 +1,4 @@
-"""Maps the bytes of one application buffer onto the group ladder.
+"""Maps one application buffer of ``length`` bytes onto the group ladder.
 
 The buffer is cut into fixed-size PDUs (one per packet) numbered ``j``
 from 0: lower ``j`` means more important, because receivers consume the
@@ -11,22 +11,17 @@ lowest-ranked tiles makes every subscription level decode a prefix.
 Inside one tile the PDUs are emitted in decreasing ``j`` so that the most
 important packet of the tile leaves last: a receiver that joins the
 group mid-tile still collects the prefix end of the tile's range.
+
+The mapping depends on the buffer's length, never on its bytes, so
+``sequence`` returns a layout: one ``(send_time, group, seq, offset)``
+row per packet, whose PDU is ``buf[offset : offset + cfg.packet_payload]``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .channel import ChannelConfig, tiles_in_window
-
-
-class SequencedPacket(NamedTuple):
-    group: int  # g: multicast group carrying the packet
-    seq: int  # s: per-group send counter inside the buffer window
-    send_time: float
-    offset: int
-    payload: bytes
 
 
 def infer_buffer_time(first_level_bytes: int, min_rate: float) -> float:
@@ -49,16 +44,17 @@ def infer_buffer_length(buffer_time: float, max_rate: float) -> int:
     return math.floor(length)
 
 
-def sequence(data: bytes, buffer_time: float, cfg: ChannelConfig,
-             t_start: float) -> list[SequencedPacket]:
-    """Schedule the buffer ``data`` over [t_start, t_start + buffer_time).
+def sequence(length: int, buffer_time: float, cfg: ChannelConfig,
+             t_start: float) -> list[tuple[float, int, int, int]]:
+    """Lay out a buffer of ``length`` bytes over [t_start, t_start + buffer_time).
 
-    Returns packets sorted by send time.  The window is used as given so
-    consecutive buffers can tile time back to back (edge tiles then carry
-    pro-rated budgets).
+    Returns one ``(send_time, group, seq, offset)`` row per packet, sorted
+    by send time; ``seq`` counts the group's packets inside the window.
+    The window is used as given so consecutive buffers can tile time back
+    to back (edge tiles then carry pro-rated budgets).
     """
-    if not data:
-        raise ValueError("buffer holds no data")
+    if type(length) is not int or length < 1:
+        raise ValueError(f"buffer length must be a positive int, not {length!r}")
     if buffer_time <= 0:
         raise ValueError("buffer_time must be positive")
     # Most important tile first: minimal cumulative rate.  Ties (same rung)
@@ -70,9 +66,9 @@ def sequence(data: bytes, buffer_time: float, cfg: ChannelConfig,
         raise ValueError("window budget is zero packets")
 
     pdu_size = cfg.packet_payload
-    total_pdus = math.ceil(len(data) / pdu_size)
+    total_pdus = math.ceil(length / pdu_size)
 
-    emitted: list[tuple[float, int, int, int]] = []  # (send_time, group, j, tiebreak)
+    emitted: list[tuple[float, int, int, int]] = []  # (send_time, group, offset, tiebreak)
     next_j = 0
     for tb in ranked:
         if next_j >= total_pdus or tb.packet_count == 0:
@@ -85,16 +81,13 @@ def sequence(data: bytes, buffer_time: float, cfg: ChannelConfig,
         for pos in range(count):
             j = first_j + count - 1 - pos
             send_time = tb.start + (pos + 0.5) * step
-            emitted.append((send_time, tb.group, j, pos))
+            emitted.append((send_time, tb.group, j * pdu_size, pos))
 
     emitted.sort(key=lambda e: (e[0], e[1], e[3]))
     counters: dict[int, int] = {}
-    packets: list[SequencedPacket] = []
-    for send_time, group, j, _ in emitted:
+    rows: list[tuple[float, int, int, int]] = []
+    for send_time, group, offset, _ in emitted:
         seq = counters.get(group, 0)
         counters[group] = seq + 1
-        offset = j * pdu_size
-        packets.append(
-            SequencedPacket(group, seq, send_time, offset, data[offset : offset + pdu_size])
-        )
-    return packets
+        rows.append((send_time, group, seq, offset))
+    return rows

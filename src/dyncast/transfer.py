@@ -10,14 +10,15 @@ A datagram is parsed once: ``SymbolReceiver.on_datagram`` parses and
 calls ``on_packet(header, payload)``, and the simulator hands each
 delivery to all its listeners in one call, which parses it once.
 
-A buffer's layout (each packet's send time, group, seq and offset)
-depends on the ladder, the buffer time, the buffer length and the
-buffer's index, never on its bytes.  So the process keeps one layout
-record, for the last sender geometry ``(ChannelConfig, buffer_time,
-buffer_length)`` it saw: the first buffers that ``CarouselSession.emissions``
-sequenced, in order, up to ``MAX_RECORDED_PACKETS`` packets.  A later
-session of that geometry replays them and sequences only the buffers
-past them; every datagram is the same either way.
+A buffer's layout, the ``(send_time, group, seq, offset)`` rows that
+``sequence`` returns, depends on the ladder, the buffer time, the buffer
+length and the buffer's index, never on its bytes.  So the process keeps
+one layout record, for the last sender geometry ``(ChannelConfig,
+buffer_time, buffer_length)`` it saw: the rows of the first buffers that
+``CarouselSession.emissions`` sequenced, in order, up to
+``MAX_RECORDED_PACKETS`` packets.  A later session of that geometry
+replays them and sequences only the buffers past them; every datagram is
+the same either way.
 
 Evaluation metrics: time (s), gput and tput (Kb/s), and the overhead
 percentages loss, dup, sym, head, net and comp.
@@ -50,7 +51,7 @@ MAX_WINDOW_TILES = 65536
 # Most packets the layout record holds, at _ROW.size = 20 bytes each.
 MAX_RECORDED_PACKETS = 1 << 16
 
-# A recorded packet: send time, group, seq and offset.  Buffer b's rows
+# A recorded packet: one row of ``sequence``.  Buffer b's rows
 # lie between the byte offsets at entries b and b + 1 of the record's
 # starts, which are _START rows.
 _ROW = struct.Struct("dIII")
@@ -242,6 +243,8 @@ class CarouselSession:
             raise ValueError(f"buffer time {self.buffer_time:g} s over {channel.sub_tsi:g} s "
                              f"sub slots makes more than {MAX_WINDOW_TILES} tiles per buffer")
         self.plan = carousel.build_plan(codec.n, levels)
+        # Every buffer holds exactly one symbol per level.
+        self.buffer_length = self.plan.level_count * ss
 
     def buffer_payload(self, buffer_id: int) -> bytes:
         indices = carousel.blocks_for_buffer(self.plan, buffer_id)
@@ -251,13 +254,14 @@ class CarouselSession:
     def emissions(self, *, max_buffers: int | None = None):
         """Yield (send_time, group, datagram) in send order, buffer after buffer.
 
-        A buffer in this geometry's layout record is replayed from it;
-        any other is sequenced, and recorded if it is the record's next.
+        A buffer's layout is the rows ``sequence`` returns for it.  A buffer
+        in this geometry's layout record replays its rows from there; any
+        other is sequenced, and its rows are recorded as they came if it is
+        the record's next.  Each PDU is sliced from ``buffer_payload``.
         """
         cfg, buffer_time, session_id = self.cfg, self.buffer_time, self.session_id
-        tsd, pdu_size = cfg.tsd, cfg.packet_payload
-        rows, starts = _layout_record(cfg, buffer_time,
-                                      self.plan.level_count * self.spec.symbol_size)
+        tsd, pdu_size, length = cfg.tsd, cfg.packet_payload, self.buffer_length
+        rows, starts = _layout_record(cfg, buffer_time, length)
         buffer_id = 0
         while max_buffers is None or buffer_id < max_buffers:
             payload = self.buffer_payload(buffer_id)
@@ -265,19 +269,17 @@ class CarouselSession:
                 begin, end = _SPAN.unpack_from(starts, _START.size * buffer_id)
                 layout = _ROW.iter_unpack(rows[begin:end])
             else:
-                packets = sequence(payload, buffer_time, cfg, buffer_id * buffer_time)
+                layout = sequence(length, buffer_time, cfg, buffer_id * buffer_time)
                 with _RECORD_LOCK:
                     if (buffer_id == len(starts) // _START.size - 1
-                            and len(rows) // _ROW.size + len(packets) <= MAX_RECORDED_PACKETS):
-                        for group, seq, send_time, offset, _ in packets:
-                            rows += _ROW.pack(send_time, group, seq, offset)
+                            and len(rows) // _ROW.size + len(layout) <= MAX_RECORDED_PACKETS):
+                        for row in layout:
+                            rows += _ROW.pack(*row)
                         starts += _START.pack(len(rows))
-                layout = ((send_time, group, seq, offset)
-                          for group, seq, send_time, offset, _ in packets)
             for send_time, group, seq, offset in layout:
                 pdu = payload[offset : offset + pdu_size]
                 header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0), seq,
-                                           buffer_id, offset, len(payload), len(pdu))
+                                           buffer_id, offset, length, len(pdu))
                 yield send_time, group, wire.pack_packet(header, pdu)
             buffer_id += 1
 

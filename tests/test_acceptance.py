@@ -128,7 +128,7 @@ def test_criterion_2_sequencer_prefix_optimality():
         # ones that never get a slot
         pdus = rng.randint(1, max(1, int(budget * 1.1)))
         length = (pdus - 1) * cfg.packet_payload + rng.randint(1, cfg.packet_payload)
-        packets = sequence(bytes(length), buffer_time, cfg, t_start)
+        packets = sequence(length, buffer_time, cfg, t_start)
 
         ranked = sorted(
             tiles, key=lambda tb: (tb.min_cum_rate, tb.interval, tb.group)
@@ -143,8 +143,8 @@ def test_criterion_2_sequencer_prefix_optimality():
                 expect[j] = (tb.group, tb.interval)
                 j += 1
         got = {
-            p.offset // cfg.packet_payload: (p.group, interval_index(cfg, p.send_time))
-            for p in packets
+            offset // cfg.packet_payload: (group, interval_index(cfg, send_time))
+            for send_time, group, _, offset in packets
         }
         assert got == expect
 
@@ -158,7 +158,7 @@ def test_criterion_2_sequencer_prefix_optimality():
                 prefix |= per_tile.get((tb.group, tb.interval), set())
             assert prefix == set(range(len(prefix)))
 
-        times = [p.send_time for p in packets]
+        times = [send_time for send_time, _, _, _ in packets]
         assert times == sorted(times)
     elapsed = time.perf_counter() - t0
     _verdict(
@@ -187,18 +187,19 @@ def test_criterion_3_end_to_end_prefix_delivery():
             tiles = tiles_in_window(cfg, float(b), float(b + 1))
             capacity = sum(tb.packet_count for tb in tiles)
             data = rng.randbytes(capacity * cfg.packet_payload)
-            for pkt in sequence(data, 1.0, cfg, float(b)):
+            for send_time, group, seq, offset in sequence(len(data), 1.0, cfg, float(b)):
+                pdu = data[offset : offset + cfg.packet_payload]
                 header = wire.PacketHeader(
-                    group=pkt.group,
+                    group=group,
                     session_id=1,
-                    tsi=int(pkt.send_time / cfg.tsd),
-                    seq=pkt.seq,
+                    tsi=int(send_time / cfg.tsd),
+                    seq=seq,
                     buffer_id=b,
-                    offset=pkt.offset,
+                    offset=offset,
                     buffer_length=len(data),
-                    payload_len=len(pkt.payload),
+                    payload_len=len(pdu),
                 )
-                yield pkt.send_time, pkt.group, wire.pack_packet(header, pkt.payload)
+                yield send_time, group, wire.pack_packet(header, pdu)
 
     reassemblers = [Reassembler(cfg.packet_payload) for _ in fractions]
     fetched: list[dict[int, float]] = [dict() for _ in fractions]

@@ -3,7 +3,7 @@ import random
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyncast.channel import (
@@ -351,7 +351,8 @@ def ref_tiles_in_window(cfg: ChannelConfig, t_start: float, t_end: float) -> lis
     s = cfg.sub_tsi
     tiles: list[TileBudget] = []
     i = interval_index(cfg, t_start)
-    while i * s < t_end - 1e-9:
+    t_end = max(t_end, interval_index(cfg, t_end) * s)  # the end snaps as the start does
+    while i * s < t_end:
         span0 = max(t_start, i * s)
         span1 = min(t_end, (i + 1) * s)
         for group in [BASE_GROUP] + list(range(i + 1, i + cfg.group_count)):
@@ -422,6 +423,11 @@ def sliced_windows(draw) -> tuple[ChannelConfig, list[float]]:
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(sliced_windows())
+# An edge within 1e-9 sub slots below a boundary, and one within 1e-9 s
+# above it: each once lost the packet boundary between its two snaps.
+@example((ChannelConfig(), [720.0, 724.0 - 2e-9, 728.0]))
+@example((ChannelConfig(base_rate=512 * 616 / (4 + 5e-10), packet_payload=64),
+          [0.0, 4.0 + 7e-10, 8.0]))
 def test_partial_window_budgets_prorated_with_carry(case):
     # Slicing a window into ragged back-to-back windows conserves each
     # group's budget.

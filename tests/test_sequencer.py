@@ -12,10 +12,10 @@ from dyncast.sequencer import infer_buffer_length, infer_buffer_time, sequence
 # cumulative rate, hand out contiguous PDU index ranges in that order.
 # This re-states the assignment rule without sharing any sequencing code.
 
-def oracle_assignment(cfg, data, buffer_time, t_start):
+def oracle_assignment(cfg, length, buffer_time, t_start):
     tiles = tiles_in_window(cfg, t_start, t_start + buffer_time)
     order = sorted(tiles, key=lambda tb: (tb.min_cum_rate, tb.interval, tb.group))
-    total = math.ceil(len(data) / cfg.packet_payload)
+    total = math.ceil(length / cfg.packet_payload)
     expected = {}
     j = 0
     for tb in order:
@@ -26,16 +26,16 @@ def oracle_assignment(cfg, data, buffer_time, t_start):
     return expected
 
 
-def pdu_index(cfg, p):
-    """j, the position of the packet's PDU in the buffer."""
-    return p.offset // cfg.packet_payload
+def pdu_index(cfg, offset):
+    """j, the position in the buffer of the PDU at ``offset``."""
+    return offset // cfg.packet_payload
 
 
 def packets_by_tile(cfg, packets):
     got = {}
-    for p in packets:
-        interval = interval_index(cfg, p.send_time)
-        got.setdefault((p.group, interval), set()).add(pdu_index(cfg, p))
+    for send_time, group, _, offset in packets:
+        interval = interval_index(cfg, send_time)
+        got.setdefault((group, interval), set()).add(pdu_index(cfg, offset))
     return got
 
 
@@ -58,22 +58,20 @@ def random_config(rng):
 def test_single_tile_sends_descending():
     # Four PDUs all fitting the base tile leave in order j = 3, 2, 1, 0.
     cfg = ChannelConfig(base_rate=11_584.0, tsd=4.0)
-    data = bytes(4 * 1448)
-    pkts = sequence(data, 4.0, cfg, 0.0)
-    base = [p for p in pkts if p.group == 0]
-    assert [pdu_index(cfg, p) for p in base] == [3, 2, 1, 0]
-    times = [p.send_time for p in base]
+    pkts = sequence(4 * 1448, 4.0, cfg, 0.0)
+    base = [(t, offset) for t, group, _, offset in pkts if group == 0]
+    assert [pdu_index(cfg, offset) for _, offset in base] == [3, 2, 1, 0]
+    times = [t for t, _ in base]
     assert times == sorted(times)
 
 
 def test_pdu_zero_lands_in_lowest_min_cum_tile():
     cfg = ChannelConfig()
-    data = bytes(500 * 1448)
-    pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
+    pkts = sequence(500 * 1448, cfg.sub_tsi, cfg, 0.0)
     tiles = tiles_in_window(cfg, 0.0, cfg.sub_tsi)
     lowest = min(tiles, key=lambda tb: (tb.min_cum_rate, tb.interval, tb.group))
-    p0 = next(p for p in pkts if p.offset == 0)
-    assert p0.group == lowest.group
+    group0 = next(group for _, group, _, offset in pkts if offset == 0)
+    assert group0 == lowest.group
 
 
 def test_assignment_matches_oracle_small_config():
@@ -84,10 +82,10 @@ def test_assignment_matches_oracle_small_config():
         tsd=2.0,
         group_count=3,
     )
-    data = bytes(977 * 41)  # awkward size, last PDU short
+    length = 977 * 41  # awkward size, last PDU short
     t0 = 4.0
-    pkts = sequence(data, 2 * cfg.sub_tsi, cfg, t0)
-    assert packets_by_tile(cfg, pkts) == oracle_assignment(cfg, data, 2 * cfg.sub_tsi, t0)
+    pkts = sequence(length, 2 * cfg.sub_tsi, cfg, t0)
+    assert packets_by_tile(cfg, pkts) == oracle_assignment(cfg, length, 2 * cfg.sub_tsi, t0)
 
 
 def test_assignment_matches_oracle_randomized():
@@ -103,9 +101,9 @@ def test_assignment_matches_oracle_randomized():
         if total_budget == 0:
             continue
         pdus = rng.randint(1, int(total_budget * 1.4) + 1)
-        data = bytes(pdus * cfg.packet_payload - rng.randint(0, cfg.packet_payload - 1))
-        pkts = sequence(data, buffer_time, cfg, t0)
-        assert packets_by_tile(cfg, pkts) == oracle_assignment(cfg, data, buffer_time, t0)
+        length = pdus * cfg.packet_payload - rng.randint(0, cfg.packet_payload - 1)
+        pkts = sequence(length, buffer_time, cfg, t0)
+        assert packets_by_tile(cfg, pkts) == oracle_assignment(cfg, length, buffer_time, t0)
 
 
 def test_prefix_property_under_rate_thresholds():
@@ -113,8 +111,7 @@ def test_prefix_property_under_rate_thresholds():
     # of the PDU index space.
     rng = random.Random(7)
     cfg = ChannelConfig()
-    data = bytes(300 * 1448)
-    pkts = sequence(data, 2 * cfg.sub_tsi, cfg, 0.0)
+    pkts = sequence(300 * 1448, 2 * cfg.sub_tsi, cfg, 0.0)
     tiles = {
         (tb.group, tb.interval): tb
         for tb in tiles_in_window(cfg, 0.0, 2 * cfg.sub_tsi)
@@ -122,17 +119,16 @@ def test_prefix_property_under_rate_thresholds():
     rates = sorted({tb.min_cum_rate for tb in tiles.values()})
     for threshold in rates + [rng.uniform(rates[0], rates[-1]) for _ in range(10)]:
         below = {
-            pdu_index(cfg, p)
-            for p in pkts
-            if tiles[(p.group, interval_index(cfg, p.send_time))].min_cum_rate <= threshold
+            pdu_index(cfg, offset)
+            for t, group, _, offset in pkts
+            if tiles[(group, interval_index(cfg, t))].min_cum_rate <= threshold
         }
         assert below == set(range(len(below)))
 
 
 def test_tile_ranges_contiguous_and_ascending():
     cfg = ChannelConfig()
-    data = bytes(200 * 1448)
-    pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
+    pkts = sequence(200 * 1448, cfg.sub_tsi, cfg, 0.0)
     ranges = []
     for (group, interval), js in packets_by_tile(cfg, pkts).items():
         lo, hi = min(js), max(js)
@@ -150,60 +146,57 @@ def test_tile_ranges_contiguous_and_ascending():
 
 def test_intra_tile_times_increase_while_j_decreases():
     cfg = ChannelConfig()
-    data = bytes(300 * 1448)
-    pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
+    pkts = sequence(300 * 1448, cfg.sub_tsi, cfg, 0.0)
     per_tile = {}
-    for p in pkts:
-        per_tile.setdefault(p.group, []).append(p)
+    for t, group, _, offset in pkts:
+        per_tile.setdefault(group, []).append((t, offset))
     for group, plist in per_tile.items():
-        plist.sort(key=lambda p: p.send_time)
-        js = [pdu_index(cfg, p) for p in plist]
+        plist.sort()
+        js = [pdu_index(cfg, offset) for _, offset in plist]
         assert js == sorted(js, reverse=True), f"group {group} not most-important-last"
-        assert all(a.send_time < b.send_time for a, b in zip(plist, plist[1:]))
-        assert all(0.0 <= p.send_time < cfg.sub_tsi for p in plist)
+        assert all(a < b for (a, _), (b, _) in zip(plist, plist[1:]))
+        assert all(0.0 <= t < cfg.sub_tsi for t, _ in plist)
 
 
 def test_per_group_seq_counts_chronologically():
     cfg = ChannelConfig()
-    data = bytes(400 * 1448)
-    pkts = sequence(data, 3 * cfg.sub_tsi, cfg, 0.0)
+    pkts = sequence(400 * 1448, 3 * cfg.sub_tsi, cfg, 0.0)
     seen: dict[int, int] = {}
-    for p in pkts:  # pkts are globally time-ordered
-        expect = seen.get(p.group, 0)
-        assert p.seq == expect
-        seen[p.group] = expect + 1
+    for _, group, seq, _ in pkts:  # pkts are globally time-ordered
+        expect = seen.get(group, 0)
+        assert seq == expect
+        seen[group] = expect + 1
 
 
 def test_offsets_and_payload_slices():
     cfg = ChannelConfig()
-    data = bytes(random.Random(5).randbytes(90 * 1448 + 311))
-    pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
-    assert len({p.offset for p in pkts}) == len(pkts)
-    for p in pkts:
-        assert p.offset % cfg.packet_payload == 0
-        assert p.payload == data[p.offset : p.offset + cfg.packet_payload]
-    # the short tail PDU is included iff the budget reached it
-    sizes = {len(p.payload) for p in pkts}
-    assert sizes <= {1448, 311}
+    data = random.Random(5).randbytes(90 * 1448 + 311)
+    pkts = sequence(len(data), cfg.sub_tsi, cfg, 0.0)
+    offsets = [offset for _, _, _, offset in pkts]
+    assert len(set(offsets)) == len(pkts)
+    assert all(offset % cfg.packet_payload == 0 for offset in offsets)
+    # One slice per row rebuilds the buffer; the short tail PDU is
+    # included iff the budget reached it.
+    pdus = [data[offset : offset + cfg.packet_payload] for offset in sorted(offsets)]
+    assert b"".join(pdus) == data[: sum(map(len, pdus))]
+    assert {len(pdu) for pdu in pdus} <= {1448, 311}
 
 
 def test_oversized_buffer_drops_highest_indices():
     cfg = ChannelConfig(base_rate=11_584.0, tsd=4.0, group_count=2,
                         max_cumulative_rate=23_168.0, decay_ratio=0.7)
     # Window budget is tiny; a huge buffer keeps only the lowest PDUs.
-    data = bytes(50 * 1448)
-    pkts = sequence(data, 4.0, cfg, 0.0)
-    assigned = sorted(pdu_index(cfg, p) for p in pkts)
+    pkts = sequence(50 * 1448, 4.0, cfg, 0.0)
+    assigned = sorted(pdu_index(cfg, offset) for _, _, _, offset in pkts)
     assert assigned == list(range(len(assigned)))
     assert len(assigned) < 50
 
 
 def test_surplus_budget_left_at_highest_rates():
     cfg = ChannelConfig()
-    data = bytes(30 * 1448)  # far below the window budget
-    pkts = sequence(data, cfg.sub_tsi, cfg, 0.0)
+    pkts = sequence(30 * 1448, cfg.sub_tsi, cfg, 0.0)  # far below the window budget
     assert len(pkts) == 30
-    used_groups = {p.group for p in pkts}
+    used_groups = {group for _, group, _, _ in pkts}
     all_groups = {tb.group for tb in tiles_in_window(cfg, 0.0, cfg.sub_tsi)}
     # the fastest groups stayed idle
     assert max(all_groups) not in used_groups
@@ -247,20 +240,26 @@ def test_infer_round_trip_within_one_byte():
 
 def test_empty_buffer_rejected():
     cfg = ChannelConfig()
-    with pytest.raises(ValueError, match="buffer holds no data"):
-        sequence(b"", 1.0, cfg, 0.0)
+    with pytest.raises(ValueError, match="positive int, not 0"):
+        sequence(0, 1.0, cfg, 0.0)
     with pytest.raises(ValueError):
-        sequence(b"x", 0.0, cfg, 0.0)
+        sequence(1, 0.0, cfg, 0.0)
+
+
+@pytest.mark.parametrize("length", [-1448, 2.5, 1448.0, True, b"x" * 1448])
+def test_a_length_that_is_not_a_positive_int_is_rejected(length):
+    with pytest.raises(ValueError, match="buffer length must be a positive int"):
+        sequence(length, 1.0, ChannelConfig(), 0.0)
 
 
 def test_zero_budget_window_rejected():
     cfg = ChannelConfig(base_rate=64_000.0)
     # A microscopic window carries no whole packet on any group.
     with pytest.raises(ValueError, match="window budget is zero packets"):
-        sequence(b"x" * 1448, 1e-7, cfg, 0.05)
+        sequence(1448, 1e-7, cfg, 0.05)
 
 
 def test_sequencing_is_deterministic():
     cfg = ChannelConfig()
-    data, buffer_time = bytes(123 * 1448 + 7), 1.5 * cfg.sub_tsi
-    assert sequence(data, buffer_time, cfg, 2.0) == sequence(data, buffer_time, cfg, 2.0)
+    length, buffer_time = 123 * 1448 + 7, 1.5 * cfg.sub_tsi
+    assert sequence(length, buffer_time, cfg, 2.0) == sequence(length, buffer_time, cfg, 2.0)

@@ -352,7 +352,8 @@ def ref_emissions(sess, max_buffers=None):
     while max_buffers is None or buffer_id < max_buffers:
         t0 = buffer_id * sess.buffer_time
         payload = sess.buffer_payload(buffer_id)
-        for group, seq, send_time, offset, pdu in sequence(payload, sess.buffer_time, sess.cfg, t0):
+        for send_time, group, seq, offset in sequence(len(payload), sess.buffer_time, sess.cfg, t0):
+            pdu = payload[offset : offset + sess.cfg.packet_payload]
             header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0), seq,
                                        buffer_id, offset, len(payload), len(pdu))
             yield send_time, group, wire.pack_packet(header, pdu)
@@ -369,16 +370,13 @@ def record_of(sess):
 
     Asking for a record makes it the current one, so this reads only the
     geometry in use."""
-    rows, starts = transfer._layout_record(sess.cfg, sess.buffer_time,
-                                           sess.plan.level_count * sess.spec.symbol_size)
+    rows, starts = transfer._layout_record(sess.cfg, sess.buffer_time, sess.buffer_length)
     bounds = [v for (v,) in transfer._START.iter_unpack(starts)]
     return [list(transfer._ROW.iter_unpack(rows[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 def ref_layout(sess, buffer_id):
-    t0 = buffer_id * sess.buffer_time
-    return [(t, group, seq, offset) for group, seq, t, offset, _ in
-            sequence(sess.buffer_payload(buffer_id), sess.buffer_time, sess.cfg, t0)]
+    return sequence(sess.buffer_length, sess.buffer_time, sess.cfg, buffer_id * sess.buffer_time)
 
 
 def ladder(**fields):
