@@ -12,13 +12,16 @@ delivery to all its listeners in one call, which parses it once.
 
 A buffer's layout, the ``(send_time, group, seq, offset)`` rows that
 ``sequence`` returns, depends on the ladder, the buffer time, the buffer
-length and the buffer's index, never on its bytes.  So the process keeps
-one layout record, for the last sender geometry ``(ChannelConfig,
-buffer_time, buffer_length)`` it saw: the rows of the first buffers that
+length and the buffer's index, never on its bytes, and so does every
+header field but the session id.  So the process keeps one layout record,
+for the last sender geometry ``(ChannelConfig, buffer_time,
+buffer_length)`` it saw: for each packet of the first buffers that
 ``CarouselSession.emissions`` sequenced, in order, up to
-``MAX_RECORDED_PACKETS`` packets.  A later session of that geometry
-replays them and sequences only the buffers past them; every datagram is
-the same either way.
+``MAX_RECORDED_PACKETS`` packets, its send time, group and offset and its
+packed header less the session id, 44 bytes a packet.  A later session
+of that geometry, whatever its session id and bytes, replays them, each
+datagram one join of header, session id and PDU, and sequences only the
+buffers past them; every datagram is the same either way.
 
 Evaluation metrics: time (s), gput and tput (Kb/s), and the overhead
 percentages loss, dup, sym, head, net and comp.
@@ -48,13 +51,16 @@ METRIC_NAMES = ("time", "gput", "tput", "loss", "dup", "sym", "head", "net", "co
 # first packet.
 MAX_WINDOW_TILES = 65536
 
-# Most packets the layout record holds, at _ROW.size = 20 bytes each.
+# Most packets the layout record holds, at _ROW.size = 44 bytes each
+# (about 2.9 MB).
 MAX_RECORDED_PACKETS = 1 << 16
 
-# A recorded packet: one row of ``sequence``.  Buffer b's rows
-# lie between the byte offsets at entries b and b + 1 of the record's
-# starts, which are _START rows.
-_ROW = struct.Struct("dIII")
+# A recorded packet: its send time, group and offset as ``sequence``
+# returned them, and its packed header cut around the session id, which
+# is bytes 4..8 of ``wire``'s header: the head is bytes 0..4, the tail
+# bytes 8..32.  Buffer b's rows lie between the byte offsets at entries b
+# and b + 1 of the record's starts, which are _START rows.
+_ROW = struct.Struct("dII4s24s")
 _START = struct.Struct("I")
 _SPAN = struct.Struct("II")
 # Serialises the check that a buffer is the record's next with its append.
@@ -189,7 +195,7 @@ def ring_table(k: int, n: int) -> memoryview:
 @functools.lru_cache(maxsize=1)
 def _layout_record(channel: ChannelConfig, buffer_time: float,
                    buffer_length: int) -> tuple[bytearray, bytearray]:
-    """The recorded layouts of one sender geometry: (rows, starts).
+    """The recorded packets of one sender geometry: (rows, starts).
 
     Empty when made; ``CarouselSession.emissions`` appends each buffer it
     sequences that is the record's next one, while the rows fit in
@@ -255,32 +261,42 @@ class CarouselSession:
         """Yield (send_time, group, datagram) in send order, buffer after buffer.
 
         A buffer's layout is the rows ``sequence`` returns for it.  A buffer
-        in this geometry's layout record replays its rows from there; any
-        other is sequenced, and its rows are recorded as they came if it is
-        the record's next.  Each PDU is sliced from ``buffer_payload``.
+        in this geometry's layout record replays its packets from there:
+        each datagram joins the recorded head, this session's id, the
+        recorded tail and the PDU.  Any other buffer is sequenced and all
+        its datagrams packed by ``wire.pack_packet`` before the first is
+        yielded; if it is the record's next, its rows are recorded with
+        the head and tail cut from those datagrams.  Each PDU is sliced
+        from a view of ``buffer_payload``.
         """
         cfg, buffer_time, session_id = self.cfg, self.buffer_time, self.session_id
         tsd, pdu_size, length = cfg.tsd, cfg.packet_payload, self.buffer_length
+        session_id_bytes = session_id.to_bytes(4, "big")
         rows, starts = _layout_record(cfg, buffer_time, length)
         buffer_id = 0
         while max_buffers is None or buffer_id < max_buffers:
-            payload = self.buffer_payload(buffer_id)
+            payload_view = memoryview(self.buffer_payload(buffer_id))
             if buffer_id < len(starts) // _START.size - 1:
                 begin, end = _SPAN.unpack_from(starts, _START.size * buffer_id)
-                layout = _ROW.iter_unpack(rows[begin:end])
+                for send_time, group, offset, head, tail in _ROW.iter_unpack(rows[begin:end]):
+                    yield send_time, group, b"".join(
+                        (head, session_id_bytes, tail, payload_view[offset : offset + pdu_size]))
             else:
                 layout = sequence(length, buffer_time, cfg, buffer_id * buffer_time)
+                packets = []
+                for send_time, group, seq, offset in layout:
+                    pdu = payload_view[offset : offset + pdu_size]
+                    header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0),
+                                               seq, buffer_id, offset, length, len(pdu))
+                    packets.append((send_time, group, wire.pack_packet(header, pdu)))
                 with _RECORD_LOCK:
                     if (buffer_id == len(starts) // _START.size - 1
                             and len(rows) // _ROW.size + len(layout) <= MAX_RECORDED_PACKETS):
-                        for row in layout:
-                            rows += _ROW.pack(*row)
+                        for (send_time, group, _, offset), (_, _, datagram) in zip(layout, packets):
+                            rows += _ROW.pack(send_time, group, offset, datagram[:4],
+                                              datagram[8:wire.HEADER_SIZE])
                         starts += _START.pack(len(rows))
-            for send_time, group, seq, offset in layout:
-                pdu = payload[offset : offset + pdu_size]
-                header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0), seq,
-                                           buffer_id, offset, length, len(pdu))
-                yield send_time, group, wire.pack_packet(header, pdu)
+                yield from packets
             buffer_id += 1
 
 

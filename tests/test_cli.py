@@ -12,6 +12,7 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -136,6 +137,30 @@ def test_send_honours_levels_and_session_id(tmp_path, capsys):
     for line in records:
         parsed, _ = wire.parse_packet(bytes.fromhex(line.split()[2]))
         assert parsed.session_id == 9
+
+
+def test_a_second_send_of_one_geometry_replays_under_its_own_session_id(tmp_path, capsys):
+    # The second send replays the first one's recorded headers, with the
+    # session id cut out, under an id whose four bytes all differ.
+    transfer._layout_record.cache_clear()
+    for number, session_id in enumerate(["7", "4294967295"]):
+        data = random.Random(number).randbytes(15_000)
+        src = tmp_path / f"in{number}.bin"
+        src.write_bytes(data)
+        trace = tmp_path / f"emitted{number}.trace"
+        with mock.patch.object(wire, "pack_packet", wraps=wire.pack_packet) as packed:
+            assert main(["send", "--file", str(src), "--out", str(trace),
+                         "--session-id", session_id, *CHANNEL_FLAGS]) == 0
+        assert (packed.call_count == 0) == (number == 1)
+        _, *records = trace.read_text().splitlines()
+        assert records
+        for line in records:
+            parsed, _ = wire.parse_packet(bytes.fromhex(line.split()[2]))
+            assert parsed.session_id == int(session_id)
+        out = tmp_path / f"out{number}.bin"
+        assert main(["recv", "--trace", str(trace), "--out", str(out)]) == 0
+        assert out.read_bytes() == data
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("flags", [

@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_reassembly import ReferenceReassembler
 
@@ -365,14 +365,24 @@ def stream(emissions):
     return [(repr(t), group, datagram) for t, group, datagram in emissions]
 
 
-def record_of(sess):
-    """The layouts the record of ``sess``'s geometry holds, buffer by buffer.
+def recorded_packets(sess):
+    """The rows the record of ``sess``'s geometry holds, buffer by buffer:
+    (send_time, group, offset, head, tail) per packet.
 
     Asking for a record makes it the current one, so this reads only the
     geometry in use."""
     rows, starts = transfer._layout_record(sess.cfg, sess.buffer_time, sess.buffer_length)
     bounds = [v for (v,) in transfer._START.iter_unpack(starts)]
     return [list(transfer._ROW.iter_unpack(rows[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
+def record_of(sess):
+    """The layouts the record of ``sess``'s geometry holds, buffer by buffer,
+    as ``sequence``'s (send_time, group, seq, offset) rows.  The seq is
+    header bytes 12..16, so bytes 4..8 of the recorded tail."""
+    return [[(send_time, group, int.from_bytes(tail[4:8], "big"), offset)
+             for send_time, group, offset, _, tail in packets]
+            for packets in recorded_packets(sess)]
 
 
 def ref_layout(sess, buffer_id):
@@ -412,18 +422,42 @@ def session_of(geometry, data_seed=0, session_id=1):
                            levels=levels, session_id=session_id)
 
 
+# Inferred levels on a short tsd: buffers of unequal packet counts.
+UNEVEN_GEOMETRY = (dataclasses.replace(SMALL_CFG, tsd=0.05), 64, None, 60)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(geometry=GEOMETRIES, buffers=st.integers(1, 12))
-def test_a_warm_session_emits_what_a_cold_one_does(geometry, buffers):
-    # The warm session carries other bytes under another session id; only
-    # its layouts come from the record.
+@given(geometry=GEOMETRIES, buffers=st.integers(1, 12), warm_id=st.integers(0, 0xFFFFFFFF))
+@example(geometry=UNEVEN_GEOMETRY, buffers=12, warm_id=0)
+@example(geometry=UNEVEN_GEOMETRY, buffers=12, warm_id=0xFFFFFFFF)
+def test_a_warm_session_emits_what_a_cold_one_does(geometry, buffers, warm_id):
+    # The warm session carries other bytes under another session id; its
+    # layouts and headers come from the record, so it neither sequences
+    # nor packs a header.
     transfer._layout_record.cache_clear()
-    cold, warm = session_of(geometry), session_of(geometry, data_seed=5, session_id=9)
+    cold, warm = session_of(geometry), session_of(geometry, data_seed=5, session_id=warm_id)
     assert stream(cold.emissions(max_buffers=buffers)) == stream(ref_emissions(cold, buffers))
-    with mock.patch.object(transfer, "sequence", wraps=transfer.sequence) as sequenced:
-        assert stream(warm.emissions(max_buffers=buffers)) == stream(ref_emissions(warm, buffers))
-    assert sequenced.call_count == 0
+    with (mock.patch.object(transfer, "sequence", wraps=transfer.sequence) as sequenced,
+          mock.patch.object(wire, "pack_packet", wraps=wire.pack_packet) as packed):
+        emitted = stream(warm.emissions(max_buffers=buffers))
+    assert sequenced.call_count == packed.call_count == 0
+    assert emitted == stream(ref_emissions(warm, buffers))
     assert record_of(warm) == [ref_layout(warm, b) for b in range(buffers)]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(geometry=GEOMETRIES, buffers=st.integers(1, 12), session_id=st.integers(0, 0xFFFFFFFF))
+def test_recorded_headers_are_the_datagrams_less_the_session_id(geometry, buffers, session_id):
+    transfer._layout_record.cache_clear()
+    sess = session_of(geometry, session_id=session_id)
+    for _ in sess.emissions(max_buffers=buffers):
+        pass
+    recorded = [row for packets in recorded_packets(sess) for row in packets]
+    want = list(ref_emissions(sess, buffers))
+    assert len(recorded) == len(want)
+    for (send_time, group, offset, head, tail), (t, g, datagram) in zip(recorded, want):
+        assert (send_time, group, head, tail) == (t, g, datagram[0:4], datagram[8:32])
+        assert offset == wire.parse_packet(datagram)[0].offset
 
 
 # One change to a geometry: a ladder field, the levels or the symbol size.

@@ -63,13 +63,15 @@ def test_held_out_seed_fingerprint_is_pinned(monkeypatch, workload):
 # layer was handed (adds, parses, PDUs stored, buffers flushed), so a
 # change that keeps the fingerprint but moves work between layers fails
 # here.  The sequencer's and the channel's counts cover only the buffers
-# that no earlier run in the process recorded (``transfer._layout_record``).
+# that no earlier run in the process recorded (``transfer._layout_record``),
+# and so does ``wire.pack_calls``: each sequenced buffer is packed whole,
+# once per process, and a recorded one replays its packed headers.
 TRACED_COUNTS = {
     "bulk": {
         "fec.add_calls": 5525, "fec.epsilon": 0, "transfer.on_packet_calls": 5525,
         "transfer.symbols_fed": 5525, "netsim.policy_calls": 21, "netsim.offered": 5525,
         "netsim.delivered": 5525, "netsim.queue_dropped": 0, "netsim.channel_lost": 0,
-        "netsim.rx_deliveries": 5525, "netsim.rx_missed": 0, "wire.pack_calls": 5526,
+        "netsim.rx_deliveries": 5525, "netsim.rx_missed": 0, "wire.pack_calls": 5543,
         "wire.parse_calls": 5525, "reassembly.stored": 5525, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 221,
         "sequencer.buffers": 222, "sequencer.packets": 5543, "channel.tiles": 2420,
@@ -78,7 +80,7 @@ TRACED_COUNTS = {
         "fec.add_calls": 41520, "fec.epsilon": 0, "transfer.on_packet_calls": 137280,
         "transfer.symbols_fed": 137280, "netsim.policy_calls": 1900, "netsim.offered": 112494,
         "netsim.delivered": 80093, "netsim.queue_dropped": 26201, "netsim.channel_lost": 5909,
-        "netsim.rx_deliveries": 137280, "netsim.rx_missed": 61420, "wire.pack_calls": 112506,
+        "netsim.rx_deliveries": 137280, "netsim.rx_missed": 61420, "wire.pack_calls": 11634,
         "wire.parse_calls": 45736, "reassembly.stored": 137280, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 19285,
         "sequencer.buffers": 466, "sequencer.packets": 11634, "channel.tiles": 5080,
@@ -87,7 +89,7 @@ TRACED_COUNTS = {
         "fec.add_calls": 4500, "fec.epsilon": 0, "transfer.on_packet_calls": 4509,
         "transfer.symbols_fed": 4509, "netsim.policy_calls": 87, "netsim.offered": 7557,
         "netsim.delivered": 7139, "netsim.queue_dropped": 0, "netsim.channel_lost": 403,
-        "netsim.rx_deliveries": 4509, "netsim.rx_missed": 333, "wire.pack_calls": 7560,
+        "netsim.rx_deliveries": 4509, "netsim.rx_missed": 333, "wire.pack_calls": 2553,
         "wire.parse_calls": 1309, "reassembly.stored": 4509, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 737,
         "sequencer.buffers": 102, "sequencer.packets": 2553, "channel.tiles": 1110,
@@ -101,7 +103,7 @@ HELD_OUT_TRACED_COUNTS = {
         "fec.add_calls": 5528, "fec.epsilon": 3, "transfer.on_packet_calls": 5528,
         "transfer.symbols_fed": 5528, "netsim.policy_calls": 21, "netsim.offered": 5533,
         "netsim.delivered": 5528, "netsim.queue_dropped": 0, "netsim.channel_lost": 0,
-        "netsim.rx_deliveries": 5528, "netsim.rx_missed": 0, "wire.pack_calls": 5534,
+        "netsim.rx_deliveries": 5528, "netsim.rx_missed": 0, "wire.pack_calls": 5543,
         "wire.parse_calls": 5528, "reassembly.stored": 5528, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 221,
         "sequencer.buffers": 222, "sequencer.packets": 5543, "channel.tiles": 2420,
@@ -110,7 +112,7 @@ HELD_OUT_TRACED_COUNTS = {
         "fec.add_calls": 41520, "fec.epsilon": 0, "transfer.on_packet_calls": 140721,
         "transfer.symbols_fed": 140721, "netsim.policy_calls": 2003, "netsim.offered": 131304,
         "netsim.delivered": 93555, "netsim.queue_dropped": 30577, "netsim.channel_lost": 6877,
-        "netsim.rx_deliveries": 140721, "netsim.rx_missed": 61850, "wire.pack_calls": 131316,
+        "netsim.rx_deliveries": 140721, "netsim.rx_missed": 61850, "wire.pack_calls": 12712,
         "wire.parse_calls": 47425, "reassembly.stored": 140721, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 20377,
         "sequencer.buffers": 509, "sequencer.packets": 12712, "channel.tiles": 5550,
@@ -119,7 +121,7 @@ HELD_OUT_TRACED_COUNTS = {
         "fec.add_calls": 4500, "fec.epsilon": 0, "transfer.on_packet_calls": 4504,
         "transfer.symbols_fed": 4504, "netsim.policy_calls": 86, "netsim.offered": 7659,
         "netsim.delivered": 7262, "netsim.queue_dropped": 0, "netsim.channel_lost": 380,
-        "netsim.rx_deliveries": 4504, "netsim.rx_missed": 242, "wire.pack_calls": 7662,
+        "netsim.rx_deliveries": 4504, "netsim.rx_missed": 242, "wire.pack_calls": 2631,
         "wire.parse_calls": 1304, "reassembly.stored": 4504, "reassembly.duplicate": 0,
         "reassembly.stale": 0, "reassembly.malformed": 0, "reassembly.flushed": 719,
         "sequencer.buffers": 105, "sequencer.packets": 2631, "channel.tiles": 1140,
@@ -136,6 +138,7 @@ def traced_counts(workload, seed):
                            "--seed", str(seed), "--trace", "1"],
                           capture_output=True, text=True, timeout=300, check=True)
     layers = json.loads(done.stdout.splitlines()[-1])["layers"]
+    assert layers["wire.pack_calls"] == layers["sequencer.packets"]
     return {name: layers[name] for name in names}
 
 
