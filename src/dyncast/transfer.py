@@ -13,15 +13,16 @@ delivery to all its listeners in one call, which parses it once.
 A buffer's layout, the ``(send_time, group, seq, offset)`` rows that
 ``sequence`` returns, depends on the ladder, the buffer time, the buffer
 length and the buffer's index, never on its bytes, and so does every
-header field but the session id.  So the process keeps one layout record,
-for the last sender geometry ``(ChannelConfig, buffer_time,
-buffer_length)`` it saw: for each packet of the first buffers that
-``CarouselSession.emissions`` sequenced, in order, up to
-``MAX_RECORDED_PACKETS`` packets, its send time, group and offset and its
-packed header less the session id, 44 bytes a packet.  A later session
-of that geometry, whatever its session id and bytes, replays them, each
-datagram one join of header, session id and PDU, and sequences only the
-buffers past them; every datagram is the same either way.
+header field but the session id.  So each sent packet is a 48-byte row,
+its send time, group, offset and packed header less the session id, and
+its datagram one join of header, session id and PDU.  A cold buffer's
+rows are cut from the datagrams ``wire.pack_packet`` packs once.  The
+process keeps the rows of the first buffers ``CarouselSession.emissions``
+sequenced, up to ``MAX_RECORDED_PACKETS``, as one layout record for the
+last sender geometry ``(ChannelConfig, buffer_time, buffer_length)`` it
+saw.  A later session of that geometry, whatever its session id and
+bytes, replays them and sequences only the buffers past them; every
+datagram is the same either way.
 
 Evaluation metrics: time (s), gput and tput (Kb/s), and the overhead
 percentages loss, dup, sym, head, net and comp.
@@ -51,16 +52,16 @@ METRIC_NAMES = ("time", "gput", "tput", "loss", "dup", "sym", "head", "net", "co
 # first packet.
 MAX_WINDOW_TILES = 65536
 
-# Most packets the layout record holds, at _ROW.size = 44 bytes each
-# (about 2.9 MB).
+# Most packets the layout record holds, at _ROW.size = 48 bytes each
+# (about 3.1 MB).
 MAX_RECORDED_PACKETS = 1 << 16
 
-# A recorded packet: its send time, group and offset as ``sequence``
+# A packet as a row: its send time, group and offset as ``sequence``
 # returned them, and its packed header cut around the session id, which
 # is bytes 4..8 of ``wire``'s header: the head is bytes 0..4, the tail
 # bytes 8..32.  Buffer b's rows lie between the byte offsets at entries b
 # and b + 1 of the record's starts, which are _START rows.
-_ROW = struct.Struct("dII4s24s")
+_ROW = struct.Struct("dQI4s24s")
 _START = struct.Struct("I")
 _SPAN = struct.Struct("II")
 # Serialises the check that a buffer is the record's next with its append.
@@ -199,8 +200,7 @@ def _layout_record(channel: ChannelConfig, buffer_time: float,
 
     Empty when made; ``CarouselSession.emissions`` appends each buffer it
     sequences that is the record's next one, while the rows fit in
-    ``MAX_RECORDED_PACKETS``.  Recorded groups fit ``_ROW``'s 32 bits:
-    fewer than 2**16 buffers of at most 2**15 sub slots each.
+    ``MAX_RECORDED_PACKETS``.
     """
     return bytearray(), bytearray(_START.pack(0))
 
@@ -235,10 +235,7 @@ class CarouselSession:
         self.file_length = len(data)
         self.session_id = _checked_session_id(session_id)
         ss = codec.symbol_size
-        # Views, not slices: the source symbols of a bytes file share its
-        # memory (fec.encode copies anything writable).
-        view = memoryview(data)
-        self.symbols = fec.encode(codec, [view[i * ss : (i + 1) * ss] for i in range(codec.k)])
+        # Every geometry check comes before the encode, which none of them needs.
         # One level-1 symbol per buffer at the rate everyone has.
         self.buffer_time = infer_buffer_time(ss, channel.base_rate)
         if levels is None:
@@ -251,6 +248,10 @@ class CarouselSession:
         self.plan = carousel.build_plan(codec.n, levels)
         # Every buffer holds exactly one symbol per level.
         self.buffer_length = self.plan.level_count * ss
+        # Views, not slices: the source symbols of a bytes file share its
+        # memory (fec.encode copies anything writable).
+        view = memoryview(data)
+        self.symbols = fec.encode(codec, [view[i * ss : (i + 1) * ss] for i in range(codec.k)])
 
     def buffer_payload(self, buffer_id: int) -> bytes:
         indices = carousel.blocks_for_buffer(self.plan, buffer_id)
@@ -260,14 +261,13 @@ class CarouselSession:
     def emissions(self, *, max_buffers: int | None = None):
         """Yield (send_time, group, datagram) in send order, buffer after buffer.
 
-        A buffer's layout is the rows ``sequence`` returns for it.  A buffer
-        in this geometry's layout record replays its packets from there:
-        each datagram joins the recorded head, this session's id, the
-        recorded tail and the PDU.  Any other buffer is sequenced and all
-        its datagrams packed by ``wire.pack_packet`` before the first is
-        yielded; if it is the record's next, its rows are recorded with
-        the head and tail cut from those datagrams.  Each PDU is sliced
-        from a view of ``buffer_payload``.
+        Each buffer's packets are ``_ROW`` rows, and each datagram joins
+        a row's head, this session's id, its tail and the PDU sliced from
+        a view of ``buffer_payload``.  A buffer in this geometry's layout
+        record takes its rows from there.  Any other buffer is sequenced,
+        each packet packed by ``wire.pack_packet`` and its row cut from
+        that datagram, all before the first is yielded; if the buffer is
+        the record's next and fits, its rows are recorded.
         """
         cfg, buffer_time, session_id = self.cfg, self.buffer_time, self.session_id
         tsd, pdu_size, length = cfg.tsd, cfg.packet_payload, self.buffer_length
@@ -278,25 +278,25 @@ class CarouselSession:
             payload_view = memoryview(self.buffer_payload(buffer_id))
             if buffer_id < len(starts) // _START.size - 1:
                 begin, end = _SPAN.unpack_from(starts, _START.size * buffer_id)
-                for send_time, group, offset, head, tail in _ROW.iter_unpack(rows[begin:end]):
-                    yield send_time, group, b"".join(
-                        (head, session_id_bytes, tail, payload_view[offset : offset + pdu_size]))
+                packed = rows[begin:end]
             else:
-                layout = sequence(length, buffer_time, cfg, buffer_id * buffer_time)
-                packets = []
-                for send_time, group, seq, offset in layout:
+                packed = bytearray()
+                for send_time, group, seq, offset in sequence(length, buffer_time, cfg,
+                                                              buffer_id * buffer_time):
                     pdu = payload_view[offset : offset + pdu_size]
                     header = wire.PacketHeader(group, session_id, max(int(send_time / tsd), 0),
                                                seq, buffer_id, offset, length, len(pdu))
-                    packets.append((send_time, group, wire.pack_packet(header, pdu)))
+                    datagram = wire.pack_packet(header, pdu)
+                    packed += _ROW.pack(send_time, group, offset, datagram[:4],
+                                        datagram[8:wire.HEADER_SIZE])
                 with _RECORD_LOCK:
                     if (buffer_id == len(starts) // _START.size - 1
-                            and len(rows) // _ROW.size + len(layout) <= MAX_RECORDED_PACKETS):
-                        for (send_time, group, _, offset), (_, _, datagram) in zip(layout, packets):
-                            rows += _ROW.pack(send_time, group, offset, datagram[:4],
-                                              datagram[8:wire.HEADER_SIZE])
+                            and len(rows) + len(packed) <= MAX_RECORDED_PACKETS * _ROW.size):
+                        rows += packed
                         starts += _START.pack(len(rows))
-                yield from packets
+            for send_time, group, offset, head, tail in _ROW.iter_unpack(packed):
+                yield send_time, group, b"".join(
+                    (head, session_id_bytes, tail, payload_view[offset : offset + pdu_size]))
             buffer_id += 1
 
 

@@ -293,6 +293,26 @@ def test_session_rejects_mismatched_codec():
         CarouselSession(b"", CFG, CodecSpec("sparse_parity", 1, 2, 64))
 
 
+@pytest.mark.parametrize("fields, levels, refusal", [
+    pytest.param({"base_rate": 5e-324}, None, "no finite buffer time", id="base_rate=5e-324"),
+    pytest.param({"base_rate": 1e-300}, None, "no finite buffer length", id="base_rate=1e-300"),
+    pytest.param({}, 41, "41 levels > 40 blocks", id="levels=41"),
+    pytest.param({"base_rate": 1e-9}, None, "tiles per buffer", id="base_rate=1e-9"),
+    pytest.param({"base_rate": 1e-300}, 1, "tiles per buffer", id="levels=1-base_rate=1e-300"),
+])
+def test_session_refuses_its_geometry_before_encoding(fields, levels, refusal):
+    # None of these refusals needs the symbols, so none waits for the
+    # encode of a large file; each says what it says with the encode run.
+    data, spec = random.Random(8).randbytes(64 * 40), CodecSpec("null", 40, 40, 64)
+    cfg = dataclasses.replace(SMALL_CFG, **fields)
+    with pytest.raises(ValueError, match=refusal) as encoded:
+        CarouselSession(data, cfg, spec, levels=levels)
+    with (mock.patch.object(transfer.fec, "encode", side_effect=AssertionError("encoded")),
+          pytest.raises(ValueError) as refused):
+        CarouselSession(data, cfg, spec, levels=levels)
+    assert str(refused.value) == str(encoded.value)
+
+
 # ---------------------------------------------------------------------------
 # carousel session + symbol receiver (fed directly, no simulator)
 
@@ -559,8 +579,20 @@ def test_a_run_past_the_record_bound_records_only_the_prefix(monkeypatch):
     transfer._layout_record.cache_clear()
     for run in range(2):
         s = session_of(geometry, data_seed=run)
-        assert stream(s.emissions(max_buffers=30)) == stream(ref_emissions(s, 30))
+        # Every run packs each packet of the buffers past the record once;
+        # the second packs none of the recorded prefix.
+        with mock.patch.object(wire, "pack_packet", wraps=wire.pack_packet) as packed:
+            emitted = stream(s.emissions(max_buffers=30))
+        assert packed.call_count == sum(counts[fits if run else 0:])
+        assert emitted == stream(ref_emissions(s, 30))
         assert record_of(s) == [ref_layout(s, b) for b in range(fits)]
+
+
+def test_a_row_holds_a_group_id_past_32_bits():
+    # `send` reaches group ids near 2**35: 2**20 buffers of up to 2**15
+    # sub slots each.
+    row = (1.5, 2**35 + 9, 7, b"head", bytes(range(24)))
+    assert transfer._ROW.unpack(transfer._ROW.pack(*row)) == row
 
 
 def test_threads_share_one_record_without_a_lost_or_doubled_buffer():

@@ -64,8 +64,8 @@ def test_held_out_seed_fingerprint_is_pinned(monkeypatch, workload):
 # change that keeps the fingerprint but moves work between layers fails
 # here.  The sequencer's and the channel's counts cover only the buffers
 # that no earlier run in the process recorded (``transfer._layout_record``),
-# and so does ``wire.pack_calls``: each sequenced buffer is packed whole,
-# once per process, and a recorded one replays its packed headers.
+# and so does ``wire.pack_calls``: each packet of a sequenced buffer is
+# packed once, and a recorded buffer replays its rows.
 TRACED_COUNTS = {
     "bulk": {
         "fec.add_calls": 5525, "fec.epsilon": 0, "transfer.on_packet_calls": 5525,
