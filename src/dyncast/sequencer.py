@@ -23,6 +23,11 @@ import math
 
 from .channel import ChannelConfig, tiles_in_window
 
+# Most tiles one buffer's window may hold: it meets at most buffer_time /
+# sub_tsi + 2 sub slots of group_count tiles, all built and sorted before
+# the first packet, so a huge buffer time or a tiny sub slot is refused.
+MAX_WINDOW_TILES = 65536
+
 
 def infer_buffer_time(first_level_bytes: int, min_rate: float) -> float:
     """Seconds needed to push the first-level bytes at the minimal rate."""
@@ -44,6 +49,15 @@ def infer_buffer_length(buffer_time: float, max_rate: float) -> int:
     return math.floor(length)
 
 
+def check_window(buffer_time: float, cfg: ChannelConfig) -> None:
+    """Refuse a buffer time not finite and positive, or over ``MAX_WINDOW_TILES`` tiles."""
+    if not 0 < buffer_time < math.inf:
+        raise ValueError(f"buffer_time must be finite and positive, not {buffer_time!r}")
+    if (buffer_time / cfg.sub_tsi + 2) * cfg.group_count > MAX_WINDOW_TILES:
+        raise ValueError(f"buffer time {buffer_time:g} s over {cfg.sub_tsi:g} s "
+                         f"sub slots makes more than {MAX_WINDOW_TILES} tiles per buffer")
+
+
 def sequence(length: int, buffer_time: float, cfg: ChannelConfig,
              t_start: float) -> list[tuple[float, int, int, int]]:
     """Lay out a buffer of ``length`` bytes over [t_start, t_start + buffer_time).
@@ -55,8 +69,7 @@ def sequence(length: int, buffer_time: float, cfg: ChannelConfig,
     """
     if type(length) is not int or length < 1:
         raise ValueError(f"buffer length must be a positive int, not {length!r}")
-    if buffer_time <= 0:
-        raise ValueError("buffer_time must be positive")
+    check_window(buffer_time, cfg)
     # Most important tile first: minimal cumulative rate.  Ties (same rung)
     # go to the earlier interval, then the lower group id, which keeps the
     # order total and deterministic.

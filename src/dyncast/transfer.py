@@ -17,11 +17,11 @@ header field but the session id.  So each sent packet is a 48-byte row,
 its send time, group, offset and packed header less the session id, and
 its datagram one join of header, session id and PDU.  A cold buffer's
 rows are cut from the datagrams ``wire.pack_packet`` packs once.  The
-process keeps the rows of the first buffers ``CarouselSession.emissions``
-sequenced, up to ``MAX_RECORDED_PACKETS``, as one layout record for the
-last sender geometry ``(ChannelConfig, buffer_time, buffer_length)`` it
-saw.  A later session of that geometry, whatever its session id and
-bytes, replays them and sequences only the buffers past them; every
+process keeps one layout record, for the last sender geometry
+``(ChannelConfig, buffer_time, buffer_length)`` it saw: the rows of each
+buffer ``CarouselSession.emissions`` sequenced, by buffer index, up to an
+index bound.  A later session of that geometry, whatever its session id
+and bytes, replays them and sequences only the other buffers; every
 datagram is the same either way.
 
 Evaluation metrics: time (s), gput and tput (Kb/s), and the overhead
@@ -34,38 +34,26 @@ import functools
 import math
 import statistics
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import carousel, fec, netsim, wire
 from .channel import ChannelConfig
 from .reassembly import Reassembler
-from .sequencer import infer_buffer_length, infer_buffer_time, sequence
+from .sequencer import check_window, infer_buffer_length, infer_buffer_time, sequence
 
 METRIC_NAMES = ("time", "gput", "tput", "loss", "dup", "sym", "head", "net", "comp")
 
-# Most tiles one buffer's window may hold.  A window of buffer_time seconds
-# meets at most buffer_time / sub_tsi + 2 sub slots of group_count tiles
-# each, and the sequencer builds and sorts them all, so a huge buffer time
-# or a tiny sub slot would spend unbounded time and memory before the
-# first packet.
-MAX_WINDOW_TILES = 65536
-
-# Most packets the layout record holds, at _ROW.size = 48 bytes each
-# (about 3.1 MB).
+# Most packets the layout record holds (48 bytes each, about 3.1 MB): a
+# buffer of p PDUs carries at most p packets, so it is recorded when its
+# index is below MAX_RECORDED_PACKETS // p.
 MAX_RECORDED_PACKETS = 1 << 16
 
 # A packet as a row: its send time, group and offset as ``sequence``
 # returned them, and its packed header cut around the session id, which
 # is bytes 4..8 of ``wire``'s header: the head is bytes 0..4, the tail
-# bytes 8..32.  Buffer b's rows lie between the byte offsets at entries b
-# and b + 1 of the record's starts, which are _START rows.
+# bytes 8..32.
 _ROW = struct.Struct("dQI4s24s")
-_START = struct.Struct("I")
-_SPAN = struct.Struct("II")
-# Serialises the check that a buffer is the record's next with its append.
-_RECORD_LOCK = threading.Lock()
 
 
 class TransferTimeoutError(Exception):
@@ -195,14 +183,13 @@ def ring_table(k: int, n: int) -> memoryview:
 
 @functools.lru_cache(maxsize=1)
 def _layout_record(channel: ChannelConfig, buffer_time: float,
-                   buffer_length: int) -> tuple[bytearray, bytearray]:
-    """The recorded packets of one sender geometry: (rows, starts).
+                   buffer_length: int) -> dict[int, bytes]:
+    """The recorded rows of one sender geometry, by buffer index.
 
-    Empty when made; ``CarouselSession.emissions`` appends each buffer it
-    sequences that is the record's next one, while the rows fit in
-    ``MAX_RECORDED_PACKETS``.
+    ``CarouselSession.emissions`` stores each buffer it sequences below its
+    index bound; every store of an index writes the same bytes, so no lock.
     """
-    return bytearray(), bytearray(_START.pack(0))
+    return {}
 
 
 def _checked_session_id(session_id: int) -> int:
@@ -242,9 +229,7 @@ class CarouselSession:
             # As many levels as the mean full subscription drains per buffer, in 1..n.
             levels = infer_buffer_length(self.buffer_time, channel.mean_top_rate) // ss
             levels = max(1, min(codec.n, levels))
-        if (self.buffer_time / channel.sub_tsi + 2) * channel.group_count > MAX_WINDOW_TILES:
-            raise ValueError(f"buffer time {self.buffer_time:g} s over {channel.sub_tsi:g} s "
-                             f"sub slots makes more than {MAX_WINDOW_TILES} tiles per buffer")
+        check_window(self.buffer_time, channel)
         self.plan = carousel.build_plan(codec.n, levels)
         # Every buffer holds exactly one symbol per level.
         self.buffer_length = self.plan.level_count * ss
@@ -266,20 +251,19 @@ class CarouselSession:
         a view of ``buffer_payload``.  A buffer in this geometry's layout
         record takes its rows from there.  Any other buffer is sequenced,
         each packet packed by ``wire.pack_packet`` and its row cut from
-        that datagram, all before the first is yielded; if the buffer is
-        the record's next and fits, its rows are recorded.
+        that datagram, all before the first is yielded; if its index is
+        below the record's bound, its rows are recorded.
         """
         cfg, buffer_time, session_id = self.cfg, self.buffer_time, self.session_id
         tsd, pdu_size, length = cfg.tsd, cfg.packet_payload, self.buffer_length
         session_id_bytes = session_id.to_bytes(4, "big")
-        rows, starts = _layout_record(cfg, buffer_time, length)
+        record = _layout_record(cfg, buffer_time, length)
+        index_bound = MAX_RECORDED_PACKETS // -(-length // pdu_size)
         buffer_id = 0
         while max_buffers is None or buffer_id < max_buffers:
             payload_view = memoryview(self.buffer_payload(buffer_id))
-            if buffer_id < len(starts) // _START.size - 1:
-                begin, end = _SPAN.unpack_from(starts, _START.size * buffer_id)
-                packed = rows[begin:end]
-            else:
+            packed = record.get(buffer_id)
+            if packed is None:
                 packed = bytearray()
                 for send_time, group, seq, offset in sequence(length, buffer_time, cfg,
                                                               buffer_id * buffer_time):
@@ -289,11 +273,8 @@ class CarouselSession:
                     datagram = wire.pack_packet(header, pdu)
                     packed += _ROW.pack(send_time, group, offset, datagram[:4],
                                         datagram[8:wire.HEADER_SIZE])
-                with _RECORD_LOCK:
-                    if (buffer_id == len(starts) // _START.size - 1
-                            and len(rows) + len(packed) <= MAX_RECORDED_PACKETS * _ROW.size):
-                        rows += packed
-                        starts += _START.pack(len(rows))
+                if buffer_id < index_bound:
+                    record[buffer_id] = bytes(packed)
             for send_time, group, offset, head, tail in _ROW.iter_unpack(packed):
                 yield send_time, group, b"".join(
                     (head, session_id_bytes, tail, payload_view[offset : offset + pdu_size]))

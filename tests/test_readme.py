@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from dyncast import fec, netsim, transfer
+from dyncast import fec, netsim, sequencer
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,7 +34,7 @@ def as_written(value: int) -> str:
 def test_the_exit_code_table_names_every_input_cap():
     # Every row that names a cap also states its value.
     table = README.read_text().split("| command ", 1)[1].split("\n\n", 1)[0]
-    caps = {"transfer.MAX_WINDOW_TILES": transfer.MAX_WINDOW_TILES,
+    caps = {"sequencer.MAX_WINDOW_TILES": sequencer.MAX_WINDOW_TILES,
             "netsim.MAX_SUB_SLOTS": netsim.MAX_SUB_SLOTS, "netsim.MAX_PACKETS": netsim.MAX_PACKETS,
             "fec.MAX_N": fec.MAX_N, "fec.MAX_CODE_BYTES": fec.MAX_CODE_BYTES}
     for name, value in caps.items():

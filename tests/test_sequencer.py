@@ -4,7 +4,13 @@ import random
 import pytest
 
 from dyncast.channel import ChannelConfig, interval_index, tiles_in_window
-from dyncast.sequencer import infer_buffer_length, infer_buffer_time, sequence
+from dyncast.sequencer import (
+    MAX_WINDOW_TILES,
+    check_window,
+    infer_buffer_length,
+    infer_buffer_time,
+    sequence,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +256,21 @@ def test_empty_buffer_rejected():
 def test_a_length_that_is_not_a_positive_int_is_rejected(length):
     with pytest.raises(ValueError, match="buffer length must be a positive int"):
         sequence(length, 1.0, ChannelConfig(), 0.0)
+
+
+def test_a_window_just_over_the_tile_cap_is_refused():
+    # One sub slot more than the cap allows; at the cap the check passes.
+    cfg = ChannelConfig()
+    at_cap = (MAX_WINDOW_TILES // cfg.group_count - 2) * cfg.sub_tsi
+    check_window(at_cap, cfg)
+    with pytest.raises(ValueError, match=f"more than {MAX_WINDOW_TILES} tiles per buffer"):
+        sequence(100, at_cap + cfg.sub_tsi, cfg, 0.0)
+
+
+@pytest.mark.parametrize("buffer_time", [math.inf, math.nan, -1.0])
+def test_a_buffer_time_that_is_not_finite_and_positive_is_refused(buffer_time):
+    with pytest.raises(ValueError, match="buffer_time must be finite and positive"):
+        sequence(100, buffer_time, ChannelConfig(), 0.0)
 
 
 def test_zero_budget_window_rejected():

@@ -386,14 +386,14 @@ def stream(emissions):
 
 
 def recorded_packets(sess):
-    """The rows the record of ``sess``'s geometry holds, buffer by buffer:
-    (send_time, group, offset, head, tail) per packet.
+    """The rows the record of ``sess``'s geometry holds, buffer by buffer
+    from index 0: (send_time, group, offset, head, tail) per packet.  A
+    gap in the recorded indices raises KeyError.
 
     Asking for a record makes it the current one, so this reads only the
     geometry in use."""
-    rows, starts = transfer._layout_record(sess.cfg, sess.buffer_time, sess.buffer_length)
-    bounds = [v for (v,) in transfer._START.iter_unpack(starts)]
-    return [list(transfer._ROW.iter_unpack(rows[a:b])) for a, b in zip(bounds, bounds[1:])]
+    record = transfer._layout_record(sess.cfg, sess.buffer_time, sess.buffer_length)
+    return [list(transfer._ROW.iter_unpack(record[b])) for b in range(len(record))]
 
 
 def record_of(sess):
@@ -567,15 +567,15 @@ def test_runs_that_stop_mid_record(geometry, runs):
 
 
 def test_a_run_past_the_record_bound_records_only_the_prefix(monkeypatch):
-    # Inferred levels: some windows carry fewer packets than the buffer
-    # has PDUs.  The bound admits the first `fits` buffers and stops at a
-    # longer buffer that a later, shorter one would have fitted after.
+    # Inferred levels: buffer 3 carries 43 packets, fewer than a buffer's
+    # 46 PDUs.  A bound of 3 * 46 + 45 packets admits indices 0..2 only,
+    # though buffer 3's rows would fit after theirs.
     geometry = (dataclasses.replace(SMALL_CFG, tsd=0.05), 64, None, 60)
     sess = session_of(geometry)
     counts = [len(ref_layout(sess, b)) for b in range(30)]
-    fits = next(b for b in range(1, 29) if counts[b] > min(counts[b + 1:]))
-    bound = sum(counts[:fits]) + counts[fits] - 1
-    monkeypatch.setattr(transfer, "MAX_RECORDED_PACKETS", bound)
+    pdus = -(-sess.buffer_length // sess.cfg.packet_payload)
+    assert pdus == 46 and sum(counts[:4]) <= 3 * pdus + 45
+    monkeypatch.setattr(transfer, "MAX_RECORDED_PACKETS", 3 * pdus + 45)
     transfer._layout_record.cache_clear()
     for run in range(2):
         s = session_of(geometry, data_seed=run)
@@ -583,9 +583,29 @@ def test_a_run_past_the_record_bound_records_only_the_prefix(monkeypatch):
         # the second packs none of the recorded prefix.
         with mock.patch.object(wire, "pack_packet", wraps=wire.pack_packet) as packed:
             emitted = stream(s.emissions(max_buffers=30))
-        assert packed.call_count == sum(counts[fits if run else 0:])
+        assert packed.call_count == sum(counts[3 if run else 0:])
         assert emitted == stream(ref_emissions(s, 30))
-        assert record_of(s) == [ref_layout(s, b) for b in range(fits)]
+        assert record_of(s) == [ref_layout(s, b) for b in range(3)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(geometry=GEOMETRIES, bound=st.integers(0, 600),
+       runs=st.lists(st.integers(1, 12), min_size=1, max_size=3))
+def test_the_record_holds_the_emitted_buffers_below_its_index_bound(geometry, bound, runs):
+    # A buffer of p PDUs is recorded when its index is below bound // p,
+    # and it never carries more than p packets.
+    transfer._layout_record.cache_clear()
+    emitted = set()
+    with mock.patch.object(transfer, "MAX_RECORDED_PACKETS", bound):
+        for seed, buffers in enumerate(runs):
+            sess = session_of(geometry, data_seed=seed, session_id=seed + 1)
+            below = bound // -(-sess.buffer_length // sess.cfg.packet_payload)
+            assert stream(sess.emissions(max_buffers=buffers)) == stream(ref_emissions(sess, buffers))
+            emitted.update(range(buffers))
+            record = transfer._layout_record(sess.cfg, sess.buffer_time, sess.buffer_length)
+            assert set(record) == {b for b in emitted if b < below}
+            assert sum(map(len, record.values())) <= bound * transfer._ROW.size
+    assert record_of(sess) == [ref_layout(sess, b) for b in range(len(record))]
 
 
 def test_a_row_holds_a_group_id_past_32_bits():
@@ -597,8 +617,10 @@ def test_a_row_holds_a_group_id_past_32_bits():
 
 def test_threads_share_one_record_without_a_lost_or_doubled_buffer():
     # More threads than cores over one cold geometry, with a thread switch
-    # every microsecond; a buffer appended twice or out of turn would put
-    # another buffer's layout in some recorded place.
+    # every microsecond.  The record has no lock: threads that sequence one
+    # buffer at once each store the same rows under its index, so a lost
+    # store or one under the wrong index would show as a gap or as another
+    # buffer's layout in some recorded place.
     geometry = (dataclasses.replace(SMALL_CFG, tsd=0.05), 64, None, 60)
     transfer._layout_record.cache_clear()
     sessions_ = [session_of(geometry, data_seed=i, session_id=i + 1) for i in range(6)]
